@@ -8,9 +8,18 @@ number of parameters of a generic orbit of that action, equal to the
 dimension of a maximal commuting semisimple subspace of the degree-one part.
 
 Structure constants are computed once per algebra type from a faithful
-matrix construction of the smallest available module and cached; every
-bracket expansion is verified by residual check, so a closure failure is an
-error, never a silent wrong answer.
+matrix construction of the smallest available module and cached.  Brackets
+are sparse commutators of the basis matrices, and coordinates are read off
+the root-space structure rather than solved for.  A nonzero entry (i, j) of
+the root vector x_beta joins module basis vectors whose weights differ by
+beta, and no other basis element is nonzero there, so each root vector has
+one fixed probe entry and its coordinate is the ratio of the matrix's entry
+there to the root vector's.  Only the Cartan generators reach the diagonal;
+their coordinates come from one rank-by-rank solve on the diagonal entries
+at basis vectors of independent weight.  Every expansion then rebuilds the
+matrix from its coordinates and compares it with the input over every
+nonzero entry of either, so a closure failure or a matrix outside the
+algebra is an error, never a silent wrong answer.
 """
 
 import random
@@ -21,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .hwmod import IrrepSpec, extend_to_full_algebra
+from .hwmod import IrrepSpec, _sparse_cols, _sparse_comm, extend_to_full_algebra
 from .modality import ActionSpec, generic_orbit_dim
 from .rootsys import RootSystemType, build_root_system
 
@@ -49,6 +58,12 @@ def _unit(r, j):
     return tuple(1 if i == j else 0 for i in range(r))
 
 
+def _entries(cols):
+    """Nonzero entries, keyed by (row, column), of a matrix in sparse
+    columns."""
+    return {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+
+
 class StructureConstants:
     """Bracket table of a simple algebra in its root-space basis.
 
@@ -71,72 +86,61 @@ class StructureConstants:
         self.root_of_index = tuple(
             [None] * r + list(pos) + [tuple(-c for c in b) for b in pos])
 
-        n = mod.dimension
-        flat = np.empty((n * n, self.dim), dtype=object)
-        for a, m in enumerate(mod.full_basis):
-            for i in range(n):
-                for j in range(n):
-                    flat[i * n + j, a] = m[i, j]
-        self._flat = flat
-        self._n = n
-        # pivot rows making the basis-coordinate solve square
-        piv_rows = self._pivot_rows(flat)
-        assert len(piv_rows) == self.dim, "module basis is not independent"
-        self._piv_rows = piv_rows
-        sub = np.empty((self.dim, self.dim), dtype=object)
-        for i, ri in enumerate(piv_rows):
-            for j in range(self.dim):
-                sub[i, j] = flat[ri, j]
-        self._piv_inverse = linalg.inverse(sub)
+        self._n = mod.dimension
+        cols = [_sparse_cols(m) for m in mod.full_basis]
+        self._entries = [_entries(c) for c in cols]
+        # a root vector owns every position where it is nonzero
+        self._probes = [next(iter(e.items())) for e in self._entries[r:]]
+        # Cartan coordinates: diagonals at r basis vectors of independent weight
+        rows = []
+        for k, w in enumerate(mod.weights):
+            if len(rows) == r:
+                break
+            cand = [mod.weights[i] for i in rows] + [w]
+            if linalg.rank(linalg.rmat(cand)) > len(rows):
+                rows.append(k)
+        self._diag_rows = rows
+        self._diag_inverse = linalg.inverse(
+            linalg.rmat([mod.weights[k] for k in rows]))
 
-        self.bracket = [[None] * self.dim for _ in range(self.dim)]
+        self.bracket = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         for a in range(self.dim):
-            for b in range(a, self.dim):
-                if a == b:
-                    self.bracket[a][b] = {}
-                    continue
-                comm = (np.dot(mod.full_basis[a], mod.full_basis[b])
-                        - np.dot(mod.full_basis[b], mod.full_basis[a]))
-                coords = self.expand_matrix(comm)
+            for b in range(a + 1, self.dim):
+                comm = _sparse_comm(cols[a], cols[b])
+                coords = self._coords(_entries(comm))
                 entry = {c: v for c, v in enumerate(coords) if v}
                 self.bracket[a][b] = entry
                 self.bracket[b][a] = {c: -v for c, v in entry.items()}
 
-    @staticmethod
-    def _pivot_rows(flat):
-        rows = [i for i in range(flat.shape[0]) if any(flat[i, :])]
-        piv = []
-        basis = []  # rows kept so far, reduced copies for rank growth test
-        for i in rows:
-            cand = [list(flat[j, :]) for j in piv] + [list(flat[i, :])]
-            if linalg.rank(linalg.rmat(cand)) == len(piv) + 1:
-                piv.append(i)
-                if len(piv) == flat.shape[1]:
-                    break
-        return piv
+    def _coords(self, entries):
+        """Coordinates of the matrix with nonzero ``entries`` ((i, j) ->
+        value): Cartan part from the diagonal, one probe read per root
+        vector, then a residual check over every nonzero entry of the
+        matrix and of its reconstruction."""
+        diag = linalg.rvec([entries.get((k, k), 0) for k in self._diag_rows])
+        coords = [Fraction(c) for c in np.dot(self._diag_inverse, diag)]
+        coords += [Fraction(entries.get(p, 0)) / v for p, v in self._probes]
+        recon = {}
+        for c, basis_entries in zip(coords, self._entries):
+            if c:
+                for p, v in basis_entries.items():
+                    recon[p] = recon.get(p, 0) + c * v
+        if any(recon.get(p, 0) != entries.get(p, 0)
+               for p in recon.keys() | entries.keys()):
+            raise ValueError("matrix does not lie in the algebra's image")
+        return coords
 
     def expand_matrix(self, m):
         """Coordinates of a module matrix in the algebra basis; exact, with
         a residual check so non-members raise instead of mis-expanding."""
-        n = self._n
-        rhs = linalg.rvec([m[ri // n, ri % n] for ri in self._piv_rows])
-        coords = np.dot(self._piv_inverse, rhs)
-        recon = np.dot(self._flat, coords)
-        for i in range(n * n):
-            if recon[i] != m[i // n, i % n]:
-                raise ValueError("matrix does not lie in the algebra's image")
-        return list(coords)
+        return self._coords(_entries(_sparse_cols(m)))
 
     def element_matrix(self, coords):
-        n = self._n
-        out = linalg.zeros(n)
-        for a, c in enumerate(coords):
+        out = linalg.zeros(self._n)
+        for c, basis_entries in zip(coords, self._entries):
             if c:
-                src = self.module.full_basis[a]
-                for i in range(n):
-                    for j in range(n):
-                        if src[i, j]:
-                            out[i, j] += c * src[i, j]
+                for (i, j), v in basis_entries.items():
+                    out[i, j] += c * v
         return out
 
     def bracket_coords(self, u, v):
@@ -208,6 +212,10 @@ class GradingSpec:
             labels = tuple(x % self.m for x in labels)
         object.__setattr__(self, "labels", labels)
 
+    def degree_of_root(self, beta):
+        d = sum(x * l for x, l in zip(beta, self.labels))
+        return d % self.m if self.m is not None else d
+
     @property
     def name(self):
         mm = "Z" if self.m is None else f"Z{self.m}"
@@ -229,17 +237,7 @@ class GradedAlgebra:
         return self.sc.dim
 
     def degree_of_root(self, beta):
-        d = sum(x * l for x, l in zip(beta, self.spec.labels))
-        return d % self.spec.m if self.spec.m is not None else d
-
-    def coords_of_component_vector(self, degree, comp_coords):
-        idxs = self.components.get(degree, ())
-        if len(comp_coords) != len(idxs):
-            raise ValueError("component coordinate length mismatch")
-        out = [Fraction(0)] * self.dim
-        for i, c in zip(idxs, comp_coords):
-            out[i] = Fraction(c)
-        return out
+        return self.spec.degree_of_root(beta)
 
 
 def build_grading(spec):
@@ -249,14 +247,8 @@ def build_grading(spec):
     wrong degree map cannot survive construction.
     """
     sc = structure_constants(spec.rstype)
-    degs = []
-    for root in sc.root_of_index:
-        if root is None:
-            degs.append(0)
-        else:
-            d = sum(x * l for x, l in zip(root, spec.labels))
-            degs.append(d % spec.m if spec.m is not None else d)
-    degs = tuple(degs)
+    degs = tuple(0 if root is None else spec.degree_of_root(root)
+                 for root in sc.root_of_index)
 
     components = {}
     for idx, d in enumerate(degs):

@@ -118,6 +118,20 @@ def modality_visible(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     return action.space_dim - generic_orbit_dim(action, trials, seed).generic_orbit_dim
 
 
+def _block_diag(blocks):
+    """Block-diagonal matrix with the given square blocks along the diagonal."""
+    out = linalg.zeros(sum(b.shape[0] for b in blocks))
+    off = 0
+    for b in blocks:
+        d = b.shape[0]
+        for i in range(d):
+            for j in range(d):
+                if b[i, j]:
+                    out[off + i, off + j] = b[i, j]
+        off += d
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rank-1 special linear group: explicit sums and the closed form
 
@@ -127,19 +141,11 @@ def sl2_action(summands):
     ``summands`` are highest weights (0 means a trivial line).
     """
     a1 = RootSystemType("A", 1)
-    dims = [n + 1 for n in summands]
-    total = sum(dims)
-    mats = [linalg.zeros(total) for _ in range(3)]
-    off = 0
-    for n in summands:
-        mod = build_hw_module(IrrepSpec(a1, (n,)), ceiling=max(total, n + 1))
-        for tgt, src in zip(mats, (mod.e[0], mod.f[0], mod.h[0])):
-            d = mod.dimension
-            for i in range(d):
-                for j in range(d):
-                    if src[i, j]:
-                        tgt[off + i, off + j] = src[i, j]
-        off += n + 1
+    total = sum(n + 1 for n in summands)
+    mods = [build_hw_module(IrrepSpec(a1, (n,)), ceiling=max(total, n + 1))
+            for n in summands]
+    mats = [_block_diag([getattr(mod, g)[0] for mod in mods])
+            for g in ("e", "f", "h")]
     return ActionSpec(matrices=tuple(mats), algebra_dim=3, space_dim=total)
 
 
@@ -275,14 +281,16 @@ def table_entries(which="all", rank_cutoff=DEFAULT_RANK_CUTOFF):
 
 
 def lookup_expected_modality(rstype, weight):
-    """Table entry matching the weight or its dual, or None.
+    """Table entry matching the weight or an image of it under a diagram
+    automorphism, or None.
 
-    The tables list one member of each contragredient pair, so lookups are
-    normalized through the dual dominant weight.
+    The tables list one member of each orbit of diagram automorphisms (the
+    dual, the two half-spin weights of D_n, the triality images in D4), so
+    lookups are normalized over the whole orbit.
     """
     rs = build_root_system(rstype)
     weight = tuple(int(c) for c in weight)
-    candidates = {weight, rs.dominant_dual(weight)}
+    candidates = rs.diagram_orbit(weight)
     raw = load_raw_tables()
     for name in ("m1", "m2", "m3"):
         for record in raw[name]:
@@ -361,15 +369,7 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     full = extend_to_full_algebra(IrrepSpec(rstype, natural))
     algebra_dim = len(full.full_basis)
     space_dim = n * d
-    mats = []
-    for m in full.full_basis:
-        big = linalg.zeros(space_dim)
-        for blk in range(d):
-            for i in range(n):
-                for j in range(n):
-                    if m[i, j]:
-                        big[blk * n + i, blk * n + j] = m[i, j]
-        mats.append(big)
+    mats = [_block_diag([m] * d) for m in full.full_basis]
     action = ActionSpec(matrices=tuple(mats), algebra_dim=algebra_dim,
                         space_dim=space_dim)
 

@@ -199,17 +199,22 @@ def sl_basis(n):
     return basis
 
 
-def adjoint_orbit_dim(x):
-    """Orbit dimension of a traceless matrix: rank of its bracket map."""
+def _bracket_map(x, basis):
+    """Matrix of ``b -> [x, b]`` from the span of ``basis`` to flattened
+    n x n matrices, one column per basis element."""
     n = x.shape[0]
-    basis = sl_basis(n)
     cols = np.empty((n * n, len(basis)), dtype=object)
     for k, b in enumerate(basis):
         comm = np.dot(x, b) - np.dot(b, x)
         for i in range(n):
             for j in range(n):
                 cols[i * n + j, k] = comm[i, j]
-    return linalg.rank(cols)
+    return cols
+
+
+def adjoint_orbit_dim(x):
+    """Orbit dimension of a traceless matrix: rank of its bracket map."""
+    return linalg.rank(_bracket_map(x, sl_basis(x.shape[0])))
 
 
 def packet_dims(p):
@@ -298,13 +303,7 @@ def _center_of_centralizer(x):
     traceless algebra."""
     n = x.shape[0]
     basis = sl_basis(n)
-    cols = np.empty((n * n, len(basis)), dtype=object)
-    for k, b in enumerate(basis):
-        comm = np.dot(x, b) - np.dot(b, x)
-        for i in range(n):
-            for j in range(n):
-                cols[i * n + j, k] = comm[i, j]
-    cent_coords = linalg.kernel_basis(cols)
+    cent_coords = linalg.kernel_basis(_bracket_map(x, basis))
     cent = []
     for v in cent_coords:
         m = linalg.zeros(n)
@@ -314,13 +313,8 @@ def _center_of_centralizer(x):
         cent.append(m)
     if not cent:
         return []
-    stack = np.empty((n * n * len(cent), len(cent)), dtype=object)
-    for a, u in enumerate(cent):
-        for bidx, b in enumerate(cent):
-            comm = np.dot(u, b) - np.dot(b, u)
-            for i in range(n):
-                for j in range(n):
-                    stack[bidx * n * n + i * n + j, a] = comm[i, j]
+    # u is central when [b, u] = 0 for every b in the centralizer
+    stack = np.vstack([_bracket_map(b, cent) for b in cent])
     center_coords = linalg.kernel_basis(stack)
     out = []
     for v in center_coords:

@@ -12,7 +12,7 @@ the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -197,6 +197,37 @@ class RootSystem:
         if not self.is_dominant(weight):
             raise ValueError("dominant_dual expects a dominant weight")
         return self.dominant_representative(tuple(-c for c in weight))
+
+    @cached_property
+    def diagram_automorphisms(self):
+        """Permutations ``p`` of the simple roots preserving the Cartan
+        matrix, node i going to node ``p[i]``; the identity comes first."""
+        a, r = self.cartan, self.rank
+        found = []
+
+        def extend(p):
+            k = len(p)
+            if k == r:
+                found.append(tuple(p))
+                return
+            for j in range(r):
+                if j not in p and all(a[p[i]][j] == a[i][k] and
+                                      a[j][p[i]] == a[k][i] for i in range(k)):
+                    extend(p + [j])
+
+        extend([])
+        return tuple(found)
+
+    def diagram_orbit(self, weight):
+        """Images of a weight (fundamental-weight coordinates) under the
+        diagram automorphisms.  Dualizing a dominant weight is one of them."""
+        out = set()
+        for p in self.diagram_automorphisms:
+            w = [0] * self.rank
+            for i, c in enumerate(weight):
+                w[p[i]] = c
+            out.add(tuple(w))
+        return out
 
     @property
     def num_positive_roots(self):

@@ -52,11 +52,49 @@ def test_structure_constants_jacobi_random():
             assert not any(total)
 
 
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_structure_constants_exceptional(name):
+    rt = RootSystemType.parse(name)
+    sc = gr.structure_constants(rt)
+    r = rt.rank
+    index = {root: k for k, root in enumerate(sc.root_of_index)}
+    unit = lambda i: tuple(1 if k == i else 0 for k in range(r))
+    for i in range(r):
+        e_i = index[unit(i)]
+        for j in range(r):
+            f_j = index[tuple(-c for c in unit(j))]
+            assert sc.bracket[e_i][f_j] == ({i: 1} if i == j else {})
+    rng = random.Random(23)
+    for _ in range(3):
+        u, v, w = ([Fraction(rng.randint(-3, 3)) for _ in range(sc.dim)]
+                   for _ in range(3))
+        uvw = sc.bracket_coords(sc.bracket_coords(u, v), w)
+        vwu = sc.bracket_coords(sc.bracket_coords(v, w), u)
+        wuv = sc.bracket_coords(sc.bracket_coords(w, u), v)
+        assert not any(a + b + c for a, b, c in zip(uvw, vwu, wuv))
+
+
 def test_expand_matrix_rejects_outsiders():
     sc = gr.structure_constants(RootSystemType("A", 1))
     assert sc.expand_matrix(sc.module.full_basis[0]) == [1, 0, 0]
     with pytest.raises(ValueError):
         sc.expand_matrix(linalg.eye(2))  # identity is not traceless
+
+    # each root vector of B2 has two nonzero entries in the natural module
+    # and only one is read as its probe; changing any single entry of a
+    # root vector, including entries no probe reads, leaves the algebra
+    sc = gr.structure_constants(RootSystemType("B", 2))
+    n = sc.module.dimension
+    for a in range(2, sc.dim):
+        x = sc.module.full_basis[a]
+        assert sum(1 for v in x.flat if v) == 2
+        assert sc.expand_matrix(x) == [int(k == a) for k in range(sc.dim)]
+        for i in range(n):
+            for j in range(n):
+                bad = x.copy()
+                bad[i, j] += 1
+                with pytest.raises(ValueError):
+                    sc.expand_matrix(bad)
 
 
 def test_build_grading_components():

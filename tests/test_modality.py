@@ -146,6 +146,19 @@ def test_lookup_normalizes_through_dual():
     assert mo.lookup_expected_modality(RootSystemType("B", 3), (0, 1, 0)) is None
 
 
+def test_lookup_respects_diagram_automorphisms():
+    # half-spin modules of D4 are triality images of the tabled natural
+    # module; the D6 spin nodes are swapped by the outer automorphism
+    d4 = RootSystemType("D", 4)
+    for w in ((0, 0, 0, 1), (0, 0, 1, 0)):
+        entry = mo.lookup_expected_modality(d4, w)
+        assert entry.expected_modality == 1 and entry.weight == w
+    d6 = RootSystemType("D", 6)
+    assert mo.lookup_expected_modality(d6, (0, 0, 0, 0, 1, 0)).expected_modality == 1
+    # the middle node of D4 is fixed by every automorphism
+    assert mo.lookup_expected_modality(d4, (0, 1, 0, 0)) is None
+
+
 def test_lookup_respects_family_patterns():
     # arbitrary high rank still matches the family records
     assert mo.lookup_expected_modality(RootSystemType("A", 11), (1,) + (0,) * 10).table == "m1"

@@ -109,6 +109,27 @@ def test_dominant_representative_and_dual():
     assert e6.dominant_dual((1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 1)
 
 
+def test_diagram_automorphisms():
+    orders = {"A1": 1, "A2": 2, "A5": 2, "B3": 1, "C4": 1, "D4": 6, "D5": 2,
+              "D6": 2, "E6": 2, "E7": 1, "E8": 1, "F4": 1, "G2": 1}
+    for name, order in orders.items():
+        rs = build_root_system(RootSystemType.parse(name))
+        auts = rs.diagram_automorphisms
+        assert len(auts) == order
+        assert auts[0] == tuple(range(rs.rank))
+        for p in auts:
+            assert all(rs.cartan[p[i]][p[j]] == rs.cartan[i][j]
+                       for i in range(rs.rank) for j in range(rs.rank))
+    d4 = build_root_system(RootSystemType("D", 4))
+    assert d4.diagram_orbit((1, 0, 0, 0)) == {
+        (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+    # dualizing is a diagram automorphism
+    for name in ("A4", "D5", "E6"):
+        rs = build_root_system(RootSystemType.parse(name))
+        w = tuple(range(rs.rank))
+        assert rs.dominant_dual(w) in rs.diagram_orbit(w)
+
+
 def test_dominant_dual_is_involutive():
     import random
     rng = random.Random(3)
