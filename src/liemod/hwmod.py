@@ -1,20 +1,26 @@
 """Finite-dimensional irreducible highest-weight modules, exactly.
 
-A module is generated from a formal highest-weight vector by breadth-first
-application of the simple lowering operators.  Linear dependence among the
-formal monomials ``f_{i_1}...f_{i_k} v`` is decided through the contravariant
-pairing, computed recursively from the relation ``[e_i, f_j] = delta_ij h_i``;
-on the irreducible quotient that pairing is definite, so exact Gram-matrix
-solves give both the basis and the matrix entries of the generators.
+A module is built one weight space at a time, breadth-first from the
+highest-weight vector (W. A. de Graaf, *Lie Algebras: Theory and
+Algorithms*, 2000).  Below the highest weight the map
+``w -> (e_1 w, ..., e_r w)`` is injective on an irreducible module, so a
+candidate ``f_j x`` is determined by its e-images
 
-Everything is exact rational arithmetic; matrices are numpy object arrays.
+    e_i f_j x = f_j e_i x + delta_ij <wt x, alpha_j^vee> x,
+
+all of which the previous weight level already knows.  Candidates are taken
+in lexicographic order of their lowering monomials; one that is independent
+of the basis vectors already in its weight space joins the basis, any other
+is written as the combination an incremental echelon of the e-images
+returns.  That combination is the candidate's column of ``f_j``.
+
+Entries are exact: Python ints where integral, ``Fraction`` otherwise;
+matrices are numpy object arrays.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import linalg
 from .rootsys import RootSystemType, build_root_system
@@ -82,19 +88,20 @@ class HWModule:
 
 
 def weyl_dim(spec):
-    """Module dimension by the Weyl product formula, exactly."""
-    rs = build_root_system(spec.rstype)
-    lam = rs.weight_root_coords(spec.highest_weight)
-    delta = rs.weyl_vector
-    shifted = tuple(a + b for a, b in zip(lam, delta))
-    num = Fraction(1)
-    den = Fraction(1)
-    for beta in rs.positive_roots:
-        num *= rs.pairing(shifted, beta)
-        den *= rs.pairing(delta, beta)
-    d = num / den
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    """Module dimension by the Weyl product formula, exactly.
+
+    ``prod <lambda + rho, beta^vee> / <rho, beta^vee>`` over the positive
+    coroots; with coroots in simple-coroot coordinates and weights in
+    fundamental-weight coordinates each factor is an integer dot product.
+    """
+    shifted = [c + 1 for c in spec.highest_weight]
+    num = den = 1
+    for cor in build_root_system(spec.rstype).positive_coroots:
+        num *= sum(c * x for c, x in zip(cor, shifted))
+        den *= sum(cor)
+    d, rem = divmod(num, den)
+    assert rem == 0 and d > 0
+    return d
 
 
 def enumerate_dominant_up_to_dim(rstype, max_dim):
@@ -125,118 +132,85 @@ def enumerate_dominant_up_to_dim(rstype, max_dim):
     return sorted(found)
 
 
+def _exact_div(a, b):
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def _build_module(spec):
     rs = build_root_system(spec.rstype)
     r = rs.rank
-    lam = spec.highest_weight
     cartan = rs.cartan
-
-    def mono_weight(mono):
-        w = list(lam)
-        for j in mono:
-            for i in range(r):
-                w[i] -= cartan[j][i]
-        return tuple(w)
-
-    def e_apply(j, mono):
-        """Formal expansion of e_j f_{m_1}...f_{m_k} v as monomial terms."""
-        terms = {}
-        suffix = 0  # pairing of the suffix root sum with the j-th coroot
-        for t in range(len(mono) - 1, -1, -1):
-            if mono[t] == j:
-                c = lam[j] - suffix
-                if c:
-                    rest = mono[:t] + mono[t + 1:]
-                    terms[rest] = terms.get(rest, 0) + c
-            suffix += cartan[mono[t]][j]
-        return [(c, m) for m, c in terms.items()]
-
-    pair_memo = {}
-
-    def pairing(m1, m2):
-        if len(m1) != len(m2) or sorted(m1) != sorted(m2):
-            return 0
-        if not m1:
-            return 1
-        key = (m1, m2)
-        val = pair_memo.get(key)
-        if val is None:
-            head, rest = m1[0], m1[1:]
-            val = 0
-            for coeff, mm in e_apply(head, m2):
-                if coeff:
-                    val += coeff * pairing(rest, mm)
-            pair_memo[key] = val
-            pair_memo[(m2, m1)] = val
-        return val
-
-    # breadth-first generation; candidates within a level in lex order
-    by_weight = {tuple(lam): {"basis": [()], "gram": [[1]]}}
-    order = [()]
-    level = [()]
+    dim = weyl_dim(spec)
+    order = [()]                       # lowering monomial of each basis vector
+    weights = [spec.highest_weight]
+    e_cols = [[{} for _ in range(r)]]  # e_cols[b][i]: e_i x_b, sparse column
+    f_cols = [{} for _ in range(r)]    # f_cols[j][b]: f_j x_b, sparse column
+    level = [0]
     while level:
-        cands = sorted({(j,) + m for m in level for j in range(r)})
+        # per weight: echelon rows (pivot, reduced e-image with 1 at the
+        # pivot, the same row as a combination of basis vectors)
+        echelons = {}
         accepted = []
-        for c in cands:
-            mu = mono_weight(c)
-            slot = by_weight.setdefault(mu, {"basis": [], "gram": []})
-            basis, gram = slot["basis"], slot["gram"]
-            pvec = [pairing(b, c) for b in basis]
-            s = pairing(c, c)
-            if basis:
-                x = linalg.solve_square(linalg.rmat(gram), linalg.rvec(pvec))
-                residual = s - sum(p * xi for p, xi in zip(pvec, x))
-                indep = residual != 0
-            else:
-                indep = s != 0
-            if indep:
-                for row, p in zip(gram, pvec):
-                    row.append(p)
-                gram.append(pvec + [s])
-                basis.append(c)
-                accepted.append(c)
-                order.append(c)
+        for mono, j, b in sorted(((j,) + order[b], j, b)
+                                 for b in level for j in range(r)):
+            mu = tuple(w - cartan[j][i] for i, w in enumerate(weights[b]))
+            # e_i f_j x_b = f_j e_i x_b + delta_ij <wt x_b, alpha_j^vee> x_b
+            image = {}
+            for i in range(r):
+                for y, a in e_cols[b][i].items():
+                    for x, c in f_cols[j][y].items():
+                        image[i, x] = image.get((i, x), 0) + a * c
+            if weights[b][j]:
+                image[j, b] = image.get((j, b), 0) + weights[b][j]
+            image = {k: v for k, v in image.items() if v}
+            rest = dict(image)
+            coef = {}
+            rows = echelons.setdefault(mu, [])
+            for piv, row, comb in rows:
+                t = rest.get(piv)
+                if not t:
+                    continue
+                for k, v in row.items():
+                    rest[k] = rest.get(k, 0) - t * v
+                rest = {k: v for k, v in rest.items() if v}
+                for x, v in comb.items():
+                    coef[x] = coef.get(x, 0) + t * v
+            if not rest:
+                # f_j x_b is the combination the echelon returned
+                f_cols[j][b] = {x: v for x, v in coef.items() if v}
+                continue
+            n = len(order)
+            order.append(mono)
+            weights.append(mu)
+            cols = [{} for _ in range(r)]
+            for (i, x), v in image.items():
+                cols[i][x] = v
+            e_cols.append(cols)
+            f_cols[j][b] = {n: 1}
+            piv, p = next(iter(rest.items()))
+            comb = {x: -v for x, v in coef.items() if v}
+            comb[n] = 1
+            rows.append((piv, {k: _exact_div(v, p) for k, v in rest.items()},
+                         {x: _exact_div(v, p) for x, v in comb.items()}))
+            accepted.append(n)
         level = accepted
-
-    dim = len(order)
-    index = {m: i for i, m in enumerate(order)}
-    weights = tuple(mono_weight(m) for m in order)
-
-    def expand(mono):
-        """Coordinates of a formal monomial in the accepted basis (sparse)."""
-        slot = by_weight.get(mono_weight(mono))
-        if slot is None or not slot["basis"]:
-            return []
-        basis, gram = slot["basis"], slot["gram"]
-        pvec = [pairing(b, mono) for b in basis]
-        if not any(pvec):
-            return []
-        x = linalg.solve_square(linalg.rmat(gram), linalg.rvec(pvec))
-        return [(index[b], xi) for b, xi in zip(basis, x) if xi]
-
+        assert len(order) <= dim, f"{spec.name}: basis outgrew Weyl's formula"
+    assert len(order) == dim, f"{spec.name}: basis short of Weyl's formula"
     e_mats, f_mats, h_mats = [], [], []
     for j in range(r):
-        fm = linalg.zeros(dim)
-        em = linalg.zeros(dim)
+        em = _sparse_dense([e_cols[b][j] for b in range(dim)], dim)
+        fm = _sparse_dense([f_cols[j][b] for b in range(dim)], dim)
         hm = linalg.zeros(dim)
-        for col, m in enumerate(order):
-            for row, val in expand((j,) + m):
-                fm[row, col] = val
-            acc = {}
-            for coeff, mm in e_apply(j, m):
-                for row, val in expand(mm):
-                    acc[row] = acc.get(row, 0) + coeff * val
-            for row, val in acc.items():
-                if val:
-                    em[row, col] = val
-            hm[col, col] = weights[col][j]
+        for b in range(dim):
+            hm[b, b] = weights[b][j]
         e_mats.append(em)
         f_mats.append(fm)
         h_mats.append(hm)
 
     for m in (*e_mats, *f_mats, *h_mats):
         m.flags.writeable = False
-    return HWModule(spec=spec, dimension=dim, weights=weights,
+    return HWModule(spec=spec, dimension=dim, weights=tuple(weights),
                     monomials=tuple(order), e=tuple(e_mats), f=tuple(f_mats),
                     h=tuple(h_mats))
 

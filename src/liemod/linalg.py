@@ -17,8 +17,8 @@ from math import gcd, lcm
 import numpy as np
 
 __all__ = [
-    "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
-    "rank", "kernel_basis", "solve_square", "inverse",
+    "rmat", "rvec", "zeros", "eye", "is_zero_matrix", "clear_denominators",
+    "rank", "integer_rank", "kernel_basis", "solve_square", "inverse",
     "char_poly", "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
     "poly_divmod", "poly_derivative", "poly_gcd", "poly_eval",
@@ -63,18 +63,19 @@ def is_zero_matrix(m):
     return not any(bool(x) for x in m.flat)
 
 
+def clear_denominators(values):
+    """The values times the lcm of their denominators, as Python ints."""
+    mult = lcm(*(x.denominator for x in values if isinstance(x, Fraction)))
+    return [int(x * mult) for x in values]
+
+
 def _integer_rows(m):
     """Scale each row by the lcm of its denominators.
 
     Row scaling changes neither the rank nor the kernel, and integer rows
     let the Bareiss elimination below run division-free.
     """
-    out = []
-    for row in np.asarray(m):
-        dens = [x.denominator for x in row if isinstance(x, Fraction)]
-        mult = lcm(*dens) if dens else 1
-        out.append([int(x * mult) for x in row])
-    return out
+    return [clear_denominators(row) for row in np.asarray(m)]
 
 
 def _bareiss_echelon(rows, ncols):
@@ -112,13 +113,18 @@ def _bareiss_echelon(rows, ncols):
     return rows[:pr], pivots
 
 
+def integer_rank(rows, ncols):
+    """Exact rank of a matrix given as ``ncols``-long lists of Python ints."""
+    _, pivots = _bareiss_echelon(rows, ncols)
+    return len(pivots)
+
+
 def rank(m):
     """Exact rank of a rational matrix."""
     m = np.asarray(m)
     if m.size == 0:
         return 0
-    _, pivots = _bareiss_echelon(_integer_rows(m), m.shape[1])
-    return len(pivots)
+    return integer_rank(_integer_rows(m), m.shape[1])
 
 
 def kernel_basis(m):

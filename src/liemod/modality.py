@@ -17,6 +17,7 @@ rank one, and the shipped classification tables of modality 0, 1 and 2.
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -45,7 +46,12 @@ SAMPLE_BOX = 10
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """A Lie algebra basis acting on a vector space by square matrices."""
+    """A Lie algebra basis acting on a vector space by square matrices.
+
+    ``matrices[k]`` is the action of the k-th basis element.  Entries may be
+    ints or ``Fraction``; orbit computations read them through
+    ``integer_entries``.
+    """
 
     matrices: tuple
     algebra_dim: int
@@ -58,6 +64,21 @@ class ActionSpec:
         for m in self.matrices:
             if m.shape != (self.space_dim, self.space_dim):
                 raise ValueError("action matrix has wrong shape")
+
+    @cached_property
+    def integer_entries(self):
+        """Per matrix, its nonzero entries as ``(row, col, int)`` triples.
+
+        Each matrix is multiplied once by the lcm of its denominators, a
+        positive integer; that scales one column of every orbit matrix and
+        so leaves its rank unchanged.
+        """
+        out = []
+        for m in self.matrices:
+            rows, cols = np.nonzero(m)
+            vals = linalg.clear_denominators(m[rows, cols])
+            out.append(tuple(zip(rows.tolist(), cols.tolist(), vals)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -72,18 +93,25 @@ class OrbitDimReport:
 
 
 def stabilizer_dim_at(action, v):
-    """Dimension of the subalgebra annihilating the point v."""
+    """Dimension of the subalgebra annihilating the point v.
+
+    That is ``algebra_dim`` minus the rank of the orbit matrix, whose column
+    k is ``matrices[k] @ v``.  The matrix is assembled on Python ints from
+    ``action.integer_entries`` and ``v`` with its denominators cleared, which
+    scales columns by positive integers: the rank, and so the answer, is
+    exact.
+    """
     if len(v) != action.space_dim:
         raise ValueError("point has wrong length")
-    vv = linalg.rvec([x for x in v])
     if action.algebra_dim == 0:
         return 0
-    cols = [np.dot(m, vv) for m in action.matrices]
-    mat = np.empty((action.space_dim, action.algebra_dim), dtype=object)
-    for j, c in enumerate(cols):
-        for i in range(action.space_dim):
-            mat[i, j] = c[i]
-    return action.algebra_dim - linalg.rank(mat)
+    point = linalg.clear_denominators(linalg.rvec(v))
+    rows = [[0] * action.algebra_dim for _ in range(action.space_dim)]
+    for k, entries in enumerate(action.integer_entries):
+        for i, j, a in entries:
+            if point[j]:
+                rows[i][k] += a * point[j]
+    return action.algebra_dim - linalg.integer_rank(rows, action.algebra_dim)
 
 
 def orbit_dim_at(action, v):
@@ -94,8 +122,14 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Max orbit dimension over seeded integer sample points.
 
     Orbit dimension is maximal on a dense open set, so the max over trials
-    can only understate the true value, never overstate it; box sampling
-    misses the non-generic locus with overwhelming probability.
+    can only understate the true value, never overstate it.  The orbit
+    matrix is linear in the point, so the points where its rank falls below
+    the generic rank rho lie on the zero set of a nonzero rho x rho minor,
+    a polynomial of degree rho.  By Schwartz-Zippel a point with coordinates
+    drawn uniformly from ``[-SAMPLE_BOX, SAMPLE_BOX]`` lands there with
+    probability at most ``rho / (2 * SAMPLE_BOX + 1)`` per trial.  With
+    ``SAMPLE_BOX = 10`` that bound is vacuous once rho >= 21, which the
+    larger table entries reach (E7 with highest weight omega_7 has rho = 55).
     """
     if trials < 1:
         raise ValueError("trials must be positive")

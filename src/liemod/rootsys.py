@@ -13,6 +13,7 @@ the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -164,6 +165,26 @@ class RootSystem:
         """Invariant form on vectors given in root coordinates."""
         return sum(Fraction(x[i]) * self._form[i][j] * Fraction(y[j])
                    for i in range(self.rank) for j in range(self.rank))
+
+    @cached_property
+    def positive_coroots(self):
+        """Integer coordinates of each positive coroot in the simple coroots,
+        in the order of ``positive_roots``.
+
+        ``beta^vee = 2 beta / (beta, beta)``, so the coefficient of
+        ``alpha_i^vee`` is ``b_i (alpha_i, alpha_i) / (beta, beta)``, with
+        ``(beta, beta) = sum_j b_j (alpha_j, alpha_j) <beta, alpha_j^vee> / 2``.
+        """
+        scale = lcm(*(d.denominator for d in self._d))
+        sq = [int(d * scale) for d in self._d]  # proportional to (alpha_i, alpha_i)
+        out = []
+        for beta in self.positive_roots:
+            norm = sum(b * q * c for b, q, c in
+                       zip(beta, sq, self.root_weight_coords(beta)))
+            cor = [divmod(2 * b * q, norm) for b, q in zip(beta, sq)]
+            assert all(rem == 0 for _, rem in cor)
+            out.append(tuple(c for c, _ in cor))
+        return tuple(out)
 
     def root_weight_coords(self, beta):
         """Fundamental-weight coordinates of a root-coordinate vector."""

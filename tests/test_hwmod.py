@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -174,3 +175,116 @@ def test_matrices_read_only():
     mod = build_hw_module(IrrepSpec(A1, (1,)))
     with pytest.raises(ValueError):
         mod.e[0][0, 0] = 5
+
+
+def _reference_weyl_dims(rstype, weights):
+    """The Weyl product formula on Fractions in root coordinates:
+    prod (lambda + delta, beta) / (delta, beta) over the positive roots."""
+    rs = build_root_system(rstype)
+    units = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
+    # (alpha_i, beta) for every positive root beta
+    forms = [[rs.pairing(u, beta) for u in units] for beta in rs.positive_roots]
+    delta = rs.weyl_vector
+    den = Fraction(1)
+    for form in forms:
+        den *= sum(d * c for d, c in zip(delta, form))
+    out = []
+    for w in weights:
+        lam = rs.weight_root_coords(w)
+        shifted = [a + b for a, b in zip(lam, delta)]
+        num = Fraction(1)
+        for form in forms:
+            num *= sum(x * c for x, c in zip(shifted, form))
+        d = num / den
+        assert d.denominator == 1 and d > 0
+        out.append(int(d))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "E6", "E7", "E8",
+                                  "F4", "G2"])
+def test_weyl_dim_matches_fraction_reference(name):
+    rstype = RootSystemType.parse(name)
+    rng = random.Random(name)
+    weights = [tuple(rng.randint(0, 4) for _ in range(rstype.rank))
+               for _ in range(50)]
+    expected = _reference_weyl_dims(rstype, weights)
+    assert [weyl_dim(IrrepSpec(rstype, w)) for w in weights] == expected
+
+
+def _canonical_dump(mod):
+    lines = [repr(mod.monomials)]
+    for name in ("e", "f"):
+        for j, m in enumerate(getattr(mod, name)):
+            lines.append(f"{name}{j}")
+            for i in range(mod.dimension):
+                lines.append(" ".join(str(Fraction(m[i, k]))
+                                      for k in range(mod.dimension)))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of _canonical_dump as produced by the contravariant-pairing
+# builder this weight-space builder replaced
+BUILD_PINS = [
+    (G2, (1, 0),
+     "11434b4015d01c4ca6d8dbb5daa3550aa42b8e01abc4e7b9269de9ae53e775c8"),
+    (B3, (0, 0, 1),
+     "56b1ad5e8497ab5b3cecdcc7a2be65dab1f67bbf2a8981f886b88c1cd50978a3"),
+    (C3, (0, 0, 1),
+     "f17ebccab57e4a4732aae7c4fadc556999c0ebbb8ce6e954374aac2d34de1647"),
+    (E6, (1, 0, 0, 0, 0, 0),
+     "ef9c7959f2f22e3d0b097cdcc290173109bd91dec50e618a52479b21d94b83c1"),
+    # weight multiplicities up to 3 and 4: dependent candidates are
+    # resolved through more than one echelon row
+    (A2, (2, 2),
+     "b7fe13feab2d337893bd28f8a3a8f6476a41f281669fe23e45865c682fca126e"),
+    (G2, (1, 1),
+     "e10cbcb09583ccbc755808388d60efed608cbc91394b53879fef18bdc0cab104"),
+]
+
+
+@pytest.mark.parametrize("rstype,weight,digest", BUILD_PINS)
+def test_build_reproduces_pinned_modules(rstype, weight, digest):
+    mod = build_hw_module(IrrepSpec(rstype, weight))
+    text = _canonical_dump(mod)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _columns(m):
+    cols = [{} for _ in range(m.shape[1])]
+    for i, j in zip(*np.nonzero(m)):
+        cols[j][i] = m[i, j]
+    return cols
+
+
+def _apply(cols, vec):
+    out = {}
+    for j, x in vec.items():
+        for i, a in cols[j].items():
+            out[i] = out.get(i, 0) + a * x
+    return {i: x for i, x in out.items() if x}
+
+
+@pytest.mark.parametrize("name,weight", [
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ("B6", (0, 0, 0, 0, 0, 1)),
+    ("D7", (0, 0, 0, 0, 0, 0, 1)),
+])
+def test_commutation_relations_larger_modules(name, weight):
+    rstype = RootSystemType.parse(name)
+    mod = build_hw_module(IrrepSpec(rstype, weight))
+    assert mod.dimension == weyl_dim(mod.spec)
+    r = rstype.rank
+    e = [_columns(m) for m in mod.e]
+    f = [_columns(m) for m in mod.f]
+    for k in range(mod.dimension):
+        x = {k: 1}
+        for i in range(r):
+            ex = _apply(e[i], x)
+            for j in range(r):
+                comm = _apply(e[i], _apply(f[j], x))
+                for row, v in _apply(f[j], ex).items():
+                    comm[row] = comm.get(row, 0) - v
+                comm = {row: v for row, v in comm.items() if v}
+                assert comm == ({k: mod.weights[k][i]}
+                                if i == j and mod.weights[k][i] else {})

@@ -1,7 +1,9 @@
 """Orbit dimension, modality, the rank-1 closed form, and the tables."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liemod import linalg
@@ -194,3 +196,30 @@ def test_orbit_dim_bounds_random():
         v = [rng.randint(-6, 6) for _ in range(a.space_dim)]
         od = mo.orbit_dim_at(a, v)
         assert 0 <= od <= min(a.algebra_dim, a.space_dim)
+
+
+def test_orbit_dim_invariant_under_scaling():
+    # clearing denominators scales columns of the orbit matrix; the rank
+    # must match the one of the plain rational orbit matrix.  On binary
+    # cubics the generic orbit is open, so every column counts.
+    rng = random.Random(11)
+    for rstype, weight in ((RootSystemType("A", 1), (3,)),
+                           (RootSystemType("G", 2), (1, 0))):
+        a = mo.action_from_module(IrrepSpec(rstype, weight))
+        points = [[1] + [0] * (a.space_dim - 1)]
+        points += [[rng.randint(-3, 3) for _ in range(a.space_dim)]
+                   for _ in range(3)]
+        for k in range(a.algebra_dim):
+            mats = list(a.matrices)
+            mats[k] = mats[k] * Fraction(1, 3)
+            scaled = mo.ActionSpec(matrices=tuple(mats),
+                                   algebra_dim=a.algebra_dim,
+                                   space_dim=a.space_dim)
+            for v in points:
+                half = [Fraction(x, 2) for x in v]
+                vec = linalg.rvec(half)
+                dense = linalg.zeros(a.space_dim, a.algebra_dim)
+                for c, m in enumerate(mats):
+                    dense[:, c] = np.dot(m, vec)
+                od = mo.orbit_dim_at(a, v)
+                assert mo.orbit_dim_at(scaled, half) == od == linalg.rank(dense)

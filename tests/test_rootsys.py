@@ -158,3 +158,25 @@ def test_type_validation():
         RootSystemType("F", 3)
     assert RootSystemType.parse("B3") == RootSystemType("B", 3)
     assert RootSystemType.parse("E8").name == "E8"
+
+
+def _coroot_set(family, rank):
+    return set(build_root_system(RootSystemType(family, rank)).positive_coroots)
+
+
+def _root_set(family, rank):
+    return set(build_root_system(RootSystemType(family, rank)).positive_roots)
+
+
+def test_positive_coroots_form_the_dual_root_system():
+    for n in range(3, 9):
+        assert _coroot_set("B", n) == _root_set("C", n)
+        assert _coroot_set("C", n) == _root_set("B", n)
+    # G2 and F4 are self-dual with the order of the simple roots reversed
+    for family, rank in (("G", 2), ("F", 4)):
+        assert _coroot_set(family, rank) == {
+            tuple(reversed(b)) for b in _root_set(family, rank)}
+    for family, rank in (("A", 1), ("A", 5), ("D", 4), ("D", 7),
+                         ("E", 6), ("E", 7), ("E", 8)):
+        rs = build_root_system(RootSystemType(family, rank))
+        assert rs.positive_coroots == rs.positive_roots
