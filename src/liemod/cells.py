@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .rootsys import build_root_system
 

@@ -5,7 +5,9 @@ effective configuration, a list of per-item results sorted by id, and an
 aggregate pass flag.  An item with an expected value either matches or
 fails; items without an expected value (pure computations) never fail the
 run; items skipped for exceeding the build ceiling are marked but do not
-fail the run either.  Exit code 0 means every verification passed.
+fail the run either.  Exit code 0 means every verification passed, 1
+that one failed, and 2 that the input was bad or the report could not be
+written.
 
 Reports are deterministic for a fixed seed apart from the timestamp and
 the per-item timings.  The environment variable MODALITY_SEED, when set,
@@ -396,7 +398,7 @@ def run_command(argv=None):
 def main(argv=None):
     try:
         return run_command(argv)
-    except (ValueError, BuildCeilingExceeded) as exc:
+    except (ValueError, BuildCeilingExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,16 +156,6 @@ class StructureConstants:
                     out[c] += ca * cb * s
         return out
 
-    def ad_matrix(self, coords):
-        m = linalg.zeros(self.dim)
-        for a, ca in enumerate(coords):
-            if not ca:
-                continue
-            for b in range(self.dim):
-                for c, s in self.bracket[a][b].items():
-                    m[c, b] += ca * s
-        return m
-
 
 @lru_cache(maxsize=None)
 def structure_constants(rstype):
@@ -321,7 +311,7 @@ def jordan_chevalley(x):
         if linalg.is_zero_matrix(val):
             break
         dval = linalg.poly_eval_matrix(dsf, y)
-        y = y - np.dot(linalg.inverse(dval), val)
+        y = y - linalg.solve_square(dval, val)
         steps += 1
         assert steps <= e_max.bit_length() + 2, "iteration failed to settle"
     return JordanPair(semisimple_part=y, nilpotent_part=x - y)
@@ -392,13 +382,8 @@ def cartan_subspace(ga, seed=2024, max_retries=8):
                 continue
             found.append(tuple(s))
             # restrict the slice to the centralizer of the new element
-            ad_s = ga.sc.ad_matrix(s)
-            images = [np.dot(ad_s, linalg.rvec(list(v))) for v in slice_basis]
-            cons = np.empty((ga.dim, len(slice_basis)), dtype=object)
-            for j, img in enumerate(images):
-                for i in range(ga.dim):
-                    cons[i, j] = img[i]
-            kernel = linalg.kernel_basis(cons)
+            images = [ga.sc.bracket_coords(s, v) for v in slice_basis]
+            kernel = linalg.kernel_basis(linalg.rmat(zip(*images)))
             slice_basis = [
                 [sum(k[j] * v[i] for j, v in enumerate(slice_basis))
                  for i in range(ga.dim)] for k in kernel]

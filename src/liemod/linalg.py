@@ -6,13 +6,17 @@ arithmetic promotes to ``Fraction`` as needed.  Polynomials are python
 lists of coefficients in ascending degree order, normalized so the
 leading coefficient is nonzero (the zero polynomial is ``[]``).
 
-No floating point is used anywhere: ranks, kernels and characteristic
-polynomials are computed with fraction-free (Bareiss) elimination on
-integer rows, so every answer is exact.
+``Fraction`` appears only at the edges: each kernel clears its input's
+denominators once (``clear_denominators``), computes on Python ints, and
+divides only in its result.  Ranks, kernels and solves share one
+fraction-free (Bareiss) elimination; characteristic polynomials come from
+the Faddeev-LeVerrier recurrence, which stays integral on integers.  No
+floating point is used anywhere, so every answer is exact.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -66,7 +70,7 @@ def is_zero_matrix(m):
 def clear_denominators(values):
     """The values times the lcm of their denominators, as Python ints."""
     mult = lcm(*(x.denominator for x in values if isinstance(x, Fraction)))
-    return [int(x * mult) for x in values]
+    return [x.numerator * (mult // x.denominator) for x in values]
 
 
 def _integer_rows(m):
@@ -122,89 +126,91 @@ def integer_rank(rows, ncols):
 def rank(m):
     """Exact rank of a rational matrix."""
     m = np.asarray(m)
-    if m.size == 0:
-        return 0
     return integer_rank(_integer_rows(m), m.shape[1])
+
+
+def _back_substitute(ech, pivots, ncols, fc):
+    """The kernel vector of ``ncols``-wide echelon rows that is 1 at free
+    column ``fc`` and 0 at the other free columns.
+
+    The last Bareiss pivot ``d`` is, up to sign, the input's minor on the
+    pivot rows and columns; by Cramer's rule ``d`` times the vector is
+    integral, so the substitution runs on ints with exact divisions.
+    """
+    d = ech[-1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
+    y[fc] = d
+    for row, pc in zip(reversed(ech), reversed(pivots)):
+        y[pc] = -sum(map(mul, row[pc + 1:], y[pc + 1:])) // row[pc]
+    return [Fraction(v, d) for v in y]
 
 
 def kernel_basis(m):
     """Exact basis of the right kernel, one vector per free column."""
     m = np.asarray(m)
-    nrows, ncols = m.shape
-    if ncols == 0:
-        return []
-    ech, pivots = _bareiss_echelon(_integer_rows(m), ncols) if nrows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        # back substitution against the echelon rows, bottom-up
-        for i in reversed(range(len(pivots))):
-            pc = pivots[i]
-            s = sum((Fraction(ech[i][j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-            x[pc] = -s / ech[i][pc]
-        basis.append(rvec(x))
-    return basis
+    ncols = m.shape[1]
+    ech, pivots = _bareiss_echelon(_integer_rows(m), ncols)
+    return [rvec(_back_substitute(ech, pivots, ncols, fc))
+            for fc in range(ncols) if fc not in pivots]
 
 
 def solve_square(a, b):
     """Solve ``a @ x = b`` for invertible square ``a``; ``b`` may be a matrix.
 
-    Raises ValueError when ``a`` is singular.
+    Column j of x is minus the kernel vector of ``[a | b]`` that is 1 at
+    b's column j.  Raises ValueError when ``a`` is singular.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     n = a.shape[0]
     assert a.shape == (n, n)
-    vec = b.ndim == 1
-    bb = b.reshape(n, -1)
-    aug = np.concatenate([a, bb], axis=1).copy()
+    aug = np.concatenate([a, b.reshape(n, -1)], axis=1)
     width = aug.shape[1]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if aug[r, c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        if pr != c:
-            aug[[c, pr]] = aug[[pr, c]]
-        inv = Fraction(1) / Fraction(aug[c, c])
-        for j in range(c, width):
-            aug[c, j] = aug[c, j] * inv
-        for r in range(n):
-            if r != c and aug[r, c] != 0:
-                f = aug[r, c]
-                for j in range(c, width):
-                    aug[r, j] = aug[r, j] - f * aug[c, j]
-    x = aug[:, n:]
-    return x.reshape(-1) if vec else x
+    ech, pivots = _bareiss_echelon(_integer_rows(aug), width)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    cols = [_back_substitute(ech, pivots, width, j) for j in range(n, width)]
+    x = rmat([[-col[i] for col in cols] for i in range(n)])
+    return x.reshape(-1) if b.ndim == 1 else x
 
 
 def inverse(a):
     return solve_square(a, eye(np.asarray(a).shape[0]))
 
 
-def char_poly(m):
-    """Characteristic polynomial det(tI - M), ascending, monic.
-
-    Faddeev-LeVerrier recurrence; exact for rational input.
-    """
+def _integer_square(m):
+    """Integer rows ``a`` and a positive int ``den`` with ``m = a / den``."""
     m = np.asarray(m)
     n = m.shape[0]
     if m.shape != (n, n):
-        raise ValueError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [Fraction(1)]
-    coeffs = [Fraction(1)]  # c_{n-k} collected for k = 1..n
-    bk = eye(n)
+        raise ValueError("need a square matrix")
+    # the trailing 1 comes back as the common multiplier
+    *flat, den = clear_denominators([*m.flat, 1])
+    return [flat[i * n:(i + 1) * n] for i in range(n)], den
+
+
+def _int_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def char_poly(m):
+    """Characteristic polynomial det(tI - M), ascending, monic.
+
+    Faddeev-LeVerrier recurrence on ``a = den * M``: each coefficient c_k
+    of det(tI - a) is an integer, so the division by k is exact, and the
+    coefficient of t^(n-k) in det(tI - M) is c_k / den^k.
+    """
+    a, den = _integer_square(m)
+    n = len(a)
+    coeffs = [1]  # c_k, the coefficient of t^(n-k) in det(tI - a)
+    bk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = np.dot(m, bk)
-        tr = sum(mk[i, i] for i in range(n))
-        ck = -Fraction(tr) / k
+        bk = _int_matmul(a, bk)
+        ck = -sum(bk[i][i] for i in range(n)) // k
         coeffs.append(ck)
-        bk = mk.copy()
         for i in range(n):
-            bk[i, i] = bk[i, i] + ck
-    return poly_normalize(list(reversed(coeffs)))
+            bk[i][i] += ck
+    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)][::-1]
 
 
 def char_poly_squarefree(m):
@@ -274,12 +280,8 @@ def poly_derivative(p):
 
 def _int_primitive(p):
     """Clear denominators and divide by coefficient gcd; sign-normalize."""
-    dens = [Fraction(x).denominator for x in p]
-    mult = lcm(*dens) if dens else 1
-    ints = [int(x * mult) for x in p]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = clear_denominators(p)
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     if ints and ints[-1] < 0:
@@ -323,15 +325,24 @@ def poly_eval(p, x):
 
 
 def poly_eval_matrix(p, m):
-    """Horner evaluation of a polynomial at a square matrix."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    acc = zeros(n)
-    for c in reversed(poly_normalize(p)):
-        acc = np.dot(acc, m)
-        for i in range(n):
-            acc[i, i] = acc[i, i] + c
-    return acc
+    """Evaluate a polynomial at a square matrix.  With ``M = a / den`` and
+    ``p = q / L``, Horner's rule on a with the integer coefficients
+    ``q_i * den^(deg - i)`` gives ``L * den^deg * p(M)``."""
+    a, den = _integer_square(m)
+    n = len(a)
+    p = poly_normalize(p)
+    if not p:
+        return zeros(n)
+    *q, mult = clear_denominators([*p, 1])
+    deg = len(q) - 1
+    acc = [[q[deg] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in reversed(range(deg)):
+        acc = _int_matmul(acc, a)
+        c = q[i] * den ** (deg - i)
+        for r in range(n):
+            acc[r][r] += c
+    scale = mult * den ** deg
+    return rmat([[Fraction(x, scale) for x in row] for row in acc])
 
 
 def squarefree_part(p):

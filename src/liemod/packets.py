@@ -372,6 +372,8 @@ def packet_sanity_suite(n, samples=200, seed=2024):
     """
     if not 2 <= n <= 4:
         raise ValueError("supported range is 2 <= n <= 4")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     rng = random.Random(seed)
     packets = enumerate_packets_adjoint_typeA(n)
     by_type = {p.jordan_type: p for p in packets}

@@ -13,9 +13,6 @@ the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-
-import numpy as np
 
 from . import linalg
 
@@ -175,8 +172,8 @@ class RootSystem:
         ``alpha_i^vee`` is ``b_i (alpha_i, alpha_i) / (beta, beta)``, with
         ``(beta, beta) = sum_j b_j (alpha_j, alpha_j) <beta, alpha_j^vee> / 2``.
         """
-        scale = lcm(*(d.denominator for d in self._d))
-        sq = [int(d * scale) for d in self._d]  # proportional to (alpha_i, alpha_i)
+        # proportional to (alpha_i, alpha_i)
+        sq = linalg.clear_denominators(self._d)
         out = []
         for beta in self.positive_roots:
             norm = sum(b * q * c for b, q, c in

@@ -187,3 +187,18 @@ def test_bad_flags():
     assert cli.main(["sl2", "modality", "--summands", "1", "--trials", "0"]) == 2
     assert cli.main(["grading", "rank", "--type", "A1", "--m", "x",
                      "--labels", "1"]) == 2
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code = cli.main(["cells", "count", "--type", "A2", "--output", str(path)])
+    assert code == 2
+    assert not path.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_packets_check_needs_samples(samples, capsys):
+    code = cli.main(["packets", "check", "--sln", "3", "--samples", samples])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err

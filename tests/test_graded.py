@@ -257,3 +257,15 @@ def test_killing_gram_degree_orthogonality():
                 for b, j in enumerate(jdxs):
                     block[a, b] = gram[i, j]
             assert linalg.rank(block) == len(idxs)
+
+
+@pytest.mark.parametrize("name,labels,expected", [
+    ("F4", (1, 0, 0, 0), 4),      # FI
+    ("F4", (0, 0, 0, 1), 1),      # FII
+    ("E6", (1, 0, 0, 0, 0, 0), 2),  # EIII
+    ("E6", (0, 1, 0, 0, 0, 0), 4),  # EII
+])
+def test_exceptional_involution_ranks(name, labels, expected):
+    # a Z2 grading's rank is the real rank of the matching real form
+    ga = gr.build_grading(gr.GradingSpec(RootSystemType.parse(name), 2, labels))
+    assert gr.rank_of_grading(ga) == len(gr.cartan_subspace(ga)) == expected

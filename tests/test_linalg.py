@@ -168,3 +168,90 @@ def test_squarefree_properties_random():
         assert linalg.poly_degree(sf) == len(set(roots))
         for r0 in set(roots):
             assert linalg.poly_eval(sf, Fraction(r0)) == 0
+
+
+def reference_char_poly(rows):
+    """Faddeev-LeVerrier on plain lists of Fractions, ascending, monic."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(1)]
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        ab = [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = -sum(ab[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        b = [[ab[i][j] + (c if i == j else 0) for j in range(n)]
+             for i in range(n)]
+    return list(reversed(coeffs))
+
+
+def mixed_denominator_matrix(rng, n):
+    return [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6)))
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_char_poly_mixed_denominators_matches_reference():
+    rng = random.Random(314)
+    for _ in range(30):
+        rows = mixed_denominator_matrix(rng, rng.randint(1, 6))
+        p = linalg.char_poly(linalg.rmat(rows))
+        assert p == reference_char_poly(rows)
+        assert all(isinstance(c, Fraction) for c in p)
+
+
+def test_poly_eval_matrix_mixed_denominators_matches_dense():
+    rng = random.Random(2718)
+    for _ in range(30):
+        m = linalg.rmat(mixed_denominator_matrix(rng, rng.randint(1, 5)))
+        p = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 4, 5)))
+             for _ in range(rng.randint(1, 5))]
+        p[-1] = p[-1] or Fraction(1, 3)
+        got = linalg.poly_eval_matrix(p, m)
+        assert got.shape == m.shape
+        assert (got == poly_eval_dense(p, m)).all()
+
+
+def test_poly_eval_matrix_edge_cases():
+    m = linalg.rmat([[Fraction(1, 2), 3], [Fraction(-1, 3), 0]])
+    assert linalg.is_zero_matrix(linalg.poly_eval_matrix([], m))
+    assert linalg.poly_eval_matrix([], m).shape == (2, 2)
+    assert linalg.is_zero_matrix(linalg.poly_eval_matrix([Fraction(0)], m))
+    const = linalg.poly_eval_matrix([Fraction(5, 2)], m)
+    assert (const == poly_eval_dense([Fraction(5, 2)], m)).all()
+    empty = linalg.zeros(0)
+    assert linalg.char_poly(empty) == [Fraction(1)]
+    assert linalg.poly_eval_matrix([], empty).shape == (0, 0)
+    assert linalg.poly_eval_matrix([Fraction(1, 2), 1], empty).shape == (0, 0)
+
+
+def test_solve_square_singular_despite_full_rank_augmented():
+    a = linalg.rmat([[1, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        linalg.solve_square(a, linalg.rvec([0, 1]))
+    with pytest.raises(ValueError):
+        linalg.solve_square(a, linalg.eye(2))
+    with pytest.raises(ValueError):
+        linalg.inverse(linalg.rmat([[0, 1], [0, 1]]))
+
+
+def test_solve_square_fraction_matrix_rhs():
+    rng = random.Random(1618)
+    solved = 0
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        a = linalg.rmat(mixed_denominator_matrix(rng, n))
+        k = rng.randint(1, 3)
+        b = linalg.rmat([[Fraction(rng.randint(-4, 4), rng.choice((1, 5)))
+                          for _ in range(k)] for _ in range(n)])
+        if linalg.rank(a) < n:
+            with pytest.raises(ValueError):
+                linalg.solve_square(a, b)
+            continue
+        x = linalg.solve_square(a, b)
+        assert x.shape == b.shape
+        assert (np.dot(a, x) == b).all()
+        col = linalg.solve_square(a, b[:, 0])
+        assert col.shape == (n,) and list(col) == list(x[:, 0])
+        solved += 1
+    assert solved >= 15

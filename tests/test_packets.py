@@ -216,3 +216,9 @@ def test_kernel_profile_uniqueness_up_to_n5():
                     for k in range(e))
                 assert profile not in seen, (e, d, multiset, seen[profile])
                 seen[profile] = multiset
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sanity_suite_needs_samples(samples):
+    with pytest.raises(ValueError):
+        packet_sanity_suite(3, samples=samples)
