@@ -7,11 +7,19 @@ operator, every functional in the span of a flat belonging to it.  For a
 root system restricted to its Cartan subalgebra the cells describe
 centralizer strata; positive roots suffice since a functional and its
 negative cut out the same hyperplane.
+
+The arithmetic runs on Python ints: each functional is held once with its
+denominators cleared, a point's denominators are cleared before it is
+tested, and spans are tested against integer kernel vectors.  None of
+this scaling changes which functionals vanish or lie in a span.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .rootsys import build_root_system
@@ -38,14 +46,22 @@ class FunctionalSet:
         if any(len(f) != self.ambient_dim for f in fs):
             raise ValueError("functional length does not match ambient_dim")
 
+    @cached_property
+    def int_rows(self):
+        """Each functional times the lcm of its denominators, as ints."""
+        return tuple(tuple(linalg.clear_denominators(f))
+                     for f in self.functionals)
+
     def evaluate(self, index, point):
-        return sum(c * x for c, x in zip(self.functionals[index], point))
+        scale = lcm(*(c.denominator for c in self.functionals[index]))
+        return Fraction(sum(map(mul, self.int_rows[index], point)), scale)
 
     def vanishing_set(self, point):
         if len(point) != self.ambient_dim:
             raise ValueError("point has wrong length")
-        return frozenset(i for i in range(len(self.functionals))
-                         if self.evaluate(i, point) == 0)
+        p = linalg.clear_denominators(point)
+        return frozenset(i for i, f in enumerate(self.int_rows)
+                         if not sum(map(mul, f, p)))
 
 
 @dataclass(frozen=True)
@@ -78,20 +94,20 @@ def _rows_matrix(fset, indices):
     return linalg.rmat(rows)
 
 
+def _int_rows_of(fset, indices):
+    return [fset.int_rows[i] for i in sorted(indices)]
+
+
 def _flat_rank(fset, indices):
-    if not indices:
-        return 0
-    return linalg.rank(_rows_matrix(fset, indices))
+    return linalg.integer_rank(_int_rows_of(fset, indices), fset.ambient_dim)
 
 
 def _closure(fset, indices):
-    """All functionals lying in the span of the given ones."""
-    ker = linalg.kernel_basis(_rows_matrix(fset, indices))
-    out = set()
-    for i, f in enumerate(fset.functionals):
-        if all(sum(c * v for c, v in zip(f, k)) == 0 for k in ker):
-            out.add(i)
-    return frozenset(out)
+    """All functionals lying in the span of the given ones: those that
+    vanish on every (integer) kernel vector of the given ones."""
+    ker = linalg.integer_kernel(_int_rows_of(fset, indices), fset.ambient_dim)
+    return frozenset(i for i, f in enumerate(fset.int_rows)
+                     if not any(sum(map(mul, f, k)) for k in ker))
 
 
 def _make_cell(fset, flat):
@@ -104,6 +120,9 @@ def enumerate_cells(fset):
 
     Breadth-first: every flat arises from a smaller one by adjoining one
     functional and closing, starting from the closure of the empty set.
+    A functional outside a flat F lies in exactly one cover cl(F + i) of
+    it (flats of equal rank, one inside the other, are equal), so the
+    functionals of a cover already found are not tried again.
     """
     start = _closure(fset, frozenset())
     flats = {start}
@@ -111,10 +130,12 @@ def enumerate_cells(fset):
     while frontier:
         new = []
         for flat in frontier:
+            covered = set(flat)
             for i in range(len(fset.functionals)):
-                if i in flat:
+                if i in covered:
                     continue
                 bigger = _closure(fset, flat | {i})
+                covered |= bigger
                 if bigger not in flats:
                     flats.add(bigger)
                     new.append(bigger)

@@ -17,6 +17,7 @@ overrides --seed.
 import argparse
 import csv
 import datetime
+import errno
 import io
 import json
 import os
@@ -358,6 +359,21 @@ def _render_csv(report):
     return buf.getvalue()
 
 
+def _check_output_path(path):
+    """Raise the OSError that opening ``path`` for writing would raise when
+    its directory is missing or unwritable, before any work is done."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def run_command(argv=None):
     """Parse argv, run the subcommand, emit the report.  Returns exit code."""
     parser = _build_parser()
@@ -366,6 +382,8 @@ def run_command(argv=None):
     if env_seed is not None:
         args.seed = int(env_seed)
     _validate_config(args)
+    if args.output:
+        _check_output_path(args.output)
 
     extra, items = args.func(args)
     items.sort(key=lambda it: it["id"])

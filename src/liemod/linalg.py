@@ -22,8 +22,8 @@ import numpy as np
 
 __all__ = [
     "rmat", "rvec", "zeros", "eye", "is_zero_matrix", "clear_denominators",
-    "rank", "integer_rank", "kernel_basis", "solve_square", "inverse",
-    "char_poly", "char_poly_squarefree",
+    "rank", "integer_rank", "integer_kernel", "kernel_basis", "solve_square",
+    "inverse", "char_poly", "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
     "poly_divmod", "poly_derivative", "poly_gcd", "poly_eval",
     "poly_eval_matrix", "squarefree_part", "squarefree_decomposition",
@@ -69,7 +69,7 @@ def is_zero_matrix(m):
 
 def clear_denominators(values):
     """The values times the lcm of their denominators, as Python ints."""
-    mult = lcm(*(x.denominator for x in values if isinstance(x, Fraction)))
+    mult = lcm(*(x.denominator for x in values))
     return [x.numerator * (mult // x.denominator) for x in values]
 
 
@@ -130,28 +130,42 @@ def rank(m):
 
 
 def _back_substitute(ech, pivots, ncols, fc):
-    """The kernel vector of ``ncols``-wide echelon rows that is 1 at free
-    column ``fc`` and 0 at the other free columns.
+    """``d`` times the kernel vector of ``ncols``-wide echelon rows that is
+    1 at free column ``fc`` and 0 at the other free columns, as Python ints.
 
     The last Bareiss pivot ``d`` is, up to sign, the input's minor on the
     pivot rows and columns; by Cramer's rule ``d`` times the vector is
-    integral, so the substitution runs on ints with exact divisions.
+    integral, so the substitution runs on ints with exact divisions.  The
+    vector's entry at ``fc`` is ``d``.
     """
     d = ech[-1][pivots[-1]] if pivots else 1
     y = [0] * ncols
     y[fc] = d
     for row, pc in zip(reversed(ech), reversed(pivots)):
         y[pc] = -sum(map(mul, row[pc + 1:], y[pc + 1:])) // row[pc]
-    return [Fraction(v, d) for v in y]
+    return y
+
+
+def integer_kernel(rows, ncols):
+    """Kernel of a matrix given as ``ncols``-long lists of Python ints.
+
+    One int vector per free column: a nonzero multiple of the matching
+    ``kernel_basis`` vector.  That vector is 0 beyond its free column and
+    1 at it, so the multiple's last nonzero entry is the multiplier.
+    """
+    ech, pivots = _bareiss_echelon(rows, ncols)
+    return [_back_substitute(ech, pivots, ncols, fc)
+            for fc in range(ncols) if fc not in pivots]
 
 
 def kernel_basis(m):
     """Exact basis of the right kernel, one vector per free column."""
     m = np.asarray(m)
-    ncols = m.shape[1]
-    ech, pivots = _bareiss_echelon(_integer_rows(m), ncols)
-    return [rvec(_back_substitute(ech, pivots, ncols, fc))
-            for fc in range(ncols) if fc not in pivots]
+    out = []
+    for y in integer_kernel(_integer_rows(m), m.shape[1]):
+        d = next(v for v in reversed(y) if v)
+        out.append(rvec([Fraction(v, d) for v in y]))
+    return out
 
 
 def solve_square(a, b):
@@ -169,7 +183,8 @@ def solve_square(a, b):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     cols = [_back_substitute(ech, pivots, width, j) for j in range(n, width)]
-    x = rmat([[-col[i] for col in cols] for i in range(n)])
+    x = rmat([[Fraction(-col[i], col[j]) for j, col in enumerate(cols, n)]
+              for i in range(n)])
     return x.reshape(-1) if b.ndim == 1 else x
 
 

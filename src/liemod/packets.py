@@ -16,6 +16,7 @@ using only squarefree decomposition and exact rank profiles.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -199,22 +200,50 @@ def sl_basis(n):
     return basis
 
 
-def _bracket_map(x, basis):
-    """Matrix of ``b -> [x, b]`` from the span of ``basis`` to flattened
-    n x n matrices, one column per basis element."""
-    n = x.shape[0]
-    cols = np.empty((n * n, len(basis)), dtype=object)
+def _int_entries(basis):
+    """Nonzero entries ``(row, col, value)`` of each basis matrix, as ints:
+    the basis times the lcm of all its denominators."""
+    flat = linalg.clear_denominators([c for b in basis for c in b.flat])
+    out = []
     for k, b in enumerate(basis):
-        comm = np.dot(x, b) - np.dot(b, x)
-        for i in range(n):
-            for j in range(n):
-                cols[i * n + j, k] = comm[i, j]
-    return cols
+        size = b.size
+        out.append(tuple((*divmod(pos, b.shape[1]), v) for pos, v in
+                         enumerate(flat[k * size:(k + 1) * size]) if v))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _sl_int_entries(n):
+    return _int_entries(sl_basis(n))
+
+
+def _bracket_map(x, entries):
+    """Matrix of ``b -> [x, b]`` from the span of a basis to flattened
+    n x n matrices, one column per basis element, as int rows.
+
+    ``entries`` is the basis as ``_int_entries`` gives it.  The map comes
+    out times one positive integer, the lcm of x's denominators times the
+    basis' multiplier, which changes neither its rank nor its kernel.
+    """
+    n = x.shape[0]
+    xs = linalg.clear_denominators(list(x.flat))
+    cols = []
+    for nonzeros in entries:
+        col = [0] * (n * n)
+        for r, c, v in nonzeros:
+            # x b gains x[i, r] v at (i, c); b x loses v x[c, i] at (r, i)
+            for i in range(n):
+                col[i * n + c] += xs[i * n + r] * v
+                col[r * n + i] -= v * xs[c * n + i]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def adjoint_orbit_dim(x):
     """Orbit dimension of a traceless matrix: rank of its bracket map."""
-    return linalg.rank(_bracket_map(x, sl_basis(x.shape[0])))
+    n = x.shape[0]
+    return linalg.integer_rank(_bracket_map(x, _sl_int_entries(n)),
+                               n * n - 1)
 
 
 def packet_dims(p):
@@ -303,7 +332,8 @@ def _center_of_centralizer(x):
     traceless algebra."""
     n = x.shape[0]
     basis = sl_basis(n)
-    cent_coords = linalg.kernel_basis(_bracket_map(x, basis))
+    cent_coords = linalg.kernel_basis(
+        linalg.rmat(_bracket_map(x, _sl_int_entries(n))))
     cent = []
     for v in cent_coords:
         m = linalg.zeros(n)
@@ -314,8 +344,10 @@ def _center_of_centralizer(x):
     if not cent:
         return []
     # u is central when [b, u] = 0 for every b in the centralizer
-    stack = np.vstack([_bracket_map(b, cent) for b in cent])
-    center_coords = linalg.kernel_basis(stack)
+    # one positive scale per block leaves the stack's kernel unchanged
+    entries = _int_entries(cent)
+    stack = [row for b in cent for row in _bracket_map(b, entries)]
+    center_coords = linalg.kernel_basis(linalg.rmat(stack))
     out = []
     for v in center_coords:
         m = linalg.zeros(n)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -165,3 +166,94 @@ def test_functional_set_validation():
     fs = cells.FunctionalSet(ambient_dim=2, functionals=((1, 2), (0, 1)))
     assert fs.evaluate(0, [2, -1]) == 0
     assert fs.vanishing_set([2, -1]) == frozenset({0})
+
+
+def fraction_rank(rows):
+    """Rank by plain Fraction Gaussian elimination, independent of linalg."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_closure(fset, indices):
+    """Functionals that do not raise the rank of the given ones."""
+    base = [fset.functionals[i] for i in indices]
+    r = fraction_rank(base)
+    return frozenset(i for i, f in enumerate(fset.functionals)
+                     if fraction_rank(base + [f]) == r)
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4", "G2"])
+def test_closure_matches_fraction_reference(name):
+    rs = build_root_system(RootSystemType.parse(name))
+    fset = cells.root_functionals(rs)
+    nfun = len(fset.functionals)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(40):
+        size = rng.randint(0, rs.rank + 1)
+        indices = frozenset(rng.sample(range(nfun), size))
+        assert cells._closure(fset, indices) == reference_closure(fset, indices)
+
+
+def test_closure_of_scaled_functionals():
+    # rows with denominators, and one a multiple of another
+    fset = cells.FunctionalSet(ambient_dim=3, functionals=(
+        (Fraction(1, 2), Fraction(1, 3), 0), (3, 2, 0), (0, Fraction(5, 6), 1),
+        (Fraction(1, 2), Fraction(7, 6), 1), (1, 0, 0)))
+    for size in range(4):
+        for indices in combinations(range(5), size):
+            assert (cells._closure(fset, frozenset(indices))
+                    == reference_closure(fset, indices))
+    assert fset.vanishing_set([Fraction(2, 3), -1, Fraction(5, 6)]) == {0, 1, 2, 3}
+    assert fset.evaluate(2, [1, Fraction(1, 5), 1]) == Fraction(7, 6)
+
+
+def dowling_number(n, m=2):
+    """Elements of the Dowling lattice Q_n of a group of order m: a zero
+    block, and the other points split into blocks each labelled by one of
+    m^(size-1) group labellings up to a common factor."""
+    labelled = [1]  # labelled[k]: labelled set partitions of k points
+    for k in range(1, n + 1):
+        labelled.append(sum(comb(k - 1, s - 1) * m ** (s - 1) * labelled[k - s]
+                            for s in range(1, k + 1)))
+    return sum(comb(n, z) * labelled[n - z] for z in range(n + 1))
+
+
+@pytest.mark.parametrize("n,count", [(2, 6), (3, 24), (4, 116)])
+def test_types_b_and_c_cell_counts_are_dowling_numbers(n, count):
+    assert dowling_number(n) == count
+    for family in ("B", "C"):
+        rs = build_root_system(RootSystemType(family, n))
+        assert len(cells.enumerate_cells(cells.root_functionals(rs))) == count
+
+
+def _flats_as_vectors(rs, vectors):
+    fset = cells.root_functionals(rs)
+    return {frozenset(vectors[i] for i in c.flat)
+            for c in cells.enumerate_cells(fset)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_types_b_and_c_have_the_same_flats(n):
+    # beta -> beta^vee is linear up to a positive factor per root, and the
+    # coroots of B_n are the roots of C_n: both name the same hyperplanes
+    b = build_root_system(RootSystemType("B", n))
+    c = build_root_system(RootSystemType("C", n))
+    assert (_flats_as_vectors(b, b.positive_coroots)
+            == _flats_as_vectors(c, c.positive_roots))
+
+
+def test_type_a5_has_203_cells():
+    assert bell_number_via_partitions(6) == 203
+    assert len(cells.enumerate_cells(type_a_functionals(5))) == 203

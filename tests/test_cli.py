@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -202,3 +203,51 @@ def test_packets_check_needs_samples(samples, capsys):
     code = cli.main(["packets", "check", "--sln", "3", "--samples", samples])
     assert code == 2
     assert "error: " in capsys.readouterr().err
+
+
+def _refuse_to_run(args):
+    raise AssertionError("the subcommand ran before the output check")
+
+
+@pytest.mark.parametrize("where", ["missing", "file", "directory"])
+def test_unwritable_output_fails_before_the_computation(
+        where, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_cells_count", _refuse_to_run)
+    (tmp_path / "file").write_text("")
+    path = {"missing": tmp_path / "missing" / "r.json",
+            "file": tmp_path / "file" / "r.json",
+            "directory": tmp_path}[where]
+    code = cli.main(["cells", "count", "--type", "A5", "--output", str(path)])
+    assert code == 2
+    # the same message that opening the path would have given
+    with pytest.raises(OSError) as opened:
+        open(path, "w", encoding="utf-8")
+    assert capsys.readouterr().err == f"error: {opened.value}\n"
+
+
+# sha256 of json.dumps(strip_volatile(report), sort_keys=True), computed with
+# the Fraction cell closures and the dense bracket map these reports were
+# first produced with
+_GOLDEN_REPORTS = [
+    ("cells count --type A5",
+     "10c35037a49eeb6747011ba241ea2d8a65e439074471bc7ec1a0c2df27147426"),
+    ("cells count --type B4",
+     "8c54eae79bd1e31f7ac84c4f20117aa98da060e8dd26b219e8abbc9a4ab9e339"),
+    ("cells count --type C4",
+     "bba5ceea259b47f5d369608da4f5567bae33607d76e047f7329f97d765922aef"),
+    ("packets enum --sln 4",
+     "b6fe83de62aed5ac8a8bc59fc51cfe06b7b098131f1525158cc7d6f3f7d9e8ce"),
+    ("packets check --sln 3 --samples 200",
+     "9f3c25aca9835f196e2b244b39689978dec96937bfce13635a01f1720b946e64"),
+    ("packets check --sln 4",
+     "c58b3ec6c5082c57d666d75568b77217a08ec42cae638e76f6b8a114f5d54d64"),
+]
+
+
+@pytest.mark.parametrize("command,digest", _GOLDEN_REPORTS)
+def test_reports_match_golden_digests(command, digest, capsys, monkeypatch):
+    monkeypatch.delenv("MODALITY_SEED", raising=False)
+    code, report = run_json(capsys, [*command.split(), "--seed", "2024"])
+    assert code == 0
+    text = json.dumps(strip_volatile(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

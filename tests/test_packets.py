@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -222,3 +223,97 @@ def test_kernel_profile_uniqueness_up_to_n5():
 def test_sanity_suite_needs_samples(samples):
     with pytest.raises(ValueError):
         packet_sanity_suite(3, samples=samples)
+
+
+def _random_fraction_matrix(rng, n):
+    return [[Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6]))
+             for _ in range(n)] for _ in range(n)]
+
+
+def _dense_bracket_map(x, basis):
+    """Columns [x, b] by plain Fraction products on nested lists."""
+    n = len(x)
+
+    def prod(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    cols = []
+    for b in basis:
+        xb, bx = prod(x, b), prod(b, x)
+        cols.append([xb[i][j] - bx[i][j] for i in range(n) for j in range(n)])
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bracket_map_matches_dense_fraction_reference(n):
+    rng = random.Random(100 + n)
+    for trial in range(6):
+        x = _random_fraction_matrix(rng, n)
+        if trial == 0:  # a rank-deficient map with a larger kernel
+            x = [[Fraction(int(i == j) * (i % 2), 2) for j in range(n)]
+                 for i in range(n)]
+        xm = linalg.rmat(x)
+        xx = [[sum(x[i][k] * x[k][j] for k in range(n)) for j in range(n)]
+              for i in range(n)]
+        # the cent case: a Fraction basis holding elements that commute with x
+        cent = [xm, linalg.rmat(xx)] + [
+            linalg.rmat(_random_fraction_matrix(rng, n)) for _ in range(2)]
+        for basis in (packets.sl_basis(n), cent):
+            got = packets._bracket_map(xm, packets._int_entries(basis))
+            ref = _dense_bracket_map(x, [b.tolist() for b in basis])
+            # one positive scale for the whole map
+            scale = next(g / r for gr, rr in zip(got, ref)
+                         for g, r in zip(gr, rr) if r)
+            assert scale > 0
+            assert got == [[scale * r for r in row] for row in ref]
+            assert all(type(v) is int for row in got for v in row)
+            assert (linalg.rank(linalg.rmat(got))
+                    == linalg.rank(linalg.rmat(ref)))
+            got_ker = linalg.kernel_basis(linalg.rmat(got))
+            ref_ker = linalg.kernel_basis(linalg.rmat(ref))
+            assert [list(v) for v in got_ker] == [list(v) for v in ref_ker]
+        assert adjoint_orbit_dim(xm) == linalg.rank(linalg.rmat(
+            _dense_bracket_map(x, [b.tolist() for b in packets.sl_basis(n)])))
+
+
+# center of the centralizer of each nilpotent sl4 representative, as
+# computed by the dense object-array bracket map
+_SL4_NILPOTENT_CENTERS = {
+    "4:[4]": [[[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+              [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+              [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]],
+    "4:[3, 1]": [[[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]],
+    "4:[2, 2]": [[[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]],
+    "4:[2, 1, 1]": [[[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                     [0, 0, 0, 0]]],
+    "4:[1, 1, 1, 1]": [],
+}
+
+
+def test_center_of_centralizer_sl4_nilpotents_pinned():
+    nilpotent = [p for p in enumerate_packets_adjoint_typeA(4)
+                 if p.jordan_type.num_blocks == 1]
+    assert len(nilpotent) == len(_SL4_NILPOTENT_CENTERS)
+    for p in nilpotent:
+        center = packets._center_of_centralizer(p.representative)
+        assert [m.tolist() for m in center] == \
+            _SL4_NILPOTENT_CENTERS[p.jordan_type.name]
+        assert all(type(v) is Fraction for m in center for v in m.flat)
+
+
+def test_center_of_centralizer_sheared_points_pinned():
+    # sha256 of str() of every entry, for one random point of each sl3 and
+    # sl4 packet (eigenvalues with denominators, sheared), taken from the
+    # dense object-array bracket map
+    out = []
+    for n in (3, 4):
+        rng = random.Random(5)
+        for p in enumerate_packets_adjoint_typeA(n):
+            x = random_packet_point(p, rng)
+            out.append([[str(v) for v in m.flat]
+                        for m in packets._center_of_centralizer(x)])
+            out.append([str(v) for v in x.flat])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "d3f5e3a36443579afa83ddc4cc50ca97446fdfe43de1aec707234c9f1682b0c8")
