@@ -89,9 +89,7 @@ def root_functionals(rs):
 
 def _rows_matrix(fset, indices):
     rows = [list(fset.functionals[i]) for i in sorted(indices)]
-    if not rows:
-        rows = [[Fraction(0)] * fset.ambient_dim]
-    return linalg.rmat(rows)
+    return linalg.rmat(rows or [[Fraction(0)] * fset.ambient_dim])
 
 
 def _int_rows_of(fset, indices):
@@ -103,11 +101,15 @@ def _flat_rank(fset, indices):
 
 
 def _closure(fset, indices):
-    """All functionals lying in the span of the given ones: those that
-    vanish on every (integer) kernel vector of the given ones."""
+    """All functionals lying in the span of the given ones: the given ones,
+    and every other one that vanishes on each (integer) kernel vector of
+    the given ones."""
     ker = linalg.integer_kernel(_int_rows_of(fset, indices), fset.ambient_dim)
-    return frozenset(i for i, f in enumerate(fset.int_rows)
-                     if not any(sum(map(mul, f, k)) for k in ker))
+    rows = fset.int_rows
+    rest = [i for i in range(len(rows)) if i not in indices]
+    for k in ker:
+        rest = [i for i in rest if not sum(map(mul, rows[i], k))]
+    return frozenset(indices).union(rest)
 
 
 def _make_cell(fset, flat):

@@ -24,8 +24,8 @@ import os
 import sys
 import time
 
-from . import cells, graded, modality, packets
-from .hwmod import BuildCeilingExceeded, IrrepSpec, weyl_dim
+from . import modality
+from .hwmod import BuildCeilingExceeded, IrrepSpec
 from .modality import (DEFAULT_BUILD_CEILING, DEFAULT_RANK_CUTOFF,
                        DEFAULT_SEED, DEFAULT_TRIALS)
 from .rootsys import RootSystemType, build_root_system
@@ -122,7 +122,7 @@ def _cmd_sl2_modality(args):
     summands = _parse_ints(args.summands)
     t0 = time.monotonic()
     closed = modality.sl2_modality(summands)
-    action = modality.sl2_action(summands)
+    action = modality.sl2_action(summands, ceiling=args.build_ceiling)
     from_matrices = modality.modality_visible(
         action, trials=args.trials, seed=args.seed)
     return {"summands": args.summands}, [_item(
@@ -135,6 +135,7 @@ def _cmd_sl2_modality(args):
 
 
 def _cmd_cells_count(args):
+    from . import cells
     rstype = RootSystemType.parse(args.type)
     t0 = time.monotonic()
     rs = build_root_system(rstype)
@@ -152,6 +153,7 @@ def _cmd_cells_count(args):
 
 
 def _cmd_grading_rank(args):
+    from . import graded
     rstype = RootSystemType.parse(args.type)
     m = None if args.m == "inf" else int(args.m)
     spec = graded.GradingSpec(rstype, m, _parse_ints(args.labels))
@@ -172,6 +174,7 @@ def _cmd_grading_rank(args):
 
 
 def _cmd_packets_enum(args):
+    from . import packets
     n = args.sln
     t0 = time.monotonic()
     descriptors = packets.enumerate_packets_adjoint_typeA(n)
@@ -195,6 +198,7 @@ def _cmd_packets_enum(args):
 
 
 def _cmd_packets_check(args):
+    from . import packets
     n = args.sln
     t0 = time.monotonic()
     rep = packets.packet_sanity_suite(n, samples=args.samples, seed=args.seed)
@@ -233,7 +237,8 @@ def _cmd_packets_check(args):
 def _cmd_exmo(args):
     t0 = time.monotonic()
     rep = modality.sum_of_copies_check(
-        args.n, args.d, trials=args.trials, seed=args.seed)
+        args.n, args.d, trials=args.trials, seed=args.seed,
+        ceiling=args.build_ceiling)
     elapsed = _now_ms(t0)
     items = [
         _item("exmo:regular-sheet", computed=rep.regular_sheet_modality,
@@ -256,6 +261,33 @@ def _cmd_exmo(args):
     return {"n": args.n, "d": args.d}, items
 
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+
+# command, help of its group, options
+_COMMANDS = [
+    ("tables verify", _cmd_tables_verify, "classification table checks",
+     {"--list": {"choices": ["m1", "m2", "m3", "all"], "default": "all"}}),
+    ("rep modality", _cmd_rep_modality, "single module computations",
+     {"--type": _REQUIRED, "--weight": _REQUIRED}),
+    ("sl2 modality", _cmd_sl2_modality, "rank-one module checks",
+     {"--summands": _REQUIRED}),
+    ("cells count", _cmd_cells_count, "hyperplane arrangement cells",
+     {"--type": _REQUIRED}),
+    ("grading rank", _cmd_grading_rank, "graded algebra rank",
+     {"--type": _REQUIRED,
+      "--m": {"required": True,
+              "help": "modulus, or 'inf' for an integer grading"},
+      "--labels": _REQUIRED}),
+    ("packets enum", _cmd_packets_enum,
+     "adjoint packets of traceless matrices", {"--sln": _REQUIRED_INT}),
+    ("packets check", _cmd_packets_check, None,
+     {"--sln": _REQUIRED_INT, "--samples": {"type": int, "default": 200}}),
+    ("exmo", _cmd_exmo, "copies-of-the-natural-module modality anatomy",
+     {"--n": _REQUIRED_INT, "--d": _REQUIRED_INT}),
+]
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -275,59 +307,19 @@ def _build_parser():
                         help="write the report to this path instead of stdout")
 
     sub = parser.add_subparsers(dest="group", required=True)
-
-    tables = sub.add_parser("tables", help="classification table checks")
-    tsub = tables.add_subparsers(dest="action", required=True)
-    tverify = tsub.add_parser("verify", parents=[common])
-    tverify.add_argument("--list", choices=["m1", "m2", "m3", "all"],
-                         default="all")
-    tverify.set_defaults(func=_cmd_tables_verify, command="tables verify")
-
-    rep = sub.add_parser("rep", help="single module computations")
-    rsub = rep.add_subparsers(dest="action", required=True)
-    rmod = rsub.add_parser("modality", parents=[common])
-    rmod.add_argument("--type", required=True)
-    rmod.add_argument("--weight", required=True)
-    rmod.set_defaults(func=_cmd_rep_modality, command="rep modality")
-
-    sl2 = sub.add_parser("sl2", help="rank-one module checks")
-    ssub = sl2.add_subparsers(dest="action", required=True)
-    smod = ssub.add_parser("modality", parents=[common])
-    smod.add_argument("--summands", required=True)
-    smod.set_defaults(func=_cmd_sl2_modality, command="sl2 modality")
-
-    cellsp = sub.add_parser("cells", help="hyperplane arrangement cells")
-    csub = cellsp.add_subparsers(dest="action", required=True)
-    ccount = csub.add_parser("count", parents=[common])
-    ccount.add_argument("--type", required=True)
-    ccount.set_defaults(func=_cmd_cells_count, command="cells count")
-
-    grading = sub.add_parser("grading", help="graded algebra rank")
-    gsub = grading.add_subparsers(dest="action", required=True)
-    grank = gsub.add_parser("rank", parents=[common])
-    grank.add_argument("--type", required=True)
-    grank.add_argument("--m", required=True,
-                       help="modulus, or 'inf' for an integer grading")
-    grank.add_argument("--labels", required=True)
-    grank.set_defaults(func=_cmd_grading_rank, command="grading rank")
-
-    pk = sub.add_parser("packets", help="adjoint packets of traceless matrices")
-    psub = pk.add_subparsers(dest="action", required=True)
-    penum = psub.add_parser("enum", parents=[common])
-    penum.add_argument("--sln", type=int, required=True)
-    penum.set_defaults(func=_cmd_packets_enum, command="packets enum")
-    pcheck = psub.add_parser("check", parents=[common])
-    pcheck.add_argument("--sln", type=int, required=True)
-    pcheck.add_argument("--samples", type=int, default=200)
-    pcheck.set_defaults(func=_cmd_packets_check, command="packets check")
-
-    exmo = sub.add_parser(
-        "exmo", parents=[common],
-        help="copies-of-the-natural-module modality anatomy")
-    exmo.add_argument("--n", type=int, required=True)
-    exmo.add_argument("--d", type=int, required=True)
-    exmo.set_defaults(func=_cmd_exmo, command="exmo")
-
+    groups = {}
+    for command, func, text, options in _COMMANDS:
+        group, _, action = command.partition(" ")
+        if not action:
+            cmd = sub.add_parser(group, parents=[common], help=text)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=text) \
+                    .add_subparsers(dest="action", required=True)
+            cmd = groups[group].add_parser(action, parents=[common])
+        for flag, kwargs in options.items():
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(func=func, command=command)
     return parser
 
 

@@ -26,11 +26,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from operator import mul
 
 from . import linalg
-from .hwmod import IrrepSpec, _sparse_cols, _sparse_comm, extend_to_full_algebra
+from .hwmod import IrrepSpec, _sparse_comm, extend_to_full_algebra
 from .modality import ActionSpec, generic_orbit_dim
 from .rootsys import RootSystemType, build_root_system
 
@@ -41,21 +40,10 @@ __all__ = [
     "random_homogeneous_element", "killing_gram",
 ]
 
-# smallest convenient faithful module per family; the last exceptional type
-# only has its own algebra, so its structure constants are the costliest
-_FAITHFUL_WEIGHT = {
-    "A": lambda r: _unit(r, 0),
-    "B": lambda r: _unit(r, 0),
-    "C": lambda r: _unit(r, 0),
-    "D": lambda r: _unit(r, 0),
-    "G": lambda r: _unit(r, 0),
-    "F": lambda r: _unit(r, 3),
-    "E": lambda r: {6: _unit(r, 0), 7: _unit(r, 6), 8: _unit(r, 7)}[r],
-}
-
-
-def _unit(r, j):
-    return tuple(1 if i == j else 0 for i in range(r))
+# node of the fundamental weight of the smallest convenient faithful module,
+# the first node unless listed; the last exceptional type only has its own
+# algebra, so its structure constants are the costliest
+_FAITHFUL_NODE = {("F", 4): 3, ("E", 7): 6, ("E", 8): 7}
 
 
 def _entries(cols):
@@ -75,7 +63,8 @@ class StructureConstants:
     def __init__(self, rstype):
         self.rstype = rstype
         rs = build_root_system(rstype)
-        spec = IrrepSpec(rstype, _FAITHFUL_WEIGHT[rstype.family](rstype.rank))
+        node = _FAITHFUL_NODE.get((rstype.family, rstype.rank), 0)
+        spec = IrrepSpec(rstype, [int(i == node) for i in range(rstype.rank)])
         mod = extend_to_full_algebra(spec)
         self.module = mod
         self.dim = len(mod.full_basis)
@@ -87,7 +76,7 @@ class StructureConstants:
             [None] * r + list(pos) + [tuple(-c for c in b) for b in pos])
 
         self._n = mod.dimension
-        cols = [_sparse_cols(m) for m in mod.full_basis]
+        cols = [m.columns() for m in mod.full_basis]
         self._entries = [_entries(c) for c in cols]
         # a root vector owns every position where it is nonzero
         self._probes = [next(iter(e.items())) for e in self._entries[r:]]
@@ -117,8 +106,9 @@ class StructureConstants:
         value): Cartan part from the diagonal, one probe read per root
         vector, then a residual check over every nonzero entry of the
         matrix and of its reconstruction."""
-        diag = linalg.rvec([entries.get((k, k), 0) for k in self._diag_rows])
-        coords = [Fraction(c) for c in np.dot(self._diag_inverse, diag)]
+        diag = [entries.get((k, k), 0) for k in self._diag_rows]
+        coords = [Fraction(sum(map(mul, row, diag)))
+                  for row in self._diag_inverse]
         coords += [Fraction(entries.get(p, 0)) / v for p, v in self._probes]
         recon = {}
         for c, basis_entries in zip(coords, self._entries):
@@ -133,14 +123,15 @@ class StructureConstants:
     def expand_matrix(self, m):
         """Coordinates of a module matrix in the algebra basis; exact, with
         a residual check so non-members raise instead of mis-expanding."""
-        return self._coords(_entries(_sparse_cols(m)))
+        return self._coords(_entries(m.columns()))
 
     def element_matrix(self, coords):
         out = linalg.zeros(self._n)
+        rows = out.rows
         for c, basis_entries in zip(coords, self._entries):
             if c:
                 for (i, j), v in basis_entries.items():
-                    out[i, j] += c * v
+                    rows[i][j] += c * v
         return out
 
     def bracket_coords(self, u, v):
@@ -258,13 +249,9 @@ def build_grading(spec):
     g0 = components.get(0, ())
     g1 = components.get(one, ())
     pos_of = {idx: k for k, idx in enumerate(g1)}
-    mats = []
-    for a in g0:
-        m = linalg.zeros(len(g1))
-        for k, b in enumerate(g1):
-            for c, s in sc.bracket[a][b].items():
-                m[pos_of[c], k] = s
-        mats.append(m)
+    mats = [linalg.Matrix.from_columns(
+        [{pos_of[c]: s for c, s in sc.bracket[a][b].items()} for b in g1],
+        len(g1)) for a in g0]
     action = ActionSpec(matrices=tuple(mats), algebra_dim=len(g0),
                         space_dim=len(g1))
     return GradedAlgebra(spec=spec, sc=sc, degree_of_basis=degs,
@@ -340,11 +327,7 @@ def random_homogeneous_element(ga, degree, rng, box=6):
 
 
 def _in_span(vectors, v):
-    if not vectors:
-        return not any(v)
-    stacked = linalg.rmat([list(u) for u in vectors])
-    aug = linalg.rmat([list(u) for u in vectors] + [list(v)])
-    return linalg.rank(stacked) == linalg.rank(aug)
+    return linalg.rank([*vectors, v]) == linalg.rank(vectors)
 
 
 def cartan_subspace(ga, seed=2024, max_retries=8):

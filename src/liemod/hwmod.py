@@ -15,14 +15,15 @@ is written as the combination an incremental echelon of the e-images
 returns.  That combination is the candidate's column of ``f_j``.
 
 Entries are exact: Python ints where integral, ``Fraction`` otherwise;
-matrices are numpy object arrays.
+matrices are frozen ``linalg.Matrix`` values that keep the sparse columns
+the construction works in and write out dense rows only when read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
+from .linalg import Matrix
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -197,19 +198,13 @@ def _build_module(spec):
         level = accepted
         assert len(order) <= dim, f"{spec.name}: basis outgrew Weyl's formula"
     assert len(order) == dim, f"{spec.name}: basis short of Weyl's formula"
-    e_mats, f_mats, h_mats = [], [], []
-    for j in range(r):
-        em = _sparse_dense([e_cols[b][j] for b in range(dim)], dim)
-        fm = _sparse_dense([f_cols[j][b] for b in range(dim)], dim)
-        hm = linalg.zeros(dim)
-        for b in range(dim):
-            hm[b, b] = weights[b][j]
-        e_mats.append(em)
-        f_mats.append(fm)
-        h_mats.append(hm)
-
-    for m in (*e_mats, *f_mats, *h_mats):
-        m.flags.writeable = False
+    basis = range(dim)
+    e_mats = [Matrix.from_columns([e_cols[b][j] for b in basis], dim)
+              for j in range(r)]
+    f_mats = [Matrix.from_columns([f_cols[j][b] for b in basis], dim)
+              for j in range(r)]
+    h_mats = [Matrix.from_columns([{b: weights[b][j]} if weights[b][j] else {}
+                                   for b in basis], dim) for j in range(r)]
     return HWModule(spec=spec, dimension=dim, weights=tuple(weights),
                     monomials=tuple(order), e=tuple(e_mats), f=tuple(f_mats),
                     h=tuple(h_mats))
@@ -236,11 +231,6 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
 # ---------------------------------------------------------------------------
 # full algebra action: one matrix per Cartan generator and per root
 
-def _sparse_cols(m):
-    n = m.shape[0]
-    return [{i: m[i, j] for i in range(n) if m[i, j]} for j in range(n)]
-
-
 def _sparse_mul(a, b):
     out = []
     for bcol in b:
@@ -264,32 +254,21 @@ def _sparse_comm(a, b):
     return out
 
 
-def _sparse_dense(cols, n):
-    m = linalg.zeros(n)
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            m[i, j] = v
-    return m
-
-
 @lru_cache(maxsize=None)
 def _extend_cached(spec):
     mod = _build_module_cached(spec)
     rs = build_root_system(spec.rstype)
     r = rs.rank
     n = mod.dimension
-    simple_index = {}
-    for j in range(r):
-        beta = tuple(1 if i == j else 0 for i in range(r))
-        simple_index[beta] = j
+    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     pos_set = set(rs.positive_roots)
 
     x_cols, y_cols = {}, {}
     for beta in rs.positive_roots:  # height order, so summands exist already
         if sum(beta) == 1:
-            j = simple_index[beta]
-            x_cols[beta] = _sparse_cols(mod.e[j])
-            y_cols[beta] = _sparse_cols(mod.f[j])
+            j = units.index(beta)
+            x_cols[beta] = mod.e[j].columns()
+            y_cols[beta] = mod.f[j].columns()
             continue
         for j in range(r):
             gamma = tuple(b - (1 if i == j else 0) for i, b in enumerate(beta))
@@ -297,7 +276,7 @@ def _extend_cached(spec):
                 break
         else:
             raise AssertionError(f"no simple summand below root {beta}")
-        alpha = tuple(1 if i == j else 0 for i in range(r))
+        alpha = units[j]
         x_cols[beta] = _sparse_comm(x_cols[alpha], x_cols[gamma])
         y_cols[beta] = _sparse_comm(y_cols[alpha], y_cols[gamma])
         assert any(x_cols[beta]) and any(y_cols[beta]), \
@@ -306,13 +285,11 @@ def _extend_cached(spec):
     full = list(mod.h)
     names = [f"h{j + 1}" for j in range(r)]
     for beta in rs.positive_roots:
-        full.append(_sparse_dense(x_cols[beta], n))
+        full.append(Matrix.from_columns(x_cols[beta], n))
         names.append("x" + str(list(beta)))
     for beta in rs.positive_roots:
-        full.append(_sparse_dense(y_cols[beta], n))
+        full.append(Matrix.from_columns(y_cols[beta], n))
         names.append("y" + str(list(beta)))
-    for m in full:
-        m.flags.writeable = False
     return HWModule(spec=mod.spec, dimension=mod.dimension, weights=mod.weights,
                     monomials=mod.monomials, e=mod.e, f=mod.f, h=mod.h,
                     full_basis=tuple(full), basis_names=tuple(names))

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are 2-d numpy arrays with ``dtype=object`` whose entries are
-``fractions.Fraction`` or plain ``int``; mixing the two is fine since
-arithmetic promotes to ``Fraction`` as needed.  Polynomials are python
-lists of coefficients in ascending degree order, normalized so the
-leading coefficient is nonzero (the zero polynomial is ``[]``).
+A matrix is a ``Matrix``: a list of rows whose entries are Python ints or
+``fractions.Fraction``, plus its shape.  Mixing the two is fine, since
+arithmetic promotes to ``Fraction`` as needed.  A column vector is a
+``Vector``, a list of entries that also reports its shape.  The entry
+points read any matrix through one row helper, so they also accept nested
+lists or a 2-d array of Python numbers.  Polynomials are python lists of
+coefficients in ascending degree order, normalized so the leading
+coefficient is nonzero (the zero polynomial is ``[]``).
 
 ``Fraction`` appears only at the edges: each kernel clears its input's
 denominators once (``clear_denominators``), computes on Python ints, and
@@ -15,13 +18,13 @@ floating point is used anywhere, so every answer is exact.
 """
 
 from fractions import Fraction
+from itertools import compress, zip_longest
 from math import gcd, lcm
-from operator import mul
-
-import numpy as np
+from operator import add, mul, sub
 
 __all__ = [
-    "rmat", "rvec", "zeros", "eye", "is_zero_matrix", "clear_denominators",
+    "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
+    "clear_denominators",
     "rank", "integer_rank", "integer_kernel", "kernel_basis", "solve_square",
     "inverse", "char_poly", "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
@@ -30,41 +33,173 @@ __all__ = [
 ]
 
 
+class Vector(list):
+    """An exact column vector: a list of entries with a shape."""
+
+    @property
+    def shape(self):
+        return (len(self),)
+
+
+class Matrix:
+    """An exact matrix: rows of Python ints and ``Fraction`` plus a shape.
+
+    ``m[i, j]`` reads and writes an entry and ``m[:, j]`` reads a column;
+    iterating yields the rows.  A frozen matrix refuses writes with
+    ValueError.  ``__array__`` hands array code an object array, importing
+    the array library only when it is called.
+    """
+
+    __slots__ = ("_rows", "_cols", "shape", "frozen")
+
+    def __init__(self, rows, ncols=0):
+        self._rows = rows
+        self._cols = None
+        self.shape = (len(rows), len(rows[0]) if rows else ncols)
+        self.frozen = False
+
+    @classmethod
+    def from_columns(cls, cols, nrows):
+        """The frozen matrix with sparse columns ``cols`` ({row: nonzero}
+        dicts).  Its rows are written out only when first read."""
+        m = cls.__new__(cls)
+        m._rows, m._cols, m.frozen = None, cols, True
+        m.shape = (nrows, len(cols))
+        return m
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
+            for j, col in enumerate(self._cols):
+                for i, v in col.items():
+                    rows[i][j] = v
+            self._rows = rows
+        return self._rows
+
+    def columns(self):
+        """The nonzero entries as one {row: value} dict per column."""
+        if self._cols is not None:
+            return self._cols
+        cols = [{} for _ in range(self.shape[1])]
+        for i, j, v in self.nonzeros():
+            cols[j][i] = v
+        return cols
+
+    def nonzeros(self):
+        """The nonzero entries as ``(row, col, value)`` triples."""
+        if self._cols is not None:
+            return [(i, j, v) for j, col in enumerate(self._cols)
+                    for i, v in col.items()]
+        return [(i, j, r[j]) for i, r in enumerate(self._rows)
+                for j in compress(range(self.shape[1]), r)]
+
+    def freeze(self):
+        self.frozen = True
+        return self
+
+    def copy(self):
+        return Matrix([list(r) for r in self.rows], self.shape[1])
+
+    def tolist(self):
+        return [list(r) for r in self.rows]
+
+    @property
+    def flat(self):
+        return [v for r in self.rows for v in r]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        i, j = key
+        if isinstance(i, slice):
+            return Vector(r[j] for r in self.rows[i])
+        return self.rows[i][j]
+
+    def __setitem__(self, key, value):
+        if self.frozen:
+            raise ValueError("matrix is read-only")
+        i, j = key
+        self.rows[i][j] = value
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+    __hash__ = None
+
+    def _zip(self, op, other):
+        assert self.shape == other.shape, "shape mismatch"
+        return Matrix([list(map(op, r, s)) for r, s in zip(self, other)],
+                      self.shape[1])
+
+    def __add__(self, other):
+        return self._zip(add, other)
+
+    def __sub__(self, other):
+        return self._zip(sub, other)
+
+    def __mul__(self, c):
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return Matrix([[v * c for v in r] for r in self.rows], self.shape[1])
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        cols = list(zip(*other.rows))
+        return Matrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows],
+                      other.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy
+        out = numpy.empty(self.shape, dtype=object)
+        for i, r in enumerate(self.rows):
+            out[i] = r
+        return out if dtype is None else out.astype(dtype)
+
+    def __repr__(self):
+        return f"Matrix({self.rows!r})"
+
+
+def _rows(m):
+    """The rows of a matrix, nested lists or 2-d array as fresh lists."""
+    return [list(r) for r in m]
+
+
 def rmat(rows):
-    """Build an exact matrix (object array) from an iterable of rows."""
+    """Build an exact matrix from an iterable of rows."""
     data = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
             for row in rows]
-    m = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        assert len(row) == m.shape[1], "ragged rows"
-        for j, x in enumerate(row):
-            m[i, j] = x
-    return m
+    assert all(len(row) == len(data[0]) for row in data), "ragged rows"
+    return Matrix(data)
 
 
 def rvec(entries):
-    """Build an exact column vector as a 1-d object array."""
-    v = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        v[i] = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    return v
+    """Build an exact column vector."""
+    return Vector(x if isinstance(x, (int, Fraction)) else Fraction(x)
+                  for x in entries)
 
 
 def zeros(nrows, ncols=None):
-    m = np.empty((nrows, nrows if ncols is None else ncols), dtype=object)
-    m[:] = 0
-    return m
+    ncols = nrows if ncols is None else ncols
+    return Matrix([[0] * ncols for _ in range(nrows)], ncols)
 
 
 def eye(n):
     m = zeros(n)
     for i in range(n):
-        m[i, i] = 1
+        m.rows[i][i] = 1
     return m
 
 
 def is_zero_matrix(m):
-    return not any(bool(x) for x in m.flat)
+    return not any(map(any, m))
 
 
 def clear_denominators(values):
@@ -79,7 +214,7 @@ def _integer_rows(m):
     Row scaling changes neither the rank nor the kernel, and integer rows
     let the Bareiss elimination below run division-free.
     """
-    return [clear_denominators(row) for row in np.asarray(m)]
+    return [clear_denominators(row) for row in _rows(m)]
 
 
 def _bareiss_echelon(rows, ncols):
@@ -123,10 +258,14 @@ def integer_rank(rows, ncols):
     return len(pivots)
 
 
+def _width(rows):
+    return len(rows[0]) if rows else 0
+
+
 def rank(m):
     """Exact rank of a rational matrix."""
-    m = np.asarray(m)
-    return integer_rank(_integer_rows(m), m.shape[1])
+    rows = _integer_rows(m)
+    return integer_rank(rows, _width(rows))
 
 
 def _back_substitute(ech, pivots, ncols, fc):
@@ -160,11 +299,11 @@ def integer_kernel(rows, ncols):
 
 def kernel_basis(m):
     """Exact basis of the right kernel, one vector per free column."""
-    m = np.asarray(m)
+    rows = _integer_rows(m)
     out = []
-    for y in integer_kernel(_integer_rows(m), m.shape[1]):
+    for y in integer_kernel(rows, _width(rows)):
         d = next(v for v in reversed(y) if v)
-        out.append(rvec([Fraction(v, d) for v in y]))
+        out.append(Vector(Fraction(v, d) for v in y))
     return out
 
 
@@ -172,34 +311,38 @@ def solve_square(a, b):
     """Solve ``a @ x = b`` for invertible square ``a``; ``b`` may be a matrix.
 
     Column j of x is minus the kernel vector of ``[a | b]`` that is 1 at
-    b's column j.  Raises ValueError when ``a`` is singular.
+    b's column j.  A ``Vector`` b gives a ``Vector`` x.  Raises ValueError
+    when ``a`` is singular.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    n = a.shape[0]
-    assert a.shape == (n, n)
-    aug = np.concatenate([a, b.reshape(n, -1)], axis=1)
-    width = aug.shape[1]
-    ech, pivots = _bareiss_echelon(_integer_rows(aug), width)
+    a = _rows(a)
+    n = len(a)
+    column = isinstance(b, Vector)
+    b = [[x] for x in b] if column else _rows(b)
+    assert len(b) == n and all(len(r) == n for r in a)
+    aug = [clear_denominators(r + s) for r, s in zip(a, b)]
+    width = _width(aug)
+    ech, pivots = _bareiss_echelon(aug, width)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     cols = [_back_substitute(ech, pivots, width, j) for j in range(n, width)]
-    x = rmat([[Fraction(-col[i], col[j]) for j, col in enumerate(cols, n)]
-              for i in range(n)])
-    return x.reshape(-1) if b.ndim == 1 else x
+    x = [[Fraction(-col[i], col[j]) for j, col in enumerate(cols, n)]
+         for i in range(n)]
+    return Vector(r[0] for r in x) if column else Matrix(x, width - n)
 
 
 def inverse(a):
-    return solve_square(a, eye(np.asarray(a).shape[0]))
+    a = _rows(a)
+    return solve_square(a, eye(len(a)))
 
 
 def _integer_square(m):
     """Integer rows ``a`` and a positive int ``den`` with ``m = a / den``."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if m.shape != (n, n):
+    rows = _rows(m)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("need a square matrix")
     # the trailing 1 comes back as the common multiplier
-    *flat, den = clear_denominators([*m.flat, 1])
+    *flat, den = clear_denominators([*(v for r in rows for v in r), 1])
     return [flat[i * n:(i + 1) * n] for i in range(n)], den
 
 
@@ -249,11 +392,7 @@ def poly_degree(p):
 
 
 def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_normalize([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ])
+    return poly_normalize([a + b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def poly_scale(p, c):
@@ -357,7 +496,7 @@ def poly_eval_matrix(p, m):
         for r in range(n):
             acc[r][r] += c
     scale = mult * den ** deg
-    return rmat([[Fraction(x, scale) for x in row] for row in acc])
+    return Matrix([[Fraction(x, scale) for x in row] for row in acc], n)
 
 
 def squarefree_part(p):

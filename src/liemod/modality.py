@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-import numpy as np
-
 from . import linalg
 from .hwmod import (
-    DEFAULT_BUILD_CEILING, IrrepSpec, build_hw_module, extend_to_full_algebra,
-    weyl_dim,
+    DEFAULT_BUILD_CEILING, BuildCeilingExceeded, IrrepSpec, build_hw_module,
+    extend_to_full_algebra, weyl_dim,
 )
 from .rootsys import RootSystemType, build_root_system
 
@@ -48,9 +46,9 @@ SAMPLE_BOX = 10
 class ActionSpec:
     """A Lie algebra basis acting on a vector space by square matrices.
 
-    ``matrices[k]`` is the action of the k-th basis element.  Entries may be
-    ints or ``Fraction``; orbit computations read them through
-    ``integer_entries``.
+    ``matrices[k]``, a ``linalg.Matrix``, is the action of the k-th basis
+    element.  Entries may be ints or ``Fraction``; orbit computations read
+    them through ``integer_entries``.
     """
 
     matrices: tuple
@@ -75,9 +73,9 @@ class ActionSpec:
         """
         out = []
         for m in self.matrices:
-            rows, cols = np.nonzero(m)
-            vals = linalg.clear_denominators(m[rows, cols])
-            out.append(tuple(zip(rows.tolist(), cols.tolist(), vals)))
+            entries = m.nonzeros()
+            vals = linalg.clear_denominators([v for _, _, v in entries])
+            out.append(tuple((i, j, a) for (i, j, _), a in zip(entries, vals)))
         return tuple(out)
 
 
@@ -154,29 +152,33 @@ def modality_visible(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 
 def _block_diag(blocks):
     """Block-diagonal matrix with the given square blocks along the diagonal."""
-    out = linalg.zeros(sum(b.shape[0] for b in blocks))
-    off = 0
+    cols = []
     for b in blocks:
-        d = b.shape[0]
-        for i in range(d):
-            for j in range(d):
-                if b[i, j]:
-                    out[off + i, off + j] = b[i, j]
-        off += d
-    return out
+        off = len(cols)
+        cols += ({i + off: v for i, v in col.items()} for col in b.columns())
+    return linalg.Matrix.from_columns(cols, len(cols))
+
+
+def _check_ceiling(what, dim, ceiling):
+    if dim > ceiling:
+        raise BuildCeilingExceeded(
+            f"{what} has dimension {dim} > ceiling {ceiling}")
 
 
 # ---------------------------------------------------------------------------
 # rank-1 special linear group: explicit sums and the closed form
 
-def sl2_action(summands):
+def sl2_action(summands, ceiling=DEFAULT_BUILD_CEILING):
     """Block action of e, f, h on a direct sum of irreducibles.
 
-    ``summands`` are highest weights (0 means a trivial line).
+    ``summands`` are highest weights (0 means a trivial line).  Raises
+    BuildCeilingExceeded before any build when the sum's dimension exceeds
+    ``ceiling``.
     """
     a1 = RootSystemType("A", 1)
     total = sum(n + 1 for n in summands)
-    mods = [build_hw_module(IrrepSpec(a1, (n,)), ceiling=max(total, n + 1))
+    _check_ceiling(f"sl2 module sum {list(summands)}", total, ceiling)
+    mods = [build_hw_module(IrrepSpec(a1, (n,)), ceiling=ceiling)
             for n in summands]
     mats = [_block_diag([getattr(mod, g)[0] for mod in mods])
             for g in ("e", "f", "h")]
@@ -265,31 +267,19 @@ def _record_weight(record, rank):
 
 
 def _record_ranks(record, rank_cutoff):
+    """Ranks a record covers up to the cutoff; a record of a single rank
+    covers it whatever the cutoff."""
     if "rank" in record:
         return [record["rank"]]
     lo = record["rank_min"]
-    parity = record.get("rank_parity")
-    step = 2 if parity else 1
-    if parity == "even" and lo % 2 != 0:
-        lo += 1
-    if parity == "odd" and lo % 2 != 1:
-        lo += 1
-    return list(range(lo, rank_cutoff + 1, step))
+    parity = {"even": 0, "odd": 1}.get(record.get("rank_parity"))
+    if parity is None:
+        return list(range(lo, rank_cutoff + 1))
+    return list(range(lo + (lo - parity) % 2, rank_cutoff + 1, 2))
 
 
 def _record_matches(record, family, rank):
-    if record["family"] != family:
-        return False
-    if "rank" in record:
-        return record["rank"] == rank
-    if rank < record["rank_min"]:
-        return False
-    parity = record.get("rank_parity")
-    if parity == "even" and rank % 2 != 0:
-        return False
-    if parity == "odd" and rank % 2 != 1:
-        return False
-    return True
+    return record["family"] == family and rank in _record_ranks(record, rank)
 
 
 def table_entries(which="all", rank_cutoff=DEFAULT_RANK_CUTOFF):
@@ -386,18 +376,22 @@ class ExmoReport:
     seed: int
 
 
-def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
+def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
+                        ceiling=DEFAULT_BUILD_CEILING):
     """Modality anatomy of d copies of the natural rank n-1 module.
 
     The generic orbit is open (regular-sheet modality 0), yet the points
     (v, c_1 v, ..., c_{d-1} v) form an (n+d-1)-parameter family of orbits of
     dimension n, forcing total modality >= d-1.  For d >= 2 the action is
-    therefore not modality-regular.
+    therefore not modality-regular.  Raises BuildCeilingExceeded before any
+    build when the sum's dimension n * d exceeds ``ceiling``.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if not 2 <= d <= n - 1:
         raise ValueError("need 2 <= d <= n-1")
+    _check_ceiling(f"sum of {d} copies of the natural A{n - 1} module",
+                   n * d, ceiling)
     rstype = RootSystemType("A", n - 1)
     natural = tuple(1 if i == 0 else 0 for i in range(n - 1))
     full = extend_to_full_algebra(IrrepSpec(rstype, natural))

@@ -17,10 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
-
-import numpy as np
 
 from . import cells, linalg
 from .modality import CoverPiece, modality_from_cover
@@ -155,17 +153,12 @@ def enumerate_packets_adjoint_typeA(n):
         raise ValueError("supported range is 2 <= n <= 5")
     out = []
     for sizes in partitions_of(n):
-        per_size = []
-        for s in sorted(set(sizes), reverse=True):
-            m = sizes.count(s)
-            per_size.append([
-                list(zip([s] * m, choice)) for choice in
-                combinations_with_replacement(partitions_of(s), m)])
-        stack = [[]]
-        for options in per_size:
-            stack = [acc + opt for acc in stack for opt in options]
-        for block_data in stack:
-            jt = JordanTypeA(tuple(block_data))
+        per_size = [
+            [tuple(zip([s] * sizes.count(s), choice)) for choice in
+             combinations_with_replacement(partitions_of(s), sizes.count(s))]
+            for s in sorted(set(sizes), reverse=True)]
+        for choices in product(*per_size):
+            jt = JordanTypeA(sum(choices, ()))
             k = jt.num_blocks
             orbit = n * n - sum(gl_centralizer_dim(p) for _, p in jt.block_data)
             eigenvalues = _representative_eigenvalues([s for s, _ in jt.block_data])
@@ -203,13 +196,11 @@ def sl_basis(n):
 def _int_entries(basis):
     """Nonzero entries ``(row, col, value)`` of each basis matrix, as ints:
     the basis times the lcm of all its denominators."""
-    flat = linalg.clear_denominators([c for b in basis for c in b.flat])
-    out = []
-    for k, b in enumerate(basis):
-        size = b.size
-        out.append(tuple((*divmod(pos, b.shape[1]), v) for pos, v in
-                         enumerate(flat[k * size:(k + 1) * size]) if v))
-    return tuple(out)
+    entries = [b.nonzeros() for b in basis]
+    vals = iter(linalg.clear_denominators(
+        [v for nonzeros in entries for _, _, v in nonzeros]))
+    return tuple(tuple((i, j, next(vals)) for i, j, _ in nonzeros)
+                 for nonzeros in entries)
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +278,7 @@ def classify_adjoint_typeA(x):
         profile = []
         power = linalg.eye(n)
         for _ in range(e):
-            power = np.dot(power, fmat)
+            power = power @ fmat
             profile.append(n - linalg.rank(power))
         matches = []
         for multiset in combinations_with_replacement(partitions_of(e), d):
@@ -323,7 +314,7 @@ def random_packet_point(descriptor, rng, shears=4):
         shear[i, j] = c
         inv = linalg.eye(n)
         inv[i, j] = -c
-        x = np.dot(np.dot(shear, x), inv)
+        x = shear @ x @ inv
     return x
 
 
@@ -332,29 +323,23 @@ def _center_of_centralizer(x):
     traceless algebra."""
     n = x.shape[0]
     basis = sl_basis(n)
-    cent_coords = linalg.kernel_basis(
-        linalg.rmat(_bracket_map(x, _sl_int_entries(n))))
-    cent = []
-    for v in cent_coords:
-        m = linalg.zeros(n)
-        for c, b in zip(v, basis):
-            if c:
-                m = m + c * b
-        cent.append(m)
+    cent = [_combination(v, basis, n) for v in
+            linalg.kernel_basis(_bracket_map(x, _sl_int_entries(n)))]
     if not cent:
         return []
     # u is central when [b, u] = 0 for every b in the centralizer
     # one positive scale per block leaves the stack's kernel unchanged
     entries = _int_entries(cent)
     stack = [row for b in cent for row in _bracket_map(b, entries)]
-    center_coords = linalg.kernel_basis(linalg.rmat(stack))
-    out = []
-    for v in center_coords:
-        m = linalg.zeros(n)
-        for c, u in zip(v, cent):
-            if c:
-                m = m + c * u
-        out.append(m)
+    return [_combination(v, cent, n) for v in linalg.kernel_basis(stack)]
+
+
+def _combination(coeffs, mats, n):
+    """The n x n matrix sum of ``c * m`` over coefficients and matrices."""
+    out = linalg.zeros(n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = out + c * m
     return out
 
 
@@ -413,10 +398,8 @@ def packet_sanity_suite(n, samples=200, seed=2024):
     coverage_ok = True
     sampled = []
     for _ in range(samples):
-        x = linalg.zeros(n)
-        for i in range(n):
-            for j in range(n):
-                x[i, j] = rng.randint(-4, 4)
+        x = linalg.rmat([[rng.randint(-4, 4) for _ in range(n)]
+                         for _ in range(n)])
         x[n - 1, n - 1] = -sum(x[i, i] for i in range(n - 1))
         jt = classify_adjoint_typeA(x)
         if jt not in by_type:
@@ -464,11 +447,7 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         center = _center_of_centralizer(x)
         best = 0
         for _ in range(12):
-            y = linalg.zeros(n)
-            for m in center:
-                c = rng.randint(-5, 5)
-                if c:
-                    y = y + c * m
+            y = _combination([rng.randint(-5, 5) for _ in center], center, n)
             od = adjoint_orbit_dim(y)
             if od > x_orbit:
                 regular_center_ok = False

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -251,3 +254,50 @@ def test_reports_match_golden_digests(command, digest, capsys, monkeypatch):
     assert code == 0
     text = json.dumps(strip_volatile(report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a module was built past the ceiling")
+
+
+@pytest.mark.parametrize("argv,dim", [
+    (["sl2", "modality", "--summands", "100000,100000"], 200002),
+    (["sl2", "modality", "--summands", "3", "--build-ceiling", "3"], 4),
+    (["exmo", "--n", "40", "--d", "20"], 800),
+])
+def test_build_ceiling_binds_on_module_sums(argv, dim, capsys, monkeypatch):
+    monkeypatch.setattr(modality, "build_hw_module", _refuse_to_build)
+    monkeypatch.setattr(modality, "extend_to_full_algebra", _refuse_to_build)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    ceiling = argv[-1] if "--build-ceiling" in argv else "256"
+    assert err.endswith(f"has dimension {dim} > ceiling {ceiling}\n")
+
+
+# one small command of every subcommand
+_SMALL_COMMANDS = [
+    "tables verify --list m3",
+    "rep modality --type G2 --weight 0,1",
+    "sl2 modality --summands 0,0,0",
+    "cells count --type A3",
+    "grading rank --type A2 --m inf --labels 1,0",
+    "packets check --sln 3 --samples 20",
+    "exmo --n 3 --d 2",
+]
+
+
+def test_commands_do_not_load_numpy():
+    script = (
+        "import contextlib, io, sys\n"
+        "from liemod.cli import main\n"
+        f"for command in {_SMALL_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(command.split()) == 0, command\n"
+        "    assert 'numpy' not in sys.modules, command\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

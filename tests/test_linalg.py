@@ -36,7 +36,7 @@ def oracle_rank(rows):
 
 def poly_eval_dense(coeffs, m):
     n = m.shape[0]
-    out = linalg.zeros(n)
+    out = np.zeros((n, n), dtype=object)
     for i in range(n):
         out[i, i] = coeffs[-1]
     for c in reversed(coeffs[:-1]):
@@ -255,3 +255,48 @@ def test_solve_square_fraction_matrix_rhs():
         assert col.shape == (n,) and list(col) == list(x[:, 0])
         solved += 1
     assert solved >= 15
+
+
+def test_matrix_contract():
+    m = linalg.rmat([[1, Fraction(1, 2)], [0, 3]])
+    assert m.shape == (2, 2) and len(m) == 2 and m[0, 1] == Fraction(1, 2)
+    assert [list(r) for r in m] == [[1, Fraction(1, 2)], [0, 3]]
+    assert m.flat == [1, Fraction(1, 2), 0, 3]
+    assert list(m[:, 1]) == [Fraction(1, 2), 3] and m[:, 1].shape == (2,)
+    m[1, 0] = 5
+    assert m.tolist() == [[1, Fraction(1, 2)], [5, 3]]
+    arr = np.asarray(m)
+    assert arr.dtype == object and arr.shape == (2, 2) and arr[1, 0] == 5
+    assert (np.dot(m, m) == m @ m).all()
+    assert (m + m == 2 * m) and (m - m == linalg.zeros(2))
+    frozen = m.copy().freeze()
+    with pytest.raises(ValueError):
+        frozen[0, 0] = 2
+    assert frozen == m and frozen.copy() == m and frozen is not m
+
+
+def test_matrix_from_sparse_columns():
+    cols = [{0: 2}, {}, {1: Fraction(-1, 3), 2: 4}]
+    m = linalg.Matrix.from_columns(cols, 3)
+    dense = linalg.rmat([[2, 0, 0], [0, 0, Fraction(-1, 3)], [0, 0, 4]])
+    assert m.frozen and m.shape == (3, 3)
+    assert sorted(m.nonzeros()) == sorted(dense.nonzeros()) == [
+        (0, 0, 2), (1, 2, Fraction(-1, 3)), (2, 2, 4)]
+    assert dense.columns() == m.columns() == cols
+    assert m == dense and m[2, 2] == 4
+    with pytest.raises(ValueError):
+        m[0, 0] = 1
+
+
+def test_entry_points_accept_lists_and_arrays():
+    rows = [[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]]
+    square = [[2, 1], [1, Fraction(1, 2) + 1]]
+    for wrap in (lambda r: r, lambda r: np.array(r, dtype=object),
+                 linalg.rmat):
+        assert linalg.rank(wrap(rows)) == 2
+        assert [list(v) for v in linalg.kernel_basis(wrap(rows))] == [
+            [-2, Fraction(-1, 2), 1]]
+        assert linalg.char_poly(wrap(square)) == [2, Fraction(-7, 2), 1]
+        assert linalg.inverse(wrap(square)) == linalg.rmat(
+            [[Fraction(3, 4), Fraction(-1, 2)], [Fraction(-1, 2), 1]])
+        assert not linalg.is_zero_matrix(wrap(rows))

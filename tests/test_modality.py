@@ -32,8 +32,7 @@ def test_stabilizer_dim_at_examples():
 
 
 def test_generic_orbit_dim_trivial_action():
-    z = linalg.zeros(4)
-    z.flags.writeable = False
+    z = linalg.zeros(4).freeze()
     a = mo.ActionSpec(matrices=(z, z), algebra_dim=2, space_dim=4)
     rep = mo.generic_orbit_dim(a)
     assert rep.generic_orbit_dim == 0
@@ -218,7 +217,7 @@ def test_orbit_dim_invariant_under_scaling():
             for v in points:
                 half = [Fraction(x, 2) for x in v]
                 vec = linalg.rvec(half)
-                dense = linalg.zeros(a.space_dim, a.algebra_dim)
+                dense = np.zeros((a.space_dim, a.algebra_dim), dtype=object)
                 for c, m in enumerate(mats):
                     dense[:, c] = np.dot(m, vec)
                 od = mo.orbit_dim_at(a, v)
