@@ -7,7 +7,10 @@ fails; items without an expected value (pure computations) never fail the
 run; items skipped for exceeding the build ceiling are marked but do not
 fail the run either.  Exit code 0 means every verification passed, 1
 that one failed, and 2 that the input was bad or the report could not be
-written.
+written.  An item whose value rests on sampled genericity says how sure
+it is in a ``sampling`` object: the field, the points drawn, the bound on
+the chance of a miss and the quantity sampled; other items have
+``"sampling": null``.
 
 Reports are deterministic for a fixed seed apart from the timestamp and
 the per-item timings.  The environment variable MODALITY_SEED, when set,
@@ -36,11 +39,26 @@ _CSV_COLUMNS = ["id", "computed", "expected", "match", "orbit_dim", "dims",
                 "seed", "time_ms", "note"]
 
 
+_CODIMENSION = ("generic-orbit codimension, which equals the modality for "
+                "visible actions")
+
+
 def _item(item_id, computed=None, expected=None, match=None, orbit_dim=None,
-          dims=None, seed=None, time_ms=None, note=""):
+          dims=None, seed=None, time_ms=None, note="", sampling=None):
     return {"id": item_id, "computed": computed, "expected": expected,
             "match": match, "orbit_dim": orbit_dim, "dims": dims,
-            "seed": seed, "time_ms": time_ms, "note": note}
+            "seed": seed, "time_ms": time_ms, "note": note,
+            "sampling": sampling}
+
+
+def _sampling(reports, quantity=_CODIMENSION):
+    """How sure an item is: the field its points came from, how many were
+    drawn, and the chance that any of the ``OrbitDimReport``s it rests on
+    fell short (their union bound)."""
+    return {"field": reports[0].field,
+            "trials": sum(r.trials_used for r in reports),
+            "miss_bound": sum(r.miss_bound for r in reports),
+            "quantity": quantity}
 
 
 def _bell(n):
@@ -87,7 +105,8 @@ def _cmd_tables_verify(args):
                 entry.entry_id, computed=res.computed,
                 expected=entry.expected_modality, match=res.matches,
                 orbit_dim=res.orbit_dim, dims={"module": res.dim_v},
-                seed=args.seed, time_ms=_now_ms(t0)))
+                seed=args.seed, time_ms=_now_ms(t0),
+                sampling=_sampling([res.sampling])))
     note = (f"classical families expanded up to rank {args.rank_cutoff}; "
             f"higher ranks not checked")
     return {"list": args.list, "note": note}, items
@@ -115,7 +134,8 @@ def _cmd_rep_modality(args):
         dims={"module": action.space_dim, "algebra": action.algebra_dim},
         seed=args.seed, time_ms=_now_ms(t0),
         note="" if expected is not None else
-        "weight not in the shipped tables; computed value only")]
+        "weight not in the shipped tables; computed value only",
+        sampling=_sampling([report]))]
 
 
 def _cmd_sl2_modality(args):
@@ -123,15 +143,17 @@ def _cmd_sl2_modality(args):
     t0 = time.monotonic()
     closed = modality.sl2_modality(summands)
     action = modality.sl2_action(summands, ceiling=args.build_ceiling)
-    from_matrices = modality.modality_visible(
+    report = modality.generic_orbit_dim(
         action, trials=args.trials, seed=args.seed)
+    from_matrices = action.space_dim - report.generic_orbit_dim
     return {"summands": args.summands}, [_item(
         f"sl2:{args.summands}", computed=closed, expected=from_matrices,
         match=closed == from_matrices,
-        orbit_dim=action.space_dim - from_matrices,
+        orbit_dim=report.generic_orbit_dim,
         dims={"module": action.space_dim}, seed=args.seed,
         time_ms=_now_ms(t0),
-        note="closed form checked against explicit matrices")]
+        note="closed form checked against explicit matrices",
+        sampling=_sampling([report]))]
 
 
 def _cmd_cells_count(args):
@@ -159,7 +181,9 @@ def _cmd_grading_rank(args):
     spec = graded.GradingSpec(rstype, m, _parse_ints(args.labels))
     t0 = time.monotonic()
     ga = graded.build_grading(spec)
-    rank = graded.rank_of_grading(ga, trials=args.trials, seed=args.seed)
+    report = modality.generic_orbit_dim(
+        ga.g0_on_g1, trials=args.trials, seed=args.seed)
+    rank = len(ga.g1_indices) - report.generic_orbit_dim
     cartan_dim = len(graded.cartan_subspace(ga, seed=args.seed))
     return {"type": args.type, "m": args.m, "labels": args.labels}, [_item(
         f"grading:{spec.name}",
@@ -170,7 +194,8 @@ def _cmd_grading_rank(args):
               "degree_one": len(ga.g1_indices)},
         seed=args.seed, time_ms=_now_ms(t0),
         note="rank from generic orbits; dimension from an explicit "
-             "commuting semisimple family")]
+             "commuting semisimple family",
+        sampling=_sampling([report]))]
 
 
 def _cmd_packets_enum(args):
@@ -234,6 +259,9 @@ def _cmd_packets_check(args):
     return {"sln": n, "samples": args.samples}, items
 
 
+_FAMILY = "generic orbit dimension on the family (v, c_1 v, ...)"
+
+
 def _cmd_exmo(args):
     t0 = time.monotonic()
     rep = modality.sum_of_copies_check(
@@ -245,18 +273,22 @@ def _cmd_exmo(args):
               expected=0, match=rep.regular_sheet_modality == 0,
               orbit_dim=rep.space_dim, dims={"module": rep.space_dim},
               seed=args.seed, time_ms=elapsed,
-              note=f"open orbit found: {rep.open_orbit_found}"),
+              note=f"open orbit found: {rep.open_orbit_found}",
+              sampling=_sampling([rep.sampling])),
         _item("exmo:family-bound", computed=rep.family_lower_bound,
               expected=args.d - 1, match=rep.family_lower_bound == args.d - 1,
               orbit_dim=rep.family_orbit_dim,
               dims={"family": rep.family_dim}, seed=args.seed,
               time_ms=elapsed,
               note="proportional tuples form a positive-dimensional "
-                   "family of equal-dimension orbits"),
+                   "family of equal-dimension orbits",
+              sampling=_sampling([rep.family_sampling], _FAMILY)),
         _item("exmo:modality-regular", computed=rep.modality_regular,
               seed=args.seed, time_ms=elapsed,
               note="false means the family bound exceeds the regular-sheet "
-                   "modality"),
+                   "modality",
+              sampling=_sampling([rep.sampling, rep.family_sampling],
+                                 f"{_CODIMENSION}; {_FAMILY}")),
     ]
     return {"n": args.n, "d": args.d}, items
 

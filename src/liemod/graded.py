@@ -30,7 +30,8 @@ from operator import mul
 
 from . import linalg
 from .hwmod import IrrepSpec, _sparse_comm, extend_to_full_algebra
-from .modality import ActionSpec, generic_orbit_dim
+from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, ActionSpec,
+                       generic_orbit_dim)
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -259,7 +260,7 @@ def build_grading(spec):
                          g1_indices=tuple(g1), g0_on_g1=action)
 
 
-def rank_of_grading(ga, trials=5, seed=2024):
+def rank_of_grading(ga, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Parameters of a generic degree-zero orbit in the degree-one part."""
     if not ga.g1_indices:
         return 0
@@ -330,7 +331,7 @@ def _in_span(vectors, v):
     return linalg.rank([*vectors, v]) == linalg.rank(vectors)
 
 
-def cartan_subspace(ga, seed=2024, max_retries=8):
+def cartan_subspace(ga, seed=DEFAULT_SEED, max_retries=8):
     """A maximal commuting family of semisimple degree-one elements.
 
     Iterates: sample in the current centralizer slice of the degree-one

@@ -14,7 +14,9 @@ denominators once (``clear_denominators``), computes on Python ints, and
 divides only in its result.  Ranks, kernels and solves share one
 fraction-free (Bareiss) elimination; characteristic polynomials come from
 the Faddeev-LeVerrier recurrence, which stays integral on integers.  No
-floating point is used anywhere, so every answer is exact.
+floating point is used anywhere, so every answer is exact.  The one rank
+over a finite field, ``rank_mod_p``, is exact over F_p and a lower bound
+over Q; orbit-dimension sampling uses it.
 """
 
 from fractions import Fraction
@@ -25,8 +27,8 @@ from operator import add, mul, sub
 __all__ = [
     "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
     "clear_denominators",
-    "rank", "integer_rank", "integer_kernel", "kernel_basis", "solve_square",
-    "inverse", "char_poly", "char_poly_squarefree",
+    "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
+    "solve_square", "inverse", "char_poly", "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
     "poly_divmod", "poly_derivative", "poly_gcd", "poly_eval",
     "poly_eval_matrix", "squarefree_part", "squarefree_decomposition",
@@ -256,6 +258,41 @@ def integer_rank(rows, ncols):
     """Exact rank of a matrix given as ``ncols``-long lists of Python ints."""
     _, pivots = _bareiss_echelon(rows, ncols)
     return len(pivots)
+
+
+def rank_mod_p(rows, ncols, p):
+    """Rank over F_p, for a prime ``p``, of a matrix given as ``ncols``-long
+    lists of Python ints.
+
+    Gaussian elimination that skips the rows already zero in the pivot
+    column and updates only the tail of each row, right of the pivot.  The
+    rows below a pivot are reduced mod p only where they are read, so each
+    update adds less than ``p**2`` to an entry.  A minor that is
+    nonzero mod p is nonzero over Q, so the rank mod p of an integer
+    matrix is at most its rank r over Q.  It is lower exactly when p
+    divides every r x r minor, as in ``[[p, 0], [0, 1]]``.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    rk = 0
+    for c in range(ncols):
+        pivot_row = next((r for r in range(rk, nrows) if rows[r][c] % p),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+        top = rows[rk]
+        inv = pow(top[c], -1, p)
+        tail = [v * inv % p for v in top[c + 1:]]
+        for rr in rows[rk + 1:]:
+            f = rr[c] % p
+            if f:
+                f = p - f
+                rr[c + 1:] = [v + f * t for v, t in zip(rr[c + 1:], tail)]
+        rk += 1
+        if rk == nrows:
+            break
+    return rk
 
 
 def _width(rows):

@@ -2,12 +2,16 @@
 
 The modality of an action is the largest number of parameters a family of
 orbits depends on.  For visible linear actions it equals
-``dim V - max orbit dimension``, which reduces everything here to exact
+``dim V - max orbit dimension``, which reduces everything here to
 stabilizer computations: the stabilizer of a point v is the kernel of the
 map sending an algebra element to its action on v, and orbit dimension is
-the complementary rank.  Genericity is handled by seeded integer sampling
-with a max-over-trials protocol, so results are deterministic per seed and
-false lows are detectable by rerunning with another seed.
+the complementary rank.  Genericity is handled by seeded sampling over the
+prime field F_p, p = 2^61 - 1: the orbit matrix is ranked mod p at points
+drawn uniformly from F_p^n, results are deterministic per seed, can only
+understate the generic orbit dimension, and come with a stated bound on
+the chance that they do (``OrbitDimReport.miss_bound``).  The quantity is
+the codimension of a generic orbit, which equals the modality for visible
+actions and can be smaller otherwise (``sum_of_copies_check``).
 
 Also houses the rank-2 family aggregator (max of closure dim minus orbit
 dim over a finite constructible cover), the closed form for special linear
@@ -15,8 +19,10 @@ rank one, and the shipped classification tables of modality 0, 1 and 2.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 
@@ -33,13 +39,15 @@ __all__ = [
     "modality_visible", "sl2_action", "sl2_modality", "modality_from_cover",
     "action_from_module", "load_raw_tables", "table_entries",
     "lookup_expected_modality", "verify_table_entry", "sum_of_copies_check",
-    "DEFAULT_TRIALS", "DEFAULT_SEED", "DEFAULT_RANK_CUTOFF", "SAMPLE_BOX",
+    "DEFAULT_TRIALS", "DEFAULT_SEED", "DEFAULT_RANK_CUTOFF", "PRIME",
+    "FIELD",
 ]
 
-DEFAULT_TRIALS = 5
+DEFAULT_TRIALS = 1
 DEFAULT_SEED = 2024
 DEFAULT_RANK_CUTOFF = 8
-SAMPLE_BOX = 10
+PRIME = 2**61 - 1   # sample points are drawn from F_p^n with p = PRIME
+FIELD = "GF(2^61 - 1)"
 
 
 @dataclass(frozen=True)
@@ -81,64 +89,106 @@ class ActionSpec:
 
 @dataclass(frozen=True)
 class OrbitDimReport:
+    """The best orbit dimension over ``trials_used`` points of ``field``.
+
+    ``miss_bound`` bounds the probability that ``generic_orbit_dim`` is
+    below the true generic orbit dimension; see ``generic_orbit_dim``.
+    """
+
     generic_orbit_dim: int
     stabilizer_dim: int
     trials_used: int
     seed: int
+    field: str
+    miss_bound: float
 
     def __post_init__(self):
         assert self.generic_orbit_dim + self.stabilizer_dim >= 0
 
 
-def stabilizer_dim_at(action, v):
-    """Dimension of the subalgebra annihilating the point v.
-
-    That is ``algebra_dim`` minus the rank of the orbit matrix, whose column
-    k is ``matrices[k] @ v``.  The matrix is assembled on Python ints from
-    ``action.integer_entries`` and ``v`` with its denominators cleared, which
-    scales columns by positive integers: the rank, and so the answer, is
-    exact.
-    """
+def _orbit_rows(action, v):
+    """The orbit matrix at v as lists of Python ints: column k is
+    ``matrices[k] @ v``, assembled from ``action.integer_entries`` and v
+    with its denominators cleared.  Both scale columns by positive integers,
+    which leaves the rank over Q unchanged."""
     if len(v) != action.space_dim:
         raise ValueError("point has wrong length")
-    if action.algebra_dim == 0:
-        return 0
     point = linalg.clear_denominators(linalg.rvec(v))
     rows = [[0] * action.algebra_dim for _ in range(action.space_dim)]
     for k, entries in enumerate(action.integer_entries):
         for i, j, a in entries:
             if point[j]:
                 rows[i][k] += a * point[j]
-    return action.algebra_dim - linalg.integer_rank(rows, action.algebra_dim)
+    return rows
 
 
-def orbit_dim_at(action, v):
-    return action.algebra_dim - stabilizer_dim_at(action, v)
+def stabilizer_dim_at(action, v, p=None):
+    """Dimension of the subalgebra annihilating the point v.
 
-
-def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """Max orbit dimension over seeded integer sample points.
-
-    Orbit dimension is maximal on a dense open set, so the max over trials
-    can only understate the true value, never overstate it.  The orbit
-    matrix is linear in the point, so the points where its rank falls below
-    the generic rank rho lie on the zero set of a nonzero rho x rho minor,
-    a polynomial of degree rho.  By Schwartz-Zippel a point with coordinates
-    drawn uniformly from ``[-SAMPLE_BOX, SAMPLE_BOX]`` lands there with
-    probability at most ``rho / (2 * SAMPLE_BOX + 1)`` per trial.  With
-    ``SAMPLE_BOX = 10`` that bound is vacuous once rho >= 21, which the
-    larger table entries reach (E7 with highest weight omega_7 has rho = 55).
+    That is ``algebra_dim`` minus the rank of the orbit matrix, whose column
+    k is ``matrices[k] @ v``.  Without ``p`` the rank is taken over Q and
+    the answer is exact.  With a prime ``p`` the integer orbit matrix is
+    ranked mod p (``linalg.rank_mod_p``); that rank is at most the one over
+    Q, so the answer can only be too high.
     """
+    rows = _orbit_rows(action, v)
+    if p is None:
+        rk = linalg.integer_rank(rows, action.algebra_dim)
+    else:
+        rk = linalg.rank_mod_p(rows, action.algebra_dim, p)
+    return action.algebra_dim - rk
+
+
+def orbit_dim_at(action, v, p=None):
+    return action.algebra_dim - stabilizer_dim_at(action, v, p)
+
+
+def _miss_bound(degree, trials):
+    """``(degree / PRIME) ** trials`` as a float rounded up."""
+    return math.nextafter(float(Fraction(degree, PRIME) ** trials), math.inf)
+
+
+def _sampled_orbit_dim(action, draw, degree, trials, seed):
+    """Max orbit dimension mod ``PRIME`` over points ``draw(rng)``, whose
+    coordinates are polynomials of degree at most ``degree`` in uniformly
+    drawn parameters; stops once no point can do better."""
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = random.Random(seed)
+    cap = min(action.space_dim, action.algebra_dim)
     best = 0
-    for _ in range(trials):
-        v = [rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(action.space_dim)]
-        best = max(best, orbit_dim_at(action, v))
-    return OrbitDimReport(generic_orbit_dim=best,
-                          stabilizer_dim=action.algebra_dim - best,
-                          trials_used=trials, seed=seed)
+    for used in range(1, trials + 1):
+        best = max(best, orbit_dim_at(action, draw(rng), PRIME))
+        if best == cap:
+            break
+    return OrbitDimReport(
+        generic_orbit_dim=best, stabilizer_dim=action.algebra_dim - best,
+        trials_used=used, seed=seed, field=FIELD,
+        miss_bound=0.0 if best == cap else _miss_bound(degree * cap, used))
+
+
+def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
+    """Max orbit dimension over seeded sample points of F_p^n, p = PRIME.
+
+    The orbit matrix has integer entries linear in the point, so its rank
+    mod p at any point of F_p^n is at most its generic rank rho over Q:
+    the result can only understate the generic orbit dimension, never
+    overstate it.  A point falls short of rho exactly when every rho x rho
+    minor vanishes there mod p; the minors are integer polynomials of
+    degree rho in the point.  Assuming one that is nonzero over Q stays
+    nonzero mod p (p does not divide all its coefficients), Schwartz-Zippel
+    bounds the chance of a miss by rho/p per point drawn uniformly from
+    F_p^n.  With c = min(space_dim, algebra_dim) >= rho, ``miss_bound`` is
+    (c/p)^t after t trials, about 1e-16 per trial even for c = 240.
+
+    Sampling stops early once the rank reaches c, since no point can do
+    better; ``miss_bound`` is then 0 and ``trials_used`` counts the points
+    actually drawn.
+    """
+    return _sampled_orbit_dim(
+        action, lambda rng: [rng.randrange(PRIME)
+                             for _ in range(action.space_dim)],
+        1, trials, seed)
 
 
 def modality_visible(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
@@ -338,6 +388,7 @@ class VerifyResult:
     reason: str
     seed: int
     trials: int
+    sampling: OrbitDimReport | None = None   # None when skipped
 
 
 def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
@@ -356,7 +407,7 @@ def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     return VerifyResult(entry=entry, dim_v=dim_v, computed=computed,
                         matches=computed == entry.expected_modality,
                         orbit_dim=report.generic_orbit_dim, skipped=False,
-                        reason="", seed=seed, trials=trials)
+                        reason="", seed=seed, trials=trials, sampling=report)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +425,8 @@ class ExmoReport:
     family_lower_bound: int
     modality_regular: bool
     seed: int
+    sampling: OrbitDimReport          # of the generic orbit
+    family_sampling: OrbitDimReport   # of the family's generic orbit
 
 
 def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
@@ -383,8 +436,14 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     The generic orbit is open (regular-sheet modality 0), yet the points
     (v, c_1 v, ..., c_{d-1} v) form an (n+d-1)-parameter family of orbits of
     dimension n, forcing total modality >= d-1.  For d >= 2 the action is
-    therefore not modality-regular.  Raises BuildCeilingExceeded before any
-    build when the sum's dimension n * d exceeds ``ceiling``.
+    therefore not modality-regular.  The family's orbit dimension is
+    sampled like ``generic_orbit_dim``, at (v, c_1, ..., c_{d-1}) drawn
+    uniformly from F_p; the point has degree 2 in them, so the minors have
+    twice the degree and the miss bound is (2m/p)^t with
+    m = min(space_dim, algebra_dim).  This sampling needs the bound most:
+    an understated family orbit dimension overstates
+    ``family_lower_bound``.  Raises BuildCeilingExceeded before any build
+    when the sum's dimension n * d exceeds ``ceiling``.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -404,17 +463,16 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     report = generic_orbit_dim(action, trials=trials, seed=seed)
     regular_sheet_modality = space_dim - report.generic_orbit_dim
 
-    rng = random.Random(seed)
-    family_orbit = 0
-    for _ in range(trials):
-        v = [rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(n)]
-        if not any(v):
-            v[0] = 1
+    def family_point(rng):
+        v = [rng.randrange(PRIME) for _ in range(n)]
         point = list(v)
         for _ in range(d - 1):
-            c = rng.randint(-SAMPLE_BOX, SAMPLE_BOX)
-            point.extend(c * x for x in v)
-        family_orbit = max(family_orbit, orbit_dim_at(action, point))
+            c = rng.randrange(PRIME)
+            point.extend(c * x % PRIME for x in v)
+        return point
+
+    family = _sampled_orbit_dim(action, family_point, 2, trials, seed)
+    family_orbit = family.generic_orbit_dim
     family_dim = n + d - 1
     lower = family_dim - family_orbit
     return ExmoReport(n=n, d=d, space_dim=space_dim,
@@ -423,4 +481,4 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                       family_dim=family_dim, family_orbit_dim=family_orbit,
                       family_lower_bound=lower,
                       modality_regular=lower <= regular_sheet_modality,
-                      seed=seed)
+                      seed=seed, sampling=report, family_sampling=family)

@@ -228,32 +228,73 @@ def test_unwritable_output_fails_before_the_computation(
     assert capsys.readouterr().err == f"error: {opened.value}\n"
 
 
-# sha256 of json.dumps(strip_volatile(report), sort_keys=True), computed with
-# the Fraction cell closures and the dense bracket map these reports were
-# first produced with
+# sha256 of json.dumps(strip_volatile(report), sort_keys=True).  These
+# reports were first produced with Fraction cell closures and a dense
+# bracket map; the digests changed only when one sampling trial became the
+# default and items gained "sampling": dropping that key and setting
+# config.trials back to 5 gives the earlier digests again.
 _GOLDEN_REPORTS = [
     ("cells count --type A5",
-     "10c35037a49eeb6747011ba241ea2d8a65e439074471bc7ec1a0c2df27147426"),
+     "c9077728f41d82d865c77c53481ca608cc4153cf7f1926522d3be1f39a400148"),
     ("cells count --type B4",
-     "8c54eae79bd1e31f7ac84c4f20117aa98da060e8dd26b219e8abbc9a4ab9e339"),
+     "2f840f29c28ba1a6bb37371c1f70551509c4ca07c50c3dc42ea9f502f7470a39"),
     ("cells count --type C4",
-     "bba5ceea259b47f5d369608da4f5567bae33607d76e047f7329f97d765922aef"),
+     "69a9bab3a1ccf2f0866a4ecd76d7e83ab5262cd305040e89d59f675a527b1f07"),
     ("packets enum --sln 4",
-     "b6fe83de62aed5ac8a8bc59fc51cfe06b7b098131f1525158cc7d6f3f7d9e8ce"),
+     "5b5956d5494f10de258bb6dcb8a0d1189b7a605d21671c2f79f1069767ff6f52"),
     ("packets check --sln 3 --samples 200",
-     "9f3c25aca9835f196e2b244b39689978dec96937bfce13635a01f1720b946e64"),
+     "2e9f8ebe3ac371921323b8b96038c10f1d5095d1fea9f6def9cf7c467977424c"),
     ("packets check --sln 4",
-     "c58b3ec6c5082c57d666d75568b77217a08ec42cae638e76f6b8a114f5d54d64"),
+     "72bdced73f0a92ae27769778078268a823507bb88522c2320e9bac842bf87404"),
 ]
 
 
-@pytest.mark.parametrize("command,digest", _GOLDEN_REPORTS)
+@pytest.mark.parametrize("command,digest", _GOLDEN_REPORTS,
+                         ids=[c for c, _ in _GOLDEN_REPORTS])
 def test_reports_match_golden_digests(command, digest, capsys, monkeypatch):
     monkeypatch.delenv("MODALITY_SEED", raising=False)
     code, report = run_json(capsys, [*command.split(), "--seed", "2024"])
     assert code == 0
     text = json.dumps(strip_volatile(report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_table_entry_states_its_miss_bound(capsys, monkeypatch):
+    monkeypatch.delenv("MODALITY_SEED", raising=False)
+    code, report = run_json(capsys, ["tables", "verify", "--list", "all"])
+    assert code == 0 and len(report["items"]) == 63
+    for item in report["items"]:
+        sampling = item["sampling"]
+        assert sampling["field"] == modality.FIELD
+        assert sampling["trials"] == 1
+        assert 0 <= sampling["miss_bound"] < 1e-15, item["id"]
+        assert sampling["quantity"].startswith("generic-orbit codimension")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "modality", "--type", "G2", "--weight", "0,1"],
+    ["sl2", "modality", "--summands", "0,0,2"],
+    ["grading", "rank", "--type", "A1", "--m", "2", "--labels", "1"],
+    ["exmo", "--n", "3", "--d", "2"],
+])
+def test_sampling_commands_report_sampling(argv, capsys):
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    for item in report["items"]:
+        assert item["sampling"]["miss_bound"] < 1e-15, item["id"]
+        assert item["sampling"]["trials"] >= 1
+
+
+def test_items_that_do_not_sample_have_null_sampling(capsys):
+    for argv in (["cells", "count", "--type", "B3"],
+                 ["packets", "check", "--sln", "2", "--samples", "10"]):
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert all(it["sampling"] is None for it in report["items"])
+    code, report = run_json(
+        capsys, ["rep", "modality", "--type", "A3", "--weight", "2,2,2",
+                 "--build-ceiling", "10"])
+    assert report["items"][0]["sampling"] is None   # skipped, not sampled
 
 
 def _refuse_to_build(*args, **kwargs):

@@ -68,6 +68,39 @@ def test_rank_matches_oracle_random():
         assert linalg.rank(linalg.rmat(rows)) == oracle_rank(rows)
 
 
+MERSENNE_61 = 2**61 - 1
+
+
+def test_rank_mod_p_matches_integer_rank_random():
+    # products of random n x k and k x m factors have every rank up to k
+    rng = random.Random(61)
+    for _ in range(60):
+        nr, nc, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 6)
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(nr)]
+        b = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(k)]
+        rows = [[sum(r[t] * b[t][j] for t in range(k)) for j in range(nc)]
+                for r in a]
+        before = [list(r) for r in rows]
+        assert (linalg.rank_mod_p(rows, nc, MERSENNE_61)
+                == linalg.integer_rank(rows, nc) == oracle_rank(rows))
+        assert rows == before   # the input is left alone
+        # a small prime can only lose rank, and sees entries only mod p
+        small = linalg.rank_mod_p(rows, nc, 5)
+        assert small <= linalg.integer_rank(rows, nc)
+        assert small == linalg.rank_mod_p(
+            [[x % 5 for x in r] for r in rows], nc, 5)
+
+
+def test_rank_mod_p_is_at_most_the_rank_over_q():
+    p = MERSENNE_61
+    assert linalg.integer_rank([[p, 0], [0, 1]], 2) == 2
+    assert linalg.rank_mod_p([[p, 0], [0, 1]], 2, p) == 1
+    assert linalg.rank_mod_p([[0, 0], [0, 0]], 2, p) == 0
+    assert linalg.rank_mod_p([], 3, p) == 0
+    # entries beyond p and negative entries are read mod p
+    assert linalg.rank_mod_p([[p + 1, 2], [-1, -2]], 2, p) == 1
+
+
 def test_rank_rectangular_and_degenerate():
     assert linalg.rank(linalg.zeros(3)) == 0
     assert linalg.rank(linalg.eye(4)) == 4

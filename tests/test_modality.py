@@ -1,15 +1,18 @@
 """Orbit dimension, modality, the rank-1 closed form, and the tables."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from liemod import linalg
+from liemod import graded, linalg
 from liemod import modality as mo
 from liemod.hwmod import IrrepSpec
 from liemod.rootsys import RootSystemType
+
+P = mo.PRIME
 
 
 def natural_a1_action():
@@ -222,3 +225,65 @@ def test_orbit_dim_invariant_under_scaling():
                     dense[:, c] = np.dot(m, vec)
                 od = mo.orbit_dim_at(a, v)
                 assert mo.orbit_dim_at(scaled, half) == od == linalg.rank(dense)
+
+
+def _rank_cross_check_actions():
+    actions = [(e.entry_id,
+                mo.action_from_module(IrrepSpec(e.rstype, e.weight)))
+               for e in mo.table_entries("m3")]
+    e7 = RootSystemType("E", 7)
+    actions.append(("E7:omega7", mo.action_from_module(
+        IrrepSpec(e7, (0, 0, 0, 0, 0, 0, 1)))))
+    for rstype in (RootSystemType("B", 3), RootSystemType("G", 2)):
+        spec = graded.GradingSpec(rstype, 1, (1,) * rstype.rank)
+        actions.append((spec.name, graded.build_grading(spec).g0_on_g1))
+    return actions
+
+
+def test_orbit_dim_mod_p_equals_exact_rank():
+    # the exact cross-check of the sampling over F_p: at the same seeded
+    # integer point, the rank mod p equals the Bareiss rank over Q
+    rng = random.Random(mo.DEFAULT_SEED)
+    for name, a in _rank_cross_check_actions():
+        v = [rng.randint(-10, 10) for _ in range(a.space_dim)]
+        exact = mo.orbit_dim_at(a, v)
+        assert exact == mo.orbit_dim_at(a, v, P), name
+        assert exact == mo.generic_orbit_dim(a).generic_orbit_dim, name
+
+
+def test_open_orbit_stops_after_one_trial():
+    cubics = mo.action_from_module(IrrepSpec(RootSystemType("A", 1), (3,)))
+    rep = mo.generic_orbit_dim(cubics, trials=5)
+    assert rep.generic_orbit_dim == 3 == min(cubics.space_dim,
+                                             cubics.algebra_dim)
+    assert rep.trials_used == 1 and rep.miss_bound == 0
+    assert rep.field == mo.FIELD
+
+
+def test_miss_bound_without_an_open_orbit():
+    # the adjoint action of sl3 has orbits of dimension 6 < 8 = min(dims),
+    # so every trial runs and each contributes a factor 8/p
+    adj = mo.action_from_module(IrrepSpec(RootSystemType("A", 2), (1, 1)))
+    rep = mo.generic_orbit_dim(adj, trials=3)
+    assert rep.generic_orbit_dim == 6 and rep.trials_used == 3
+    assert rep.miss_bound >= (8 / P) ** 3 > 0
+    assert rep.miss_bound == pytest.approx((8 / P) ** 3, rel=1e-12)
+    one = mo.generic_orbit_dim(adj)
+    assert one.trials_used == mo.DEFAULT_TRIALS == 1
+    assert one.miss_bound == pytest.approx(8 / P, rel=1e-12)
+
+
+def test_sum_of_copies_family_sampling():
+    r = mo.sum_of_copies_check(4, 3, trials=2)
+    assert r.sampling.miss_bound == 0 and r.sampling.trials_used == 1
+    fam = r.family_sampling
+    assert fam.generic_orbit_dim == r.family_orbit_dim == 4
+    assert fam.trials_used == 2
+    # the family point has degree 2 in its parameters
+    assert fam.miss_bound == pytest.approx((2 * 12 / P) ** 2, rel=1e-12)
+
+
+def test_rank_of_grading_uses_the_library_defaults():
+    params = inspect.signature(graded.rank_of_grading).parameters
+    assert params["trials"].default == mo.DEFAULT_TRIALS
+    assert params["seed"].default == mo.DEFAULT_SEED
