@@ -8,25 +8,40 @@ number of parameters of a generic orbit of that action, equal to the
 dimension of a maximal commuting semisimple subspace of the degree-one part.
 
 Structure constants are computed once per algebra type from a faithful
-matrix construction of the smallest available module and cached.  Brackets
-are sparse commutators of the basis matrices, and coordinates are read off
-the root-space structure rather than solved for.  A nonzero entry (i, j) of
-the root vector x_beta joins module basis vectors whose weights differ by
-beta, and no other basis element is nonzero there, so each root vector has
-one fixed probe entry and its coordinate is the ratio of the matrix's entry
-there to the root vector's.  Only the Cartan generators reach the diagonal;
-their coordinates come from one rank-by-rank solve on the diagonal entries
-at basis vectors of independent weight.  Every expansion then rebuilds the
+matrix construction of the smallest available module and cached.  Each
+bracket is read off root arithmetic first.  Two Cartan generators commute,
+and [h_i, x_beta] is the Cartan integer <beta, alpha_i^vee> times x_beta:
+the weight difference along x_beta's probe entry (below).  When alpha +
+beta is neither a root nor zero, [x_alpha, x_beta] is zero by weight.  Only
+the remaining pairs, those whose roots sum to a root or to zero, get a
+sparse commutator of their basis matrices, and its coordinates are read
+off the root-space structure rather than solved for.  A nonzero entry
+(i, j) of the root vector x_beta joins module basis vectors whose weights
+differ by beta, and no other basis element is nonzero there, so each root
+vector has one fixed probe entry and its coordinate is the ratio of the
+matrix's entry there to the root vector's.  Only the Cartan generators
+reach the diagonal; their coordinates come from one rank-by-rank solve on
+the diagonal entries at basis vectors of independent weight, held as an
+integer matrix over one denominator.  Every expansion then rebuilds the
 matrix from its coordinates and compares it with the input over every
 nonzero entry of either, so a closure failure or a matrix outside the
 algebra is an error, never a silent wrong answer.
+
+Coordinates are Python ints wherever they are integral and ``Fraction``
+only where they are not: some structure constants of types C and F have
+denominators 2 and 4 in this basis.  The root vectors are not rescaled to
+a Chevalley basis, which would make every constant an integer, because
+``module.full_basis`` is the basis the coordinates refer to: callers
+rebuild module matrices from coordinates in it, and a rescaled table would
+no longer match those matrices.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from math import gcd
+from operator import add, mul, sub
 
 from . import linalg
 from .hwmod import IrrepSpec, _sparse_comm, extend_to_full_algebra
@@ -53,12 +68,26 @@ def _entries(cols):
     return {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
 
 
+def _integral(q):
+    """An int or ``Fraction`` value as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _ratio(a, b):
+    """``a / b``, an int when it divides exactly and a ``Fraction`` if not."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _integral(Fraction(a) / b)
+
+
 class StructureConstants:
     """Bracket table of a simple algebra in its root-space basis.
 
     Basis order: Cartan generators, then raising vectors by root height,
     then the matching lowering vectors.  ``bracket[a][b]`` is a sparse dict
-    mapping basis index to coefficient.
+    mapping basis index to coefficient, an int where it is integral.
     """
 
     def __init__(self, rstype):
@@ -71,7 +100,7 @@ class StructureConstants:
         self.dim = len(mod.full_basis)
         assert self.dim == rs.dimension
         self.basis_names = mod.basis_names
-        r = rs.rank
+        r = self._r = rs.rank
         pos = rs.positive_roots
         self.root_of_index = tuple(
             [None] * r + list(pos) + [tuple(-c for c in b) for b in pos])
@@ -80,8 +109,10 @@ class StructureConstants:
         cols = [m.columns() for m in mod.full_basis]
         self._entries = [_entries(c) for c in cols]
         # a root vector owns every position where it is nonzero
-        self._probes = [next(iter(e.items())) for e in self._entries[r:]]
-        # Cartan coordinates: diagonals at r basis vectors of independent weight
+        self._probes = [None] * r + [
+            next(iter(e.items())) for e in self._entries[r:]]
+        # Cartan coordinates: diagonals at r basis vectors of independent
+        # weight, through the inverse of their weight matrix as ints over den
         rows = []
         for k, w in enumerate(mod.weights):
             if len(rows) == r:
@@ -90,32 +121,59 @@ class StructureConstants:
             if linalg.rank(linalg.rmat(cand)) > len(rows):
                 rows.append(k)
         self._diag_rows = rows
-        self._diag_inverse = linalg.inverse(
-            linalg.rmat([mod.weights[k] for k in rows]))
+        inverse = linalg.inverse(linalg.rmat([mod.weights[k] for k in rows]))
+        *flat, self._diag_den = linalg.clear_denominators([*inverse.flat, 1])
+        self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
 
+        index = {root: k for k, root in enumerate(self.root_of_index)}
+        zero = (0,) * r
         self.bracket = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
-        for a in range(self.dim):
+        for b in range(r, self.dim):
+            # [h_a, x_b] = <beta, alpha_a^vee> x_b: the weight difference
+            # along x_b's probe entry
+            (row, col), _ = self._probes[b]
+            diff = map(sub, mod.weights[row], mod.weights[col])
+            for a, c in enumerate(diff):
+                if c:
+                    self.bracket[a][b] = {b: c}
+                    self.bracket[b][a] = {b: -c}
+        for a in range(r, self.dim):
+            alpha = self.root_of_index[a]
             for b in range(a + 1, self.dim):
+                total = tuple(map(add, alpha, self.root_of_index[b]))
+                if total == zero:
+                    roots = ()
+                elif total in index:
+                    roots = (index[total],)
+                else:
+                    continue  # zero by weight
                 comm = _sparse_comm(cols[a], cols[b])
-                coords = self._coords(_entries(comm))
-                entry = {c: v for c, v in enumerate(coords) if v}
+                entry = self._coords(_entries(comm), roots)
                 self.bracket[a][b] = entry
                 self.bracket[b][a] = {c: -v for c, v in entry.items()}
 
-    def _coords(self, entries):
-        """Coordinates of the matrix with nonzero ``entries`` ((i, j) ->
-        value): Cartan part from the diagonal, one probe read per root
-        vector, then a residual check over every nonzero entry of the
-        matrix and of its reconstruction."""
+    def _coords(self, entries, roots=None):
+        """Sparse coordinates of the matrix with nonzero ``entries`` ((i, j)
+        -> value): the Cartan part from the diagonal, one probe read for
+        each root vector index in ``roots`` (every one by default), then a
+        residual check over every nonzero entry of the matrix and of its
+        reconstruction.  Values are ints where integral."""
+        coords = {}
         diag = [entries.get((k, k), 0) for k in self._diag_rows]
-        coords = [Fraction(sum(map(mul, row, diag)))
-                  for row in self._diag_inverse]
-        coords += [Fraction(entries.get(p, 0)) / v for p, v in self._probes]
-        recon = {}
-        for c, basis_entries in zip(coords, self._entries):
+        if any(diag):
+            for i, row in enumerate(self._diag_inverse):
+                c = _ratio(sum(map(mul, row, diag)), self._diag_den)
+                if c:
+                    coords[i] = c
+        for k in range(self._r, self.dim) if roots is None else roots:
+            p, v = self._probes[k]
+            c = entries.get(p)
             if c:
-                for p, v in basis_entries.items():
-                    recon[p] = recon.get(p, 0) + c * v
+                coords[k] = _ratio(c, v)
+        recon = {}
+        for k, c in coords.items():
+            for p, v in self._entries[k].items():
+                recon[p] = recon.get(p, 0) + c * v
         if any(recon.get(p, 0) != entries.get(p, 0)
                for p in recon.keys() | entries.keys()):
             raise ValueError("matrix does not lie in the algebra's image")
@@ -124,19 +182,22 @@ class StructureConstants:
     def expand_matrix(self, m):
         """Coordinates of a module matrix in the algebra basis; exact, with
         a residual check so non-members raise instead of mis-expanding."""
-        return self._coords(_entries(m.columns()))
+        entries = {p: _integral(v) for p, v in _entries(m.columns()).items()}
+        coords = self._coords(entries)
+        return [coords.get(k, 0) for k in range(self.dim)]
 
     def element_matrix(self, coords):
         out = linalg.zeros(self._n)
         rows = out.rows
         for c, basis_entries in zip(coords, self._entries):
             if c:
+                c = _integral(c)
                 for (i, j), v in basis_entries.items():
                     rows[i][j] += c * v
         return out
 
     def bracket_coords(self, u, v):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for a, ca in enumerate(u):
             if not ca:
                 continue
@@ -161,7 +222,7 @@ def killing_gram(rstype):
     gram = linalg.zeros(n)
     for a in range(n):
         for b in range(a, n):
-            total = Fraction(0)
+            total = 0
             for c in range(n):
                 row = sc.bracket[a][c]
                 if not row:
@@ -315,15 +376,14 @@ def decompose_graded_element(ga, coords):
     mat = ga.sc.element_matrix(coords)
     pair = jordan_chevalley(mat)
     s_coords = ga.sc.expand_matrix(pair.semisimple_part)
-    n_coords = [Fraction(c) - s for c, s in zip(coords, s_coords)]
+    n_coords = [_integral(c - s) for c, s in zip(coords, s_coords)]
     return s_coords, n_coords
 
 
 def random_homogeneous_element(ga, degree, rng, box=6):
-    idxs = ga.components.get(degree, ())
-    coords = [Fraction(0)] * ga.dim
-    for i in idxs:
-        coords[i] = Fraction(rng.randint(-box, box))
+    coords = [0] * ga.dim
+    for i in ga.components.get(degree, ()):
+        coords[i] = rng.randint(-box, box)
     return coords
 
 
@@ -331,34 +391,47 @@ def _in_span(vectors, v):
     return linalg.rank([*vectors, v]) == linalg.rank(vectors)
 
 
+def _combine(coeffs, vectors):
+    """The integer combination of integer vectors, divided by the gcd of
+    its entries."""
+    out = [sum(map(mul, coeffs, col)) for col in zip(*vectors)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def cartan_subspace(ga, seed=DEFAULT_SEED, max_retries=8):
-    """A maximal commuting family of semisimple degree-one elements.
+    """A commuting family of semisimple degree-one elements.
 
     Iterates: sample in the current centralizer slice of the degree-one
     part, keep the semisimple part of the sample when it adds a new
     direction, cut the slice down to its centralizer, repeat.  Stops when
-    repeated escalating samples yield nothing new, which for a correct
-    grading means the slice has no semisimple directions left outside the
-    current span.  Returns full-basis coordinate vectors.
+    ``max_retries`` samples from growing integer boxes [-(3+2k), 3+2k]
+    yield nothing new.  The family's size is therefore a lower bound on
+    the dimension of a Cartan subspace, which a sample that happens to
+    fall on a special element can understate; unlike ``rank_of_grading``
+    it comes with no stated miss bound.  Returns full-basis coordinate
+    vectors.
+
+    The slice is spanned by primitive integer vectors: each kernel vector
+    is divided by the gcd of its entries, which keeps the samples and
+    their Jordan decompositions small.  The semisimple part's
+    denominators are cleared once before its brackets with the slice are
+    taken, and the bracket rows' denominators (types C and F have
+    structure constants with denominators 2 and 4), so the centralizer is
+    an integer kernel.
     """
     rng = random.Random(seed)
     g1 = ga.g1_indices
     if not g1:
         return []
-    # slice basis: full-coordinate unit vectors spanning the degree-one part
-    slice_basis = []
-    for idx in g1:
-        v = [Fraction(0)] * ga.dim
-        v[idx] = Fraction(1)
-        slice_basis.append(v)
+    slice_basis = [[int(i == idx) for i in range(ga.dim)] for idx in g1]
     found = []
     while slice_basis:
         progressed = False
         for attempt in range(max_retries):
             box = 3 + 2 * attempt
             coeffs = [rng.randint(-box, box) for _ in slice_basis]
-            x = [sum(c * v[i] for c, v in zip(coeffs, slice_basis))
-                 for i in range(ga.dim)]
+            x = _combine(coeffs, slice_basis)
             if not any(x):
                 continue
             s, _ = decompose_graded_element(ga, x)
@@ -366,11 +439,12 @@ def cartan_subspace(ga, seed=DEFAULT_SEED, max_retries=8):
                 continue
             found.append(tuple(s))
             # restrict the slice to the centralizer of the new element
+            s = linalg.clear_denominators(s)
             images = [ga.sc.bracket_coords(s, v) for v in slice_basis]
-            kernel = linalg.kernel_basis(linalg.rmat(zip(*images)))
-            slice_basis = [
-                [sum(k[j] * v[i] for j, v in enumerate(slice_basis))
-                 for i in range(ga.dim)] for k in kernel]
+            rows = [linalg.clear_denominators(row) for row in zip(*images)
+                    if any(row)]
+            kernel = linalg.integer_kernel(rows, len(slice_basis))
+            slice_basis = [_combine(k, slice_basis) for k in kernel]
             progressed = True
             break
         if not progressed:

@@ -1,5 +1,6 @@
 """Gradings, structure constants, Jordan decomposition, Cartan subspaces."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 from liemod import graded as gr
 from liemod import linalg
-from liemod.rootsys import RootSystemType
+from liemod.hwmod import _sparse_comm
+from liemod.rootsys import RootSystemType, build_root_system
 
 
 def a2_z_grading():
@@ -72,6 +74,77 @@ def test_structure_constants_exceptional(name):
         vwu = sc.bracket_coords(sc.bracket_coords(v, w), u)
         wuv = sc.bracket_coords(sc.bracket_coords(w, u), v)
         assert not any(a + b + c for a, b, c in zip(uvw, vwu, wuv))
+
+
+# sha256 of each bracket table as computed from a commutator and a full
+# expansion for every basis pair, over "a,b,c:value;" for every nonzero
+# bracket[a][b][c] in index order, with each value written as str(Fraction(v))
+# so that an int and an equal Fraction hash alike
+BRACKET_TABLE_SHA256 = {
+    "A1": "a6c9d31c686b8a14185888d382c73214120ae6da9ba6d2e8f19f75661383392f",
+    "A2": "929c002c1da3a9f7035cb7b76e0f40e3475c8cdd83a64f06d9f63386d0c2f83a",
+    "A3": "84d098f43850c894eee845185aaa387bba6e1362035d30d0b47207add10be6b8",
+    "A4": "bf47229faaab88e49e5115902528f630ef1876d231f844f212632f36923ed79a",
+    "B2": "27dcda5c3a535a957ef205fb50db2fbca8ec3410393338585c77598a9eb3fee4",
+    "B3": "79e9a3f3ce5c64025ac326a01904c53280b417440beb1dfeea3f1d813e4fd3b8",
+    "B4": "2b6bfaa09e61a0ef7a89316952999aa7a5df8c9f95bb144a251e3ffd471b71a6",
+    "C2": "8320ac5f2ec16331ae94ab5af3631c501f64d1498c72b90c9f485f1830570db2",
+    "C3": "ec82fa3b792f0c34e879f4646caabdc01b4cb88d34ec2c673b924381dae55722",
+    "C4": "9b39a937fcf12ecf80ebdd9f54c1ce48c813b524ff1dff9adee6072c03eb8996",
+    "D4": "fb908f82cc01b6ebb7af2ac8a4d137d0213b26b416f8e2ccd8cb9bae211bb499",
+    "G2": "5c63429334da79a2568cb0e92d28a366a3b65702d91b072e51739fdcd1a277b5",
+    "F4": "57a4f03a180917ff285b1accd49ba070cd9e6a7ffd035a5e612b30e2b1642159",
+    "E6": "4c6d9d1f147a420afd44c93d4d4ff978136615f0921fd83121af346dabffbf50",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_TABLE_SHA256))
+def test_bracket_tables_pinned(name):
+    sc = gr.structure_constants(RootSystemType.parse(name))
+    digest = hashlib.sha256()
+    for a, row in enumerate(sc.bracket):
+        for b, entry in enumerate(row):
+            for c in sorted(entry):
+                digest.update(f"{a},{b},{c}:{Fraction(entry[c])};".encode())
+    assert digest.hexdigest() == BRACKET_TABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_cartan_brackets_are_cartan_integers(name):
+    # [h_i, x_beta] = <beta, alpha_i^vee> x_beta, with an int coefficient
+    rt = RootSystemType.parse(name)
+    rs = build_root_system(rt)
+    sc = gr.structure_constants(rt)
+    for b, beta in enumerate(sc.root_of_index):
+        if beta is None:
+            continue
+        for i, c in enumerate(rs.root_weight_coords(beta)):
+            assert sc.bracket[i][b] == ({b: c} if c else {})
+            assert sc.bracket[b][i] == ({b: -c} if c else {})
+            assert all(type(v) is int for v in sc.bracket[i][b].values())
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "F4"])
+def test_skipped_pairs_commute_in_the_module(name):
+    # the table takes no commutator for two Cartan generators or for two
+    # root vectors whose roots sum to neither a root nor zero; their
+    # commutators in the structure module must vanish
+    sc = gr.structure_constants(RootSystemType.parse(name))
+    roots = set(sc.root_of_index) - {None}
+    cols = [m.columns() for m in sc.module.full_basis]
+    skipped = 0
+    for a, alpha in enumerate(sc.root_of_index):
+        for b, beta in enumerate(sc.root_of_index):
+            if (alpha is None) != (beta is None):
+                continue
+            if alpha is not None:
+                total = tuple(x + y for x, y in zip(alpha, beta))
+                if total in roots or not any(total):
+                    continue
+            skipped += 1
+            assert not any(_sparse_comm(cols[a], cols[b]))
+            assert sc.bracket[a][b] == {}
+    assert skipped > sc.dim
 
 
 def test_expand_matrix_rejects_outsiders():
@@ -269,3 +342,26 @@ def test_exceptional_involution_ranks(name, labels, expected):
     # a Z2 grading's rank is the real rank of the matching real form
     ga = gr.build_grading(gr.GradingSpec(RootSystemType.parse(name), 2, labels))
     assert gr.rank_of_grading(ga) == len(gr.cartan_subspace(ga)) == expected
+
+
+# Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces (1978),
+# ch. X, table of the exceptional symmetric spaces: the real rank of each
+# inner real form of G2 and E7.  A Z2 grading with label 1 on one node
+# (Bourbaki numbering) is the involution that fixes the extended Dynkin
+# diagram minus that node when its highest-root coefficient is 2, and the
+# Levi factor plus a centre when it is 1.  E7's highest root is
+# 2a1 + 2a2 + 3a3 + 4a4 + 3a5 + 2a6 + a7.
+HELGASON_INNER_INVOLUTIONS = [
+    ("G2", (1, 0), 2),                    # G2(2), so(4) fixed
+    ("G2", (0, 1), 2),                    # the same real form
+    ("E7", (0, 1, 0, 0, 0, 0, 0), 7),     # EV, su(8) fixed
+    ("E7", (1, 0, 0, 0, 0, 0, 0), 4),     # EVI, so(12) + su(2) fixed
+    ("E7", (0, 0, 0, 0, 0, 1, 0), 4),     # EVI again, by node 6
+    ("E7", (0, 0, 0, 0, 0, 0, 1), 3),     # EVII, e6 + R fixed
+]
+
+
+@pytest.mark.parametrize("name,labels,expected", HELGASON_INNER_INVOLUTIONS)
+def test_inner_involution_ranks_helgason(name, labels, expected):
+    ga = gr.build_grading(gr.GradingSpec(RootSystemType.parse(name), 2, labels))
+    assert gr.rank_of_grading(ga) == expected
