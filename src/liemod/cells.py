@@ -18,11 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from . import linalg
-from .rootsys import build_root_system
 
 __all__ = [
     "FunctionalSet", "Cell", "CentralizerData", "root_functionals",
@@ -53,8 +51,9 @@ class FunctionalSet:
                      for f in self.functionals)
 
     def evaluate(self, index, point):
-        scale = lcm(*(c.denominator for c in self.functionals[index]))
-        return Fraction(sum(map(mul, self.int_rows[index], point)), scale)
+        if len(point) != self.ambient_dim:
+            raise ValueError("point has wrong length")
+        return sum(map(mul, self.functionals[index], point), Fraction(0))
 
     def vanishing_set(self, point):
         if len(point) != self.ambient_dim:
@@ -153,12 +152,12 @@ def cell_of_point(fset, point):
     return _make_cell(fset, fset.vanishing_set(point))
 
 
-def sample_point_in_cell(fset, cell, rng, max_tries=60):
+def sample_point_in_cell(fset, cell, rng):
     """A random rational point whose vanishing set is exactly the flat.
 
     Draws integer combinations of a kernel basis of the flat's span; retries
-    while some functional outside the flat happens to vanish.  The generic
-    combination works, so a handful of tries suffices.
+    while some functional outside the flat happens to vanish, 60 times at
+    most.  The generic combination works, so a handful of tries suffices.
     """
     ker = linalg.kernel_basis(_rows_matrix(fset, cell.flat))
     if not ker:
@@ -166,7 +165,7 @@ def sample_point_in_cell(fset, cell, rng, max_tries=60):
         if fset.vanishing_set(point) == cell.flat:
             return point
         raise ValueError("flat of full rank is not the closure of the origin")
-    for _ in range(max_tries):
+    for _ in range(60):
         coeffs = [rng.randint(-9, 9) for _ in ker]
         point = [sum(c * k[i] for c, k in zip(coeffs, ker))
                  for i in range(fset.ambient_dim)]
@@ -192,7 +191,7 @@ class CentralizerData:
     dim_derived: int
 
 
-def centralizer_data(rs, cell, seed=11):
+def centralizer_data(rs, cell):
     fset = root_functionals(rs)
     nfun = len(fset.functionals)
     if any(i < 0 or i >= nfun for i in cell.flat):
@@ -204,7 +203,7 @@ def centralizer_data(rs, cell, seed=11):
         raise ValueError("cell closure_dim inconsistent with this root system")
 
     # points of one cell share their centralizer: check two random ones
-    rng = random.Random(seed)
+    rng = random.Random(11)
     first = sample_point_in_cell(fset, cell, rng)
     second = sample_point_in_cell(fset, cell, rng)
     assert fset.vanishing_set(first) == fset.vanishing_set(second) == cell.flat

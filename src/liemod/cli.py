@@ -44,10 +44,11 @@ _CODIMENSION = ("generic-orbit codimension, which equals the modality for "
 
 
 def _item(item_id, computed=None, expected=None, match=None, orbit_dim=None,
-          dims=None, seed=None, time_ms=None, note="", sampling=None):
+          dims=None, time_ms=None, note="", sampling=None):
+    # run_command fills in the seed
     return {"id": item_id, "computed": computed, "expected": expected,
             "match": match, "orbit_dim": orbit_dim, "dims": dims,
-            "seed": seed, "time_ms": time_ms, "note": note,
+            "seed": None, "time_ms": time_ms, "note": note,
             "sampling": sampling}
 
 
@@ -98,15 +99,13 @@ def _cmd_tables_verify(args):
         if res.skipped:
             items.append(_item(
                 entry.entry_id, expected=entry.expected_modality,
-                seed=args.seed, time_ms=_now_ms(t0),
-                note=f"skipped: {res.reason}"))
+                time_ms=_now_ms(t0), note=f"skipped: {res.reason}"))
         else:
             items.append(_item(
                 entry.entry_id, computed=res.computed,
                 expected=entry.expected_modality, match=res.matches,
                 orbit_dim=res.orbit_dim, dims={"module": res.dim_v},
-                seed=args.seed, time_ms=_now_ms(t0),
-                sampling=_sampling([res.sampling])))
+                time_ms=_now_ms(t0), sampling=_sampling([res.sampling])))
     note = (f"classical families expanded up to rank {args.rank_cutoff}; "
             f"higher ranks not checked")
     return {"list": args.list, "note": note}, items
@@ -122,8 +121,8 @@ def _cmd_rep_modality(args):
         action = modality.action_from_module(spec, ceiling=args.build_ceiling)
     except BuildCeilingExceeded as exc:
         return {"type": args.type, "weight": args.weight}, [_item(
-            f"rep:{spec.name}", expected=expected, seed=args.seed,
-            time_ms=_now_ms(t0), note=f"skipped: {exc}")]
+            f"rep:{spec.name}", expected=expected, time_ms=_now_ms(t0),
+            note=f"skipped: {exc}")]
     report = modality.generic_orbit_dim(
         action, trials=args.trials, seed=args.seed)
     computed = action.space_dim - report.generic_orbit_dim
@@ -132,8 +131,7 @@ def _cmd_rep_modality(args):
         match=None if expected is None else computed == expected,
         orbit_dim=report.generic_orbit_dim,
         dims={"module": action.space_dim, "algebra": action.algebra_dim},
-        seed=args.seed, time_ms=_now_ms(t0),
-        note="" if expected is not None else
+        time_ms=_now_ms(t0), note="" if expected is not None else
         "weight not in the shipped tables; computed value only",
         sampling=_sampling([report]))]
 
@@ -150,8 +148,7 @@ def _cmd_sl2_modality(args):
         f"sl2:{args.summands}", computed=closed, expected=from_matrices,
         match=closed == from_matrices,
         orbit_dim=report.generic_orbit_dim,
-        dims={"module": action.space_dim}, seed=args.seed,
-        time_ms=_now_ms(t0),
+        dims={"module": action.space_dim}, time_ms=_now_ms(t0),
         note="closed form checked against explicit matrices",
         sampling=_sampling([report]))]
 
@@ -169,8 +166,7 @@ def _cmd_cells_count(args):
         match=None if expected is None else count == expected,
         dims={"ambient": rstype.rank,
               "functionals": len(fset.functionals)},
-        seed=args.seed, time_ms=_now_ms(t0),
-        note="" if expected is not None else
+        time_ms=_now_ms(t0), note="" if expected is not None else
         "no closed-form count outside type A; computed value only")]
 
 
@@ -192,7 +188,7 @@ def _cmd_grading_rank(args):
         match=cartan_dim == rank,
         dims={"algebra": ga.dim,
               "degree_one": len(ga.g1_indices)},
-        seed=args.seed, time_ms=_now_ms(t0),
+        time_ms=_now_ms(t0),
         note="rank from generic orbits; dimension from an explicit "
              "commuting semisimple family",
         sampling=_sampling([report]))]
@@ -207,7 +203,7 @@ def _cmd_packets_enum(args):
         f"packet-count:{n}", computed=len(descriptors),
         expected=packets.count_packets(n),
         match=len(descriptors) == packets.count_packets(n),
-        seed=args.seed, time_ms=_now_ms(t0))]
+        time_ms=_now_ms(t0))]
     for p in descriptors:
         t1 = time.monotonic()
         closure, mod = packets.packet_dims(p)
@@ -218,7 +214,7 @@ def _cmd_packets_enum(args):
             match=(closure, mod) == (p.closure_dim, p.modality),
             orbit_dim=p.orbit_dim, dims={"eigenvalue_groups":
                                          p.jordan_type.num_blocks},
-            seed=args.seed, time_ms=_now_ms(t1)))
+            time_ms=_now_ms(t1)))
     return {"sln": n}, items
 
 
@@ -230,21 +226,17 @@ def _cmd_packets_check(args):
     elapsed = _now_ms(t0)
     items = [
         _item(f"packets-check:{n}:coverage", computed=rep.coverage_ok,
-              expected=True, match=rep.coverage_ok, seed=args.seed,
-              time_ms=elapsed,
+              expected=True, match=rep.coverage_ok, time_ms=elapsed,
               note=f"{rep.samples} random traceless samples classified"),
         _item(f"packets-check:{n}:max-modality", computed=rep.max_modality,
-              expected=n - 1, match=rep.aggregator_ok, seed=args.seed,
-              time_ms=elapsed,
+              expected=n - 1, match=rep.aggregator_ok, time_ms=elapsed,
               note="aggregated over the packet cover of the algebra"),
         _item(f"packets-check:{n}:identity", computed=rep.identity_ok,
-              expected=True, match=rep.identity_ok, seed=args.seed,
-              time_ms=elapsed,
+              expected=True, match=rep.identity_ok, time_ms=elapsed,
               note="same packet iff same centralizer dim and same "
                    "eigenvalue-coincidence pattern"),
         _item(f"packets-check:{n}:regular-center", computed=rep.regular_center_ok,
-              expected=True, match=rep.regular_center_ok, seed=args.seed,
-              time_ms=elapsed,
+              expected=True, match=rep.regular_center_ok, time_ms=elapsed,
               note="center of a nilpotent centralizer stays in the orbit "
                    "closure dimension bound, with equality attained"),
     ]
@@ -254,8 +246,7 @@ def _cmd_packets_check(args):
             computed=check.matched_packet,
             expected="unique packet with these dimensions",
             match=check.point_orbit_dims_constant
-            and check.matched_packet != "<unmatched>",
-            seed=args.seed, time_ms=elapsed))
+            and check.matched_packet != "<unmatched>", time_ms=elapsed))
     return {"sln": n, "samples": args.samples}, items
 
 
@@ -272,19 +263,18 @@ def _cmd_exmo(args):
         _item("exmo:regular-sheet", computed=rep.regular_sheet_modality,
               expected=0, match=rep.regular_sheet_modality == 0,
               orbit_dim=rep.space_dim, dims={"module": rep.space_dim},
-              seed=args.seed, time_ms=elapsed,
+              time_ms=elapsed,
               note=f"open orbit found: {rep.open_orbit_found}",
               sampling=_sampling([rep.sampling])),
         _item("exmo:family-bound", computed=rep.family_lower_bound,
               expected=args.d - 1, match=rep.family_lower_bound == args.d - 1,
               orbit_dim=rep.family_orbit_dim,
-              dims={"family": rep.family_dim}, seed=args.seed,
-              time_ms=elapsed,
+              dims={"family": rep.family_dim}, time_ms=elapsed,
               note="proportional tuples form a positive-dimensional "
                    "family of equal-dimension orbits",
               sampling=_sampling([rep.family_sampling], _FAMILY)),
         _item("exmo:modality-regular", computed=rep.modality_regular,
-              seed=args.seed, time_ms=elapsed,
+              time_ms=elapsed,
               note="false means the family bound exceeds the regular-sheet "
                    "modality",
               sampling=_sampling([rep.sampling, rep.family_sampling],
@@ -411,6 +401,8 @@ def run_command(argv=None):
 
     extra, items = args.func(args)
     items.sort(key=lambda it: it["id"])
+    for item in items:
+        item["seed"] = args.seed
     passed = all(it["match"] is not False for it in items)
     config = {"seed": args.seed, "trials": args.trials,
               "rank_cutoff": args.rank_cutoff,

@@ -45,6 +45,7 @@ from operator import add, mul, sub
 
 from . import linalg
 from .hwmod import IrrepSpec, _sparse_comm, extend_to_full_algebra
+from .linalg import exact_ratio, integral
 from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, ActionSpec,
                        generic_orbit_dim)
 from .rootsys import RootSystemType, build_root_system
@@ -66,20 +67,6 @@ def _entries(cols):
     """Nonzero entries, keyed by (row, column), of a matrix in sparse
     columns."""
     return {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
-
-
-def _integral(q):
-    """An int or ``Fraction`` value as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _ratio(a, b):
-    """``a / b``, an int when it divides exactly and a ``Fraction`` if not."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _integral(Fraction(a) / b)
 
 
 class StructureConstants:
@@ -162,14 +149,14 @@ class StructureConstants:
         diag = [entries.get((k, k), 0) for k in self._diag_rows]
         if any(diag):
             for i, row in enumerate(self._diag_inverse):
-                c = _ratio(sum(map(mul, row, diag)), self._diag_den)
+                c = exact_ratio(sum(map(mul, row, diag)), self._diag_den)
                 if c:
                     coords[i] = c
         for k in range(self._r, self.dim) if roots is None else roots:
             p, v = self._probes[k]
             c = entries.get(p)
             if c:
-                coords[k] = _ratio(c, v)
+                coords[k] = exact_ratio(c, v)
         recon = {}
         for k, c in coords.items():
             for p, v in self._entries[k].items():
@@ -182,16 +169,18 @@ class StructureConstants:
     def expand_matrix(self, m):
         """Coordinates of a module matrix in the algebra basis; exact, with
         a residual check so non-members raise instead of mis-expanding."""
-        entries = {p: _integral(v) for p, v in _entries(m.columns()).items()}
+        entries = {p: integral(v) for p, v in _entries(m.columns()).items()}
         coords = self._coords(entries)
         return [coords.get(k, 0) for k in range(self.dim)]
 
     def element_matrix(self, coords):
+        if len(coords) != self.dim:
+            raise ValueError("coordinate vector has wrong length")
         out = linalg.zeros(self._n)
         rows = out.rows
         for c, basis_entries in zip(coords, self._entries):
             if c:
-                c = _integral(c)
+                c = integral(c)
                 for (i, j), v in basis_entries.items():
                     rows[i][j] += c * v
         return out
@@ -376,14 +365,14 @@ def decompose_graded_element(ga, coords):
     mat = ga.sc.element_matrix(coords)
     pair = jordan_chevalley(mat)
     s_coords = ga.sc.expand_matrix(pair.semisimple_part)
-    n_coords = [_integral(c - s) for c, s in zip(coords, s_coords)]
+    n_coords = [integral(c - s) for c, s in zip(coords, s_coords)]
     return s_coords, n_coords
 
 
-def random_homogeneous_element(ga, degree, rng, box=6):
+def random_homogeneous_element(ga, degree, rng):
     coords = [0] * ga.dim
     for i in ga.components.get(degree, ()):
-        coords[i] = rng.randint(-box, box)
+        coords[i] = rng.randint(-6, 6)
     return coords
 
 
@@ -399,13 +388,13 @@ def _combine(coeffs, vectors):
     return [x // g for x in out] if g > 1 else out
 
 
-def cartan_subspace(ga, seed=DEFAULT_SEED, max_retries=8):
+def cartan_subspace(ga, seed=DEFAULT_SEED):
     """A commuting family of semisimple degree-one elements.
 
     Iterates: sample in the current centralizer slice of the degree-one
     part, keep the semisimple part of the sample when it adds a new
     direction, cut the slice down to its centralizer, repeat.  Stops when
-    ``max_retries`` samples from growing integer boxes [-(3+2k), 3+2k]
+    eight samples, from the integer boxes [-(3+2k), 3+2k] for k = 0..7,
     yield nothing new.  The family's size is therefore a lower bound on
     the dimension of a Cartan subspace, which a sample that happens to
     fall on a special element can understate; unlike ``rank_of_grading``
@@ -428,7 +417,7 @@ def cartan_subspace(ga, seed=DEFAULT_SEED, max_retries=8):
     found = []
     while slice_basis:
         progressed = False
-        for attempt in range(max_retries):
+        for attempt in range(8):
             box = 3 + 2 * attempt
             coeffs = [rng.randint(-box, box) for _ in slice_basis]
             x = _combine(coeffs, slice_basis)

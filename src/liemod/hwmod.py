@@ -20,10 +20,9 @@ the construction works in and write out dense rows only when read.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Matrix
+from .linalg import Matrix, exact_ratio
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -82,11 +81,6 @@ class HWModule:
     full_basis: tuple = None
     basis_names: tuple = None
 
-    @property
-    def algebra_dim(self):
-        rs = build_root_system(self.spec.rstype)
-        return rs.dimension
-
 
 def weyl_dim(spec):
     """Module dimension by the Weyl product formula, exactly.
@@ -131,11 +125,6 @@ def enumerate_dominant_up_to_dim(rstype, max_dim):
                     new.append(nxt)
         frontier = new
     return sorted(found)
-
-
-def _exact_div(a, b):
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
 
 
 def _build_module(spec):
@@ -192,8 +181,8 @@ def _build_module(spec):
             piv, p = next(iter(rest.items()))
             comb = {x: -v for x, v in coef.items() if v}
             comb[n] = 1
-            rows.append((piv, {k: _exact_div(v, p) for k, v in rest.items()},
-                         {x: _exact_div(v, p) for x, v in comb.items()}))
+            rows.append((piv, {k: exact_ratio(v, p) for k, v in rest.items()},
+                         {x: exact_ratio(v, p) for x, v in comb.items()}))
             accepted.append(n)
         level = accepted
         assert len(order) <= dim, f"{spec.name}: basis outgrew Weyl's formula"

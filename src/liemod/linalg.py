@@ -9,14 +9,19 @@ lists or a 2-d array of Python numbers.  Polynomials are python lists of
 coefficients in ascending degree order, normalized so the leading
 coefficient is nonzero (the zero polynomial is ``[]``).
 
-``Fraction`` appears only at the edges: each kernel clears its input's
-denominators once (``clear_denominators``), computes on Python ints, and
-divides only in its result.  Ranks, kernels and solves share one
-fraction-free (Bareiss) elimination; characteristic polynomials come from
-the Faddeev-LeVerrier recurrence, which stays integral on integers.  No
-floating point is used anywhere, so every answer is exact.  The one rank
-over a finite field, ``rank_mod_p``, is exact over F_p and a lower bound
-over Q; orbit-dimension sampling uses it.
+``Fraction`` appears only at the edges, and four helpers are the one place
+where exact values become ints and come back: ``clear_denominators``
+scales a list of values to ints, ``int_nonzeros`` the nonzero entries of a
+list of matrices under one shared multiplier, ``exact_ratio`` divides to an
+int when the division is exact, and ``integral`` turns an integral
+``Fraction`` back into an int.  Each kernel clears its input's denominators
+once, computes on Python ints, and divides only in its result.  Ranks,
+kernels and solves share one fraction-free (Bareiss) elimination;
+characteristic polynomials come from the Faddeev-LeVerrier recurrence,
+which stays integral on integers.  No floating point is used anywhere, so
+every answer is exact.  The one rank over a finite field, ``rank_mod_p``,
+is exact over F_p and a lower bound over Q; orbit-dimension sampling uses
+it.
 """
 
 from fractions import Fraction
@@ -26,7 +31,7 @@ from operator import add, mul, sub
 
 __all__ = [
     "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
-    "clear_denominators",
+    "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
     "solve_square", "inverse", "char_poly", "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
@@ -154,9 +159,9 @@ class Matrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        cols = list(zip(*other.rows))
-        return Matrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows],
-                      other.shape[1])
+        if self.shape[1] != other.shape[0]:
+            raise ValueError("shape mismatch")
+        return Matrix(_int_matmul(self.rows, other.rows), other.shape[1])
 
     def __array__(self, dtype=None, copy=None):
         import numpy
@@ -208,6 +213,35 @@ def clear_denominators(values):
     """The values times the lcm of their denominators, as Python ints."""
     mult = lcm(*(x.denominator for x in values))
     return [x.numerator * (mult // x.denominator) for x in values]
+
+
+def int_nonzeros(mats):
+    """Per matrix, its nonzero entries as ``(row, col, int)`` triples, all
+    times one positive integer: the lcm of every denominator among them.
+
+    A matrix built linearly from these entries comes out times that integer,
+    which changes neither its kernel nor its rank over Q, nor its rank mod a
+    prime that divides none of the denominators.
+    """
+    entries = [m.nonzeros() for m in mats]
+    vals = iter(clear_denominators(
+        [v for nonzeros in entries for _, _, v in nonzeros]))
+    return tuple(tuple((i, j, next(vals)) for i, j, _ in nonzeros)
+                 for nonzeros in entries)
+
+
+def integral(q):
+    """An int or ``Fraction`` value as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def exact_ratio(a, b):
+    """``a / b``, an int when it divides exactly and a ``Fraction`` if not."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return integral(Fraction(a) / b)
 
 
 def _integer_rows(m):
@@ -384,6 +418,7 @@ def _integer_square(m):
 
 
 def _int_matmul(a, b):
+    """The product of two lists of rows of ints or ``Fraction``."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 

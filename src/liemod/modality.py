@@ -21,7 +21,7 @@ rank one, and the shipped classification tables of modality 0, 1 and 2.
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -56,7 +56,7 @@ class ActionSpec:
 
     ``matrices[k]``, a ``linalg.Matrix``, is the action of the k-th basis
     element.  Entries may be ints or ``Fraction``; orbit computations read
-    them through ``integer_entries``.
+    them through ``integer_entries``, their ``linalg.int_nonzeros``.
     """
 
     matrices: tuple
@@ -73,18 +73,7 @@ class ActionSpec:
 
     @cached_property
     def integer_entries(self):
-        """Per matrix, its nonzero entries as ``(row, col, int)`` triples.
-
-        Each matrix is multiplied once by the lcm of its denominators, a
-        positive integer; that scales one column of every orbit matrix and
-        so leaves its rank unchanged.
-        """
-        out = []
-        for m in self.matrices:
-            entries = m.nonzeros()
-            vals = linalg.clear_denominators([v for _, _, v in entries])
-            out.append(tuple((i, j, a) for (i, j, _), a in zip(entries, vals)))
-        return tuple(out)
+        return linalg.int_nonzeros(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -109,8 +98,8 @@ class OrbitDimReport:
 def _orbit_rows(action, v):
     """The orbit matrix at v as lists of Python ints: column k is
     ``matrices[k] @ v``, assembled from ``action.integer_entries`` and v
-    with its denominators cleared.  Both scale columns by positive integers,
-    which leaves the rank over Q unchanged."""
+    with its denominators cleared.  Both scale the whole matrix by a
+    positive integer, which leaves the rank over Q unchanged."""
     if len(v) != action.space_dim:
         raise ValueError("point has wrong length")
     point = linalg.clear_denominators(linalg.rvec(v))
@@ -328,10 +317,6 @@ def _record_ranks(record, rank_cutoff):
     return list(range(lo + (lo - parity) % 2, rank_cutoff + 1, 2))
 
 
-def _record_matches(record, family, rank):
-    return record["family"] == family and rank in _record_ranks(record, rank)
-
-
 def table_entries(which="all", rank_cutoff=DEFAULT_RANK_CUTOFF):
     """Expand the shipped tables into concrete entries.
 
@@ -362,18 +347,11 @@ def lookup_expected_modality(rstype, weight):
     dual, the two half-spin weights of D_n, the triality images in D4), so
     lookups are normalized over the whole orbit.
     """
-    rs = build_root_system(rstype)
     weight = tuple(int(c) for c in weight)
-    candidates = rs.diagram_orbit(weight)
-    raw = load_raw_tables()
-    for name in ("m1", "m2", "m3"):
-        for record in raw[name]:
-            if not _record_matches(record, rstype.family, rstype.rank):
-                continue
-            if _record_weight(record, rstype.rank) in candidates:
-                return TableEntry(rstype=rstype, weight=weight,
-                                  expected_modality=record["modality"],
-                                  table=name)
+    candidates = build_root_system(rstype).diagram_orbit(weight)
+    for entry in table_entries("all", rank_cutoff=rstype.rank):
+        if entry.rstype == rstype and entry.weight in candidates:
+            return replace(entry, weight=weight)
     return None
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import mul
 
 from . import cells, linalg
 from .modality import CoverPiece, modality_from_cover
@@ -112,19 +113,15 @@ def count_packets(n):
     return total
 
 
-def _representative_eigenvalues(sizes):
-    """Distinct rationals, one per block, weighted sum zero."""
-    k = len(sizes)
-    raw = [Fraction(i) for i in range(k)]
-    n = sum(sizes)
-    mean = sum(s * c for s, c in zip(sizes, raw)) / n
+def _centered(sizes, raw):
+    """The distinct values ``raw``, one per block of the given sizes, as
+    ``Fraction``s shifted so that their size-weighted sum is zero."""
+    mean = Fraction(sum(map(mul, sizes, raw)), sum(sizes))
     return [c - mean for c in raw]
 
 
-def _representative_matrix(jt, eigenvalues=None):
+def _representative_matrix(jt, eigenvalues):
     n = jt.n
-    if eigenvalues is None:
-        eigenvalues = _representative_eigenvalues([s for s, _ in jt.block_data])
     x = linalg.zeros(n)
     off = 0
     for (size, part), lam in zip(jt.block_data, eigenvalues):
@@ -161,9 +158,9 @@ def enumerate_packets_adjoint_typeA(n):
             jt = JordanTypeA(sum(choices, ()))
             k = jt.num_blocks
             orbit = n * n - sum(gl_centralizer_dim(p) for _, p in jt.block_data)
-            eigenvalues = _representative_eigenvalues([s for s, _ in jt.block_data])
-            cell = _cell_of_eigenvalues(
-                n, [s for s, _ in jt.block_data], eigenvalues)
+            block_sizes = [s for s, _ in jt.block_data]
+            eigenvalues = _centered(block_sizes, range(k))
+            cell = _cell_of_eigenvalues(n, block_sizes, eigenvalues)
             assert cell.closure_dim == k - 1
             rep = _representative_matrix(jt, eigenvalues)
             assert sum(rep[i, i] for i in range(n)) == 0
@@ -193,28 +190,18 @@ def sl_basis(n):
     return basis
 
 
-def _int_entries(basis):
-    """Nonzero entries ``(row, col, value)`` of each basis matrix, as ints:
-    the basis times the lcm of all its denominators."""
-    entries = [b.nonzeros() for b in basis]
-    vals = iter(linalg.clear_denominators(
-        [v for nonzeros in entries for _, _, v in nonzeros]))
-    return tuple(tuple((i, j, next(vals)) for i, j, _ in nonzeros)
-                 for nonzeros in entries)
-
-
 @lru_cache(maxsize=None)
 def _sl_int_entries(n):
-    return _int_entries(sl_basis(n))
+    return linalg.int_nonzeros(sl_basis(n))
 
 
 def _bracket_map(x, entries):
     """Matrix of ``b -> [x, b]`` from the span of a basis to flattened
     n x n matrices, one column per basis element, as int rows.
 
-    ``entries`` is the basis as ``_int_entries`` gives it.  The map comes
-    out times one positive integer, the lcm of x's denominators times the
-    basis' multiplier, which changes neither its rank nor its kernel.
+    ``entries`` is the basis as ``linalg.int_nonzeros`` gives it.  The map
+    comes out times one positive integer, the lcm of x's denominators times
+    the basis' multiplier, which changes neither its rank nor its kernel.
     """
     n = x.shape[0]
     xs = linalg.clear_denominators(list(x.flat))
@@ -296,18 +283,16 @@ def classify_adjoint_typeA(x):
     return JordanTypeA(tuple(blocks))
 
 
-def random_packet_point(descriptor, rng, shears=4):
+def random_packet_point(descriptor, rng):
     """A random member of the packet: fresh distinct eigenvalues with the
-    same multiplicities and partitions, conjugated by unimodular shears."""
+    same multiplicities and partitions, conjugated by four unimodular
+    shears."""
     jt = descriptor.jordan_type
     sizes = [s for s, _ in jt.block_data]
     n = descriptor.n
-    k = len(sizes)
-    raw = [Fraction(c) for c in rng.sample(range(-9, 10), k)]
-    mean = sum(s * c for s, c in zip(sizes, raw)) / n
-    lams = [c - mean for c in raw]
+    lams = _centered(sizes, rng.sample(range(-9, 10), len(sizes)))
     x = _representative_matrix(jt, lams)
-    for _ in range(shears):
+    for _ in range(4):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-3, 3)
         shear = linalg.eye(n)
@@ -329,7 +314,7 @@ def _center_of_centralizer(x):
         return []
     # u is central when [b, u] = 0 for every b in the centralizer
     # one positive scale per block leaves the stack's kernel unchanged
-    entries = _int_entries(cent)
+    entries = linalg.int_nonzeros(cent)
     stack = [row for b in cent for row in _bracket_map(b, entries)]
     return [_combination(v, cent, n) for v in linalg.kernel_basis(stack)]
 

@@ -168,6 +168,15 @@ def test_functional_set_validation():
     assert fs.vanishing_set([2, -1]) == frozenset({0})
 
 
+def test_point_of_wrong_length_is_an_error():
+    fset = cells.root_functionals(build_root_system(RootSystemType("A", 3)))
+    for point in ([1], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            fset.evaluate(0, point)
+        with pytest.raises(ValueError):
+            fset.vanishing_set(point)
+
+
 def fraction_rank(rows):
     """Rank by plain Fraction Gaussian elimination, independent of linalg."""
     rows = [[Fraction(x) for x in r] for r in rows]

@@ -246,6 +246,19 @@ _GOLDEN_REPORTS = [
      "2e9f8ebe3ac371921323b8b96038c10f1d5095d1fea9f6def9cf7c467977424c"),
     ("packets check --sln 4",
      "72bdced73f0a92ae27769778078268a823507bb88522c2320e9bac842bf87404"),
+    ("tables verify --list m3",
+     "bfda5b0a1ca36ee30b7cc02fb1782845d6706ce1967006d51cb125ffed3a67ef"),
+    ("rep modality --type G2 --weight 0,1",
+     "9f6bee52307d54114beb810a9208bdbf52522363f9d723a2dfdce50984b4bf9d"),
+    ("sl2 modality --summands 0,0,0",
+     "9d2f5ea5b882ab55639acdfaa1eda836d0c4a7035410be1dec21803522bbdf2d"),
+    ("grading rank --type A2 --m inf --labels 1,0",
+     "8b7995d79fb0222220c27be7ac3af2769002ed82a8c6d97957d88d1494b35e93"),
+    # C3's structure constants have denominator 2
+    ("grading rank --type C3 --m 4 --labels 1,0,1",
+     "d19dd87a27e21fa75e35256a68990ebe9a8c7b19d1f258fbd7b4abb43498c1f2"),
+    ("exmo --n 3 --d 2",
+     "d7900daa2d70c66fd75b98dbc3a674e2da551913a7b8f67d4b242dbd113fe4fc"),
 ]
 
 

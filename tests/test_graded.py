@@ -265,6 +265,17 @@ def test_decompose_graded_element_homogeneous():
             assert not any(ga.sc.bracket_coords(s, n))
 
 
+def test_element_of_wrong_length_is_an_error():
+    ga = a2_z_grading()
+    assert ga.dim == 8
+    with pytest.raises(ValueError):
+        ga.sc.element_matrix([1, 2, 0, 5])
+    with pytest.raises(ValueError):
+        gr.decompose_graded_element(ga, [1, 2, 0, 5])
+    with pytest.raises(ValueError):
+        gr.decompose_graded_element(ga, [0] * 9)
+
+
 def test_cartan_subspace_examples():
     assert gr.cartan_subspace(a2_z_grading()) == []
 

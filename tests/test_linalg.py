@@ -333,3 +333,35 @@ def test_entry_points_accept_lists_and_arrays():
         assert linalg.inverse(wrap(square)) == linalg.rmat(
             [[Fraction(3, 4), Fraction(-1, 2)], [Fraction(-1, 2), 1]])
         assert not linalg.is_zero_matrix(wrap(rows))
+
+
+def test_int_nonzeros_shares_one_multiplier():
+    mats = [linalg.rmat([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]]),
+            linalg.zeros(2),
+            linalg.Matrix.from_columns([{1: 5}, {0: Fraction(1, 4)}], 2)]
+    got = linalg.int_nonzeros(mats)
+    # the lcm of 2, 3 and 4 scales every matrix, the integer one too
+    assert got == (((0, 0, 6), (1, 0, 36), (1, 1, -8)), (),
+                   ((1, 0, 60), (0, 1, 3)))
+    assert all(type(v) is int for entries in got for _, _, v in entries)
+    assert linalg.int_nonzeros([linalg.eye(2)]) == (((0, 0, 1), (1, 1, 1)),)
+
+
+def test_exact_ratio_and_integral():
+    for a, b, want in [(6, 3, 2), (-6, 4, Fraction(-3, 2)), (0, 7, 0),
+                       (Fraction(3, 2), Fraction(1, 2), 3),
+                       (Fraction(1, 2), 3, Fraction(1, 6)),
+                       (4, Fraction(2, 3), 6), (5, -5, -1)]:
+        got = linalg.exact_ratio(a, b)
+        assert got == want and type(got) is type(want)
+    assert type(linalg.integral(Fraction(4, 2))) is int
+    assert linalg.integral(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(linalg.integral(7)) is int
+
+
+def test_product_of_mismatched_shapes_is_an_error():
+    a = linalg.rmat([[1, 2, 3], [4, 5, 6]])
+    assert (a @ linalg.eye(3)) == a
+    for b in (linalg.eye(2), linalg.rmat([[1], [2]]), linalg.zeros(4, 1)):
+        with pytest.raises(ValueError):
+            a @ b

@@ -260,7 +260,7 @@ def test_bracket_map_matches_dense_fraction_reference(n):
         cent = [xm, linalg.rmat(xx)] + [
             linalg.rmat(_random_fraction_matrix(rng, n)) for _ in range(2)]
         for basis in (packets.sl_basis(n), cent):
-            got = packets._bracket_map(xm, packets._int_entries(basis))
+            got = packets._bracket_map(xm, linalg.int_nonzeros(basis))
             ref = _dense_bracket_map(x, [b.tolist() for b in basis])
             # one positive scale for the whole map
             scale = next(g / r for gr, rr in zip(got, ref)
