@@ -46,7 +46,7 @@ from operator import add, mul, sub
 from . import linalg
 from .hwmod import IrrepSpec, _sparse_comm, extend_to_full_algebra
 from .linalg import exact_ratio, integral
-from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, ActionSpec,
+from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, PRIME, ActionSpec,
                        generic_orbit_dim)
 from .rootsys import RootSystemType, build_root_system
 
@@ -331,8 +331,17 @@ def jordan_chevalley(x):
     """Split a square rational matrix into commuting semisimple plus
     nilpotent parts by Newton iteration against the squarefree part of the
     characteristic polynomial; exact, and immediate when the characteristic
-    polynomial is already squarefree."""
+    polynomial is already squarefree.
+
+    The common case is settled mod ``PRIME`` first: a characteristic
+    polynomial that is squarefree mod p is squarefree over Q
+    (``linalg.char_poly_is_squarefree_mod_p``), so x is semisimple.  Any
+    other outcome, an unlucky p included, takes the exact path, so the
+    answer never depends on p.
+    """
     n = x.shape[0]
+    if linalg.char_poly_is_squarefree_mod_p(x, PRIME):
+        return JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
     p = linalg.char_poly(x)
     dec = linalg.squarefree_decomposition(p)
     e_max = max((e for _, e in dec), default=1)
@@ -395,11 +404,22 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     part, keep the semisimple part of the sample when it adds a new
     direction, cut the slice down to its centralizer, repeat.  Stops when
     eight samples, from the integer boxes [-(3+2k), 3+2k] for k = 0..7,
-    yield nothing new.  The family's size is therefore a lower bound on
-    the dimension of a Cartan subspace, which a sample that happens to
-    fall on a special element can understate; unlike ``rank_of_grading``
-    it comes with no stated miss bound.  Returns full-basis coordinate
-    vectors.
+    yield nothing new, or at once when the slice is spanned by the family
+    found.  The family's size is therefore a lower bound on the dimension
+    of a Cartan subspace, which a sample that happens to fall on a special
+    element can understate; unlike ``rank_of_grading`` it comes with no
+    stated miss bound, and the second stop does not change that.  Returns
+    full-basis coordinate vectors.
+
+    The second stop is exact.  A semisimple part s of a sample x is a
+    polynomial in x, so it commutes with everything x commutes with: s
+    lies in x's slice, and every element found lies in every later slice.
+    The found elements are independent, so once the slice's dimension
+    equals their number the slice is their span, and a sample from it is
+    a sum of commuting semisimple elements, semisimple and already in the
+    span.  The eight samples the first stop would draw there add nothing,
+    and since the random generator is local to the call, skipping them
+    leaves the returned vectors unchanged.
 
     The slice is spanned by primitive integer vectors: each kernel vector
     is divided by the gcd of its entries, which keeps the samples and
@@ -415,7 +435,7 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
         return []
     slice_basis = [[int(i == idx) for i in range(ga.dim)] for idx in g1]
     found = []
-    while slice_basis:
+    while len(slice_basis) > len(found):
         progressed = False
         for attempt in range(8):
             box = 3 + 2 * attempt

@@ -19,9 +19,15 @@ once, computes on Python ints, and divides only in its result.  Ranks,
 kernels and solves share one fraction-free (Bareiss) elimination;
 characteristic polynomials come from the Faddeev-LeVerrier recurrence,
 which stays integral on integers.  No floating point is used anywhere, so
-every answer is exact.  The one rank over a finite field, ``rank_mod_p``,
-is exact over F_p and a lower bound over Q; orbit-dimension sampling uses
-it.
+every answer is exact.
+
+Three kernels work over a finite field F_p and certify a fact over Q.
+``rank_mod_p`` is exact over F_p and a lower bound over Q; orbit-dimension
+sampling uses it.  ``char_poly_mod_p`` reduces a characteristic polynomial
+mod p, and when ``is_squarefree_mod_p`` finds it squarefree there it is
+squarefree over Q too, so the matrix is semisimple; a False answer proves
+nothing, and callers then take the exact path.
+``char_poly_is_squarefree_mod_p`` runs the two on a rational matrix.
 """
 
 from fractions import Fraction
@@ -33,7 +39,8 @@ __all__ = [
     "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
-    "solve_square", "inverse", "char_poly", "char_poly_squarefree",
+    "solve_square", "inverse", "char_poly", "char_poly_is_squarefree_mod_p",
+    "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
     "poly_divmod", "poly_derivative", "poly_gcd", "poly_eval",
     "poly_eval_matrix", "squarefree_part", "squarefree_decomposition",
@@ -441,6 +448,120 @@ def char_poly(m):
         for i in range(n):
             bk[i][i] += ck
     return [Fraction(c, den ** k) for k, c in enumerate(coeffs)][::-1]
+
+
+def _mod_p(v, p):
+    """An int or ``Fraction`` as its residue mod p; ValueError when p
+    divides the denominator."""
+    if type(v) is int:
+        return v % p
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+def char_poly_mod_p(rows, p):
+    """det(tI - a) mod a prime ``p``, ascending and monic, with coefficients
+    in [0, p).
+
+    ``rows`` is a square matrix of ints (or of ``Fraction`` whose
+    denominators p does not divide).  Similarity transforms over F_p take
+    it to upper Hessenberg form h, and the characteristic polynomials
+    p_k of h's leading k x k blocks then obey
+    p_k = (t - h_kk) p_(k-1) - sum_i h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1)
+    (1-based): O(n^3) in all, where Faddeev-LeVerrier would be O(n^4).
+    """
+    h = [[_mod_p(v, p) for v in r] for r in rows]
+    n = len(h)
+    if any(len(r) != n for r in h):
+        raise ValueError("need a square matrix")
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        k = j + 1
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for r in h:
+                r[piv], r[k] = r[k], r[piv]
+        inv = pow(h[k][j], -1, p)
+        top = h[k]
+        for i in range(k + 1, n):
+            u = h[i][j] * inv % p
+            if not u:
+                continue
+            # row i -= u row k, then column k += u column i
+            h[i] = [(v - u * t) % p for v, t in zip(h[i], top)]
+            for r in h:
+                r[k] = (r[k] + u * r[i]) % p
+    polys = [[1]]  # polys[k] is p_k, ascending
+    for k in range(n):
+        nxt = [0] + polys[k]
+        for i, c in enumerate(polys[k]):
+            nxt[i] -= h[k][k] * c
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = prod * h[i + 1][i] % p
+            if not prod:
+                break
+            c = h[i][k] * prod % p
+            if c:
+                for d, v in enumerate(polys[i]):
+                    nxt[d] -= c * v
+        polys.append([v % p for v in nxt])
+    return polys[n]
+
+
+def _poly_rem_mod_p(a, b, p):
+    """Remainder of ascending int lists mod p; b's leading coefficient is
+    nonzero mod p."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv % p
+        if c:
+            for i in range(db + 1):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    del a[db:]
+    while a and not a[-1] % p:
+        a.pop()
+    return a
+
+
+def is_squarefree_mod_p(poly, p):
+    """True when the int polynomial ``poly`` (ascending) is squarefree over
+    F_p: gcd(P, P') mod p is a nonzero constant.
+
+    True then also proves P squarefree over Q.  A repeated factor over Q
+    gives, by Gauss's lemma, P = A^2 B in Z[t] with A primitive and
+    nonconstant, and if p does not divide P's leading coefficient it
+    divides neither A's nor B's, so A mod p keeps its degree and
+    P mod p = (A mod p)^2 (B mod p) is not squarefree.  When p divides
+    the leading coefficient the answer is False, which proves nothing.
+    False in general proves nothing over Q either: ``[0, -5, 1]``, the
+    characteristic polynomial of diag(0, 5), is squarefree over Q but not
+    mod 5.
+    """
+    a = [v % p for v in poly]
+    if not a or not a[-1]:
+        return False
+    b = [i * v % p for i, v in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _poly_rem_mod_p(a, b, p)
+    return len(a) == 1
+
+
+def char_poly_is_squarefree_mod_p(m, p):
+    """True when the characteristic polynomial of the rational square
+    matrix ``m`` is squarefree mod p, which proves it squarefree over Q.
+
+    m = a / den with one common denominator, a similarity up to scale, so
+    a's characteristic polynomial, den^n P(t / den), is squarefree exactly
+    when m's is; a has integer entries, so no denominator can vanish mod p.
+    """
+    a, _ = _integer_square(m)
+    return is_squarefree_mod_p(char_poly_mod_p(a, p), p)
 
 
 def char_poly_squarefree(m):

@@ -46,7 +46,9 @@ __all__ = [
 DEFAULT_TRIALS = 1
 DEFAULT_SEED = 2024
 DEFAULT_RANK_CUTOFF = 8
-PRIME = 2**61 - 1   # sample points are drawn from F_p^n with p = PRIME
+# sample points are drawn from F_p^n with p = PRIME, and
+# graded.jordan_chevalley's squarefree certificate is taken mod PRIME
+PRIME = 2**61 - 1
 FIELD = "GF(2^61 - 1)"
 
 

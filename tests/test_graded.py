@@ -249,6 +249,24 @@ def test_jordan_chevalley_invariants_random():
         assert linalg.is_zero_matrix(linalg.poly_eval_matrix(sf, s))
 
 
+def test_jordan_chevalley_falls_back_to_the_exact_path(monkeypatch):
+    # a repeated eigenvalue is never squarefree mod p: the exact path runs
+    d = linalg.rmat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    j = linalg.rmat([[4, 1], [0, 4]])
+    for x in (d, j):
+        assert not linalg.char_poly_is_squarefree_mod_p(x, gr.PRIME)
+    p = gr.jordan_chevalley(d)
+    assert p.semisimple_part == d and linalg.is_zero_matrix(p.nilpotent_part)
+    p = gr.jordan_chevalley(j)
+    assert p.semisimple_part == linalg.rmat([[4, 0], [0, 4]])
+    assert p.nilpotent_part == linalg.rmat([[0, 1], [0, 0]])
+    # an unlucky prime costs only the fallback: diag(0, 5) mod 5
+    monkeypatch.setattr(gr, "PRIME", 5)
+    x = linalg.rmat([[0, 0], [0, 5]])
+    p = gr.jordan_chevalley(x)
+    assert p.semisimple_part == x and linalg.is_zero_matrix(p.nilpotent_part)
+
+
 def test_decompose_graded_element_homogeneous():
     rng = random.Random(7)
     ga = gr.build_grading(gr.GradingSpec(RootSystemType("B", 2), 2, (1, 0)))
@@ -298,6 +316,69 @@ def test_cartan_subspace_examples():
                 assert not any(ga.sc.bracket_coords(list(u), list(v)))
         stacked = linalg.rmat([list(u) for u in cs])
         assert linalg.rank(stacked) == len(cs)
+
+
+def _unbounded_cartan_subspace(ga, seed, counter, decompose):
+    """``cartan_subspace`` as it was before the spanned-slice stop: the
+    loop ends only after eight samples in a row add nothing."""
+    rng = random.Random(seed)
+    slice_basis = [[int(i == idx) for i in range(ga.dim)]
+                   for idx in ga.g1_indices]
+    found = []
+    while slice_basis:
+        progressed = False
+        for attempt in range(8):
+            box = 3 + 2 * attempt
+            coeffs = [rng.randint(-box, box) for _ in slice_basis]
+            x = gr._combine(coeffs, slice_basis)
+            if not any(x):
+                continue
+            counter[0] += 1
+            s, _ = decompose(ga, x)
+            if not any(s) or gr._in_span(found, s):
+                continue
+            found.append(tuple(s))
+            s = linalg.clear_denominators(s)
+            images = [ga.sc.bracket_coords(s, v) for v in slice_basis]
+            rows = [linalg.clear_denominators(row) for row in zip(*images)
+                    if any(row)]
+            kernel = linalg.integer_kernel(rows, len(slice_basis))
+            slice_basis = [gr._combine(k, slice_basis) for k in kernel]
+            progressed = True
+            break
+        if not progressed:
+            break
+    return found
+
+
+# criterion 07's gradings (tests/test_acceptance.py) and E6 EII
+STOP_RULE_GRADINGS = (
+    [(f"{f}{r}", 1, (1,) * r) for f, ranks in (
+        ("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
+        ("D", (4,)), ("G", (2,))) for r in ranks]
+    + [("A2", None, (1, 0)), ("A1", 2, (1,)), ("E6", 2, (0, 1, 0, 0, 0, 0))])
+
+
+def test_cartan_subspace_stops_when_the_slice_is_spanned(monkeypatch):
+    calls = [0]
+    decompose = gr.decompose_graded_element
+
+    def counted(ga, coords):
+        calls[0] += 1
+        return decompose(ga, coords)
+
+    monkeypatch.setattr(gr, "decompose_graded_element", counted)
+    reference = [0]
+    for name, m, labels in STOP_RULE_GRADINGS:
+        ga = gr.build_grading(
+            gr.GradingSpec(RootSystemType.parse(name), m, labels))
+        before = calls[0], reference[0]
+        got = gr.cartan_subspace(ga)
+        want = _unbounded_cartan_subspace(
+            ga, gr.DEFAULT_SEED, reference, decompose)
+        assert got == want, name
+        assert calls[0] - before[0] <= reference[0] - before[1], name
+    assert calls[0] < reference[0]
 
 
 def test_killing_gram_a1_and_invariance():

@@ -365,3 +365,65 @@ def test_product_of_mismatched_shapes_is_an_error():
     for b in (linalg.eye(2), linalg.rmat([[1], [2]]), linalg.zeros(4, 1)):
         with pytest.raises(ValueError):
             a @ b
+
+
+def _residue(q, p):
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def test_char_poly_mod_p_matches_char_poly_random():
+    rng = random.Random(2027)
+    for n in range(1, 9):
+        for p in (MERSENNE_61, 7):
+            for _ in range(6):
+                ints = [[rng.choice((0, 0, rng.randint(-9, 9)))
+                         for _ in range(n)] for _ in range(n)]
+                for rows in (ints, mixed_denominator_matrix(rng, n)):
+                    before = [list(r) for r in rows]
+                    want = [_residue(c, p) for c in linalg.char_poly(rows)]
+                    assert linalg.char_poly_mod_p(rows, p) == want
+                    assert rows == before   # the input is left alone
+    assert linalg.char_poly_mod_p([], 5) == [1]
+    with pytest.raises(ValueError):
+        linalg.char_poly_mod_p([[Fraction(1, 5)]], 5)
+
+
+def test_squarefree_mod_p_certifies_squarefree_over_q():
+    # conjugated triangular matrices with a few repeated diagonal entries
+    rng = random.Random(2028)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        t = [[rng.choice((-1, 0, 2, 3)) if i == j else
+              (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+        g = linalg.eye(n)
+        for _ in range(3 if n > 1 else 0):   # unimodular shears
+            shear = linalg.eye(n)
+            i, j = rng.sample(range(n), 2)
+            shear[i, j] = rng.randint(-2, 2)
+            g = g @ shear
+        x = g @ linalg.rmat(t) @ linalg.inverse(g)
+        exact = all(e == 1 for _, e in
+                    linalg.squarefree_decomposition(linalg.char_poly(x)))
+        for p in (MERSENNE_61, 5, 3):
+            cert = linalg.char_poly_is_squarefree_mod_p(x, p)
+            assert exact or not cert
+            seen.add((exact, cert))
+    assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_squarefree_mod_p_unlucky_prime_and_edge_cases():
+    # diag(0, 5) has eigenvalues 0 and 5: distinct over Q, equal mod 5
+    d = [[0, 0], [0, 5]]
+    assert linalg.char_poly_mod_p(d, 5) == [0, 0, 1]
+    assert not linalg.is_squarefree_mod_p(linalg.char_poly_mod_p(d, 5), 5)
+    assert linalg.is_squarefree_mod_p(
+        linalg.char_poly_mod_p(d, MERSENNE_61), MERSENNE_61)
+    assert linalg.squarefree_decomposition(linalg.char_poly(d))[0][1] == 1
+    assert linalg.is_squarefree_mod_p([3], 5)          # a nonzero constant
+    assert linalg.is_squarefree_mod_p([-1, 1], 5)      # t - 1
+    assert not linalg.is_squarefree_mod_p([1, -2, 1], 5)   # (t - 1)^2
+    # a leading coefficient that p divides proves nothing
+    assert not linalg.is_squarefree_mod_p([-1, 1, 5], 5)
+    assert not linalg.is_squarefree_mod_p([], 5)
