@@ -32,4 +32,4 @@ spec = IrrepSpec(RootSystemType("C", 3), (2, 0, 0))
 action = action_from_module(spec)
 report = generic_orbit_dim(action)
 print(f"{spec.name}: dim {action.space_dim}, modality "
-      f"{action.space_dim - report.generic_orbit_dim} (not in any table)")
+      f"{report.codimension} (not in any table)")

@@ -125,10 +125,9 @@ def _cmd_rep_modality(args):
             note=f"skipped: {exc}")]
     report = modality.generic_orbit_dim(
         action, trials=args.trials, seed=args.seed)
-    computed = action.space_dim - report.generic_orbit_dim
     return {"type": args.type, "weight": args.weight}, [_item(
-        f"rep:{spec.name}", computed=computed, expected=expected,
-        match=None if expected is None else computed == expected,
+        f"rep:{spec.name}", computed=report.codimension, expected=expected,
+        match=None if expected is None else report.codimension == expected,
         orbit_dim=report.generic_orbit_dim,
         dims={"module": action.space_dim, "algebra": action.algebra_dim},
         time_ms=_now_ms(t0), note="" if expected is not None else
@@ -143,10 +142,9 @@ def _cmd_sl2_modality(args):
     action = modality.sl2_action(summands, ceiling=args.build_ceiling)
     report = modality.generic_orbit_dim(
         action, trials=args.trials, seed=args.seed)
-    from_matrices = action.space_dim - report.generic_orbit_dim
     return {"summands": args.summands}, [_item(
-        f"sl2:{args.summands}", computed=closed, expected=from_matrices,
-        match=closed == from_matrices,
+        f"sl2:{args.summands}", computed=closed, expected=report.codimension,
+        match=closed == report.codimension,
         orbit_dim=report.generic_orbit_dim,
         dims={"module": action.space_dim}, time_ms=_now_ms(t0),
         note="closed form checked against explicit matrices",
@@ -179,7 +177,7 @@ def _cmd_grading_rank(args):
     ga = graded.build_grading(spec)
     report = modality.generic_orbit_dim(
         ga.g0_on_g1, trials=args.trials, seed=args.seed)
-    rank = len(ga.g1_indices) - report.generic_orbit_dim
+    rank = report.codimension
     cartan_dim = len(graded.cartan_subspace(ga, seed=args.seed))
     return {"type": args.type, "m": args.m, "labels": args.labels}, [_item(
         f"grading:{spec.name}",

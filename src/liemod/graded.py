@@ -312,10 +312,7 @@ def build_grading(spec):
 
 def rank_of_grading(ga, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Parameters of a generic degree-zero orbit in the degree-one part."""
-    if not ga.g1_indices:
-        return 0
-    report = generic_orbit_dim(ga.g0_on_g1, trials=trials, seed=seed)
-    return len(ga.g1_indices) - report.generic_orbit_dim
+    return generic_orbit_dim(ga.g0_on_g1, trials=trials, seed=seed).codimension
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +427,10 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     an integer kernel.
     """
     rng = random.Random(seed)
-    g1 = ga.g1_indices
-    if not g1:
-        return []
-    slice_basis = [[int(i == idx) for i in range(ga.dim)] for idx in g1]
+    slice_basis = [[int(i == idx) for i in range(ga.dim)]
+                   for idx in ga.g1_indices]
     found = []
     while len(slice_basis) > len(found):
-        progressed = False
         for attempt in range(8):
             box = 3 + 2 * attempt
             coeffs = [rng.randint(-box, box) for _ in slice_basis]
@@ -454,8 +448,7 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
                     if any(row)]
             kernel = linalg.integer_kernel(rows, len(slice_basis))
             slice_basis = [_combine(k, slice_basis) for k in kernel]
-            progressed = True
             break
-        if not progressed:
+        else:
             break
     return found

@@ -40,7 +40,6 @@ __all__ = [
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
     "solve_square", "inverse", "char_poly", "char_poly_is_squarefree_mod_p",
-    "char_poly_squarefree",
     "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
     "poly_divmod", "poly_derivative", "poly_gcd", "poly_eval",
     "poly_eval_matrix", "squarefree_part", "squarefree_decomposition",
@@ -562,12 +561,6 @@ def char_poly_is_squarefree_mod_p(m, p):
     """
     a, _ = _integer_square(m)
     return is_squarefree_mod_p(char_poly_mod_p(a, p), p)
-
-
-def char_poly_squarefree(m):
-    """Pair (characteristic polynomial, its squarefree part), both monic."""
-    p = char_poly(m)
-    return p, squarefree_part(p)
 
 
 # ---------------------------------------------------------------------------

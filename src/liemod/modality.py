@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from . import linalg
@@ -84,10 +84,13 @@ class OrbitDimReport:
 
     ``miss_bound`` bounds the probability that ``generic_orbit_dim`` is
     below the true generic orbit dimension; see ``generic_orbit_dim``.
+    ``codimension``, ``space_dim`` minus the orbit dimension found, is
+    therefore never below the true generic-orbit codimension.
     """
 
     generic_orbit_dim: int
     stabilizer_dim: int
+    codimension: int
     trials_used: int
     seed: int
     field: str
@@ -154,7 +157,8 @@ def _sampled_orbit_dim(action, draw, degree, trials, seed):
             break
     return OrbitDimReport(
         generic_orbit_dim=best, stabilizer_dim=action.algebra_dim - best,
-        trials_used=used, seed=seed, field=FIELD,
+        codimension=action.space_dim - best, trials_used=used, seed=seed,
+        field=FIELD,
         miss_bound=0.0 if best == cap else _miss_bound(degree * cap, used))
 
 
@@ -188,7 +192,7 @@ def modality_visible(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     Valid as the modality when the action is visible (finitely many orbits
     in each quotient fiber); visibility itself is a trusted premise here.
     """
-    return action.space_dim - generic_orbit_dim(action, trials, seed).generic_orbit_dim
+    return generic_orbit_dim(action, trials, seed).codimension
 
 
 def _block_diag(blocks):
@@ -268,8 +272,18 @@ def modality_from_cover(pieces):
 # representation actions and the shipped classification tables
 
 def action_from_module(spec, ceiling=DEFAULT_BUILD_CEILING):
-    """Action of a full algebra basis on the irreducible module of spec."""
+    """Action of a full algebra basis on the irreducible module of spec.
+
+    The zero weight gives the trivial line, on which every basis element
+    acts by zero; it is not faithful, so there are no root vectors to
+    build.
+    """
     build_hw_module(spec, ceiling=ceiling)  # ceiling enforcement
+    if not any(spec.highest_weight):
+        dim = build_root_system(spec.rstype).dimension
+        zero = linalg.Matrix.from_columns([{}], 1)
+        return ActionSpec(matrices=(zero,) * dim, algebra_dim=dim,
+                          space_dim=1)
     full = extend_to_full_algebra(spec)
     return ActionSpec(matrices=full.full_basis,
                       algebra_dim=len(full.full_basis),
@@ -289,15 +303,10 @@ class TableEntry:
                 f"{','.join(map(str, self.weight))}")
 
 
-_RAW_TABLES = None
-
-
+@lru_cache(maxsize=None)
 def load_raw_tables():
-    global _RAW_TABLES
-    if _RAW_TABLES is None:
-        text = (resources.files("liemod") / "data" / "modality_tables.json").read_text()
-        _RAW_TABLES = json.loads(text)
-    return _RAW_TABLES
+    text = (resources.files("liemod") / "data" / "modality_tables.json").read_text()
+    return json.loads(text)
 
 
 def _record_weight(record, rank):
@@ -366,8 +375,6 @@ class VerifyResult:
     orbit_dim: int
     skipped: bool
     reason: str
-    seed: int
-    trials: int
     sampling: OrbitDimReport | None = None   # None when skipped
 
 
@@ -379,15 +386,13 @@ def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     if dim_v > ceiling:
         return VerifyResult(entry=entry, dim_v=dim_v, computed=-1,
                             matches=False, orbit_dim=-1, skipped=True,
-                            reason=f"dimension {dim_v} exceeds ceiling {ceiling}",
-                            seed=seed, trials=trials)
+                            reason=f"dimension {dim_v} exceeds ceiling {ceiling}")
     action = action_from_module(spec, ceiling=ceiling)
     report = generic_orbit_dim(action, trials=trials, seed=seed)
-    computed = action.space_dim - report.generic_orbit_dim
-    return VerifyResult(entry=entry, dim_v=dim_v, computed=computed,
-                        matches=computed == entry.expected_modality,
+    return VerifyResult(entry=entry, dim_v=dim_v, computed=report.codimension,
+                        matches=report.codimension == entry.expected_modality,
                         orbit_dim=report.generic_orbit_dim, skipped=False,
-                        reason="", seed=seed, trials=trials, sampling=report)
+                        reason="", sampling=report)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +446,6 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                         space_dim=space_dim)
 
     report = generic_orbit_dim(action, trials=trials, seed=seed)
-    regular_sheet_modality = space_dim - report.generic_orbit_dim
 
     def family_point(rng):
         v = [rng.randrange(PRIME) for _ in range(n)]
@@ -456,9 +460,9 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     family_dim = n + d - 1
     lower = family_dim - family_orbit
     return ExmoReport(n=n, d=d, space_dim=space_dim,
-                      regular_sheet_modality=regular_sheet_modality,
-                      open_orbit_found=report.generic_orbit_dim == space_dim,
+                      regular_sheet_modality=report.codimension,
+                      open_orbit_found=report.codimension == 0,
                       family_dim=family_dim, family_orbit_dim=family_orbit,
                       family_lower_bound=lower,
-                      modality_regular=lower <= regular_sheet_modality,
+                      modality_regular=lower <= report.codimension,
                       seed=seed, sampling=report, family_sampling=family)

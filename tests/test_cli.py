@@ -78,6 +78,17 @@ def test_rep_modality_unknown_weight_passes(capsys):
     assert "not in the shipped tables" in item["note"]
 
 
+def test_rep_modality_zero_weight(capsys):
+    # the trivial line: not faithful, every basis element acts by zero
+    code, report = run_json(
+        capsys, ["rep", "modality", "--type", "A2", "--weight", "0,0"])
+    assert code == 0
+    item = report["items"][0]
+    assert (item["computed"], item["orbit_dim"]) == (1, 0)
+    assert item["dims"] == {"module": 1, "algebra": 8}
+    assert item["expected"] is None and item["match"] is None
+
+
 def test_rep_modality_ceiling_skip(capsys):
     code, report = run_json(
         capsys, ["rep", "modality", "--type", "A3", "--weight", "2,2,2",
@@ -259,6 +270,11 @@ _GOLDEN_REPORTS = [
      "d19dd87a27e21fa75e35256a68990ebe9a8c7b19d1f258fbd7b4abb43498c1f2"),
     ("exmo --n 3 --d 2",
      "d7900daa2d70c66fd75b98dbc3a674e2da551913a7b8f67d4b242dbd113fe4fc"),
+    # empty degree-one parts: rank 0 from the general path
+    ("grading rank --type A3 --m 7 --labels 0,0,0",
+     "66478c8fba6f7902216c46035e01afe40cad15e2edc5e920f5538cef473d0039"),
+    ("grading rank --type A2 --m inf --labels 0,0",
+     "e814b244367766a1880fc0bd08772c0303d67d0a865df7d1d0374a24cb89c00d"),
 ]
 
 

@@ -205,6 +205,17 @@ def test_rank_of_grading_examples():
     assert gr.rank_of_grading(a2_z_grading()) == 0
 
 
+@pytest.mark.parametrize("name,m", [("A3", 7), ("A2", None)])
+def test_empty_degree_one_part_has_rank_zero(name, m):
+    rt = RootSystemType.parse(name)
+    ga = gr.build_grading(gr.GradingSpec(rt, m, (0,) * rt.rank))
+    assert ga.g1_indices == ()
+    assert gr.rank_of_grading(ga) == 0
+    assert gr.cartan_subspace(ga) == []
+    with pytest.raises(ValueError):
+        gr.rank_of_grading(ga, trials=0)
+
+
 def test_jordan_chevalley_basic_cases():
     x = linalg.rmat([[0, 2, 5], [0, 0, 1], [0, 0, 0]])
     p = gr.jordan_chevalley(x)
@@ -245,7 +256,7 @@ def test_jordan_chevalley_invariants_random():
         assert linalg.is_zero_matrix(x - s - nn)
         assert linalg.is_zero_matrix(np.dot(s, nn) - np.dot(nn, s))
         assert all(c == 0 for c in linalg.char_poly(nn)[:-1])  # nilpotent
-        _, sf = linalg.char_poly_squarefree(s)
+        sf = linalg.squarefree_part(linalg.char_poly(s))
         assert linalg.is_zero_matrix(linalg.poly_eval_matrix(sf, s))
 
 
@@ -302,7 +313,7 @@ def test_cartan_subspace_examples():
     assert len(cs) == 1
     # the element lives in the off-Cartan part and is semisimple
     mat = ga.sc.element_matrix(list(cs[0]))
-    _, sf = linalg.char_poly_squarefree(mat)
+    sf = linalg.squarefree_part(linalg.char_poly(mat))
     assert linalg.is_zero_matrix(linalg.poly_eval_matrix(sf, mat))
 
     for name in ("A2", "G2"):
@@ -326,7 +337,6 @@ def _unbounded_cartan_subspace(ga, seed, counter, decompose):
                    for idx in ga.g1_indices]
     found = []
     while slice_basis:
-        progressed = False
         for attempt in range(8):
             box = 3 + 2 * attempt
             coeffs = [rng.randint(-box, box) for _ in slice_basis]
@@ -344,9 +354,8 @@ def _unbounded_cartan_subspace(ga, seed, counter, decompose):
                     if any(row)]
             kernel = linalg.integer_kernel(rows, len(slice_basis))
             slice_basis = [gr._combine(k, slice_basis) for k in kernel]
-            progressed = True
             break
-        if not progressed:
+        else:
             break
     return found
 

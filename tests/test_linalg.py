@@ -144,9 +144,9 @@ def test_char_poly_frozen_cases():
     assert linalg.char_poly(diag) == [Fraction(2), Fraction(-3), Fraction(1)]
     nil = linalg.rmat([[0, 1], [0, 0]])
     assert linalg.char_poly(nil) == [Fraction(0), Fraction(0), Fraction(1)]
-    p, sf = linalg.char_poly_squarefree(ident)
+    sf = linalg.squarefree_part(linalg.char_poly(ident))
     assert sf == [Fraction(-1), Fraction(1)]
-    _, sfn = linalg.char_poly_squarefree(nil)
+    sfn = linalg.squarefree_part(linalg.char_poly(nil))
     assert sfn == [Fraction(0), Fraction(1)]
 
 

@@ -10,7 +10,7 @@ import pytest
 from liemod import graded, linalg
 from liemod import modality as mo
 from liemod.hwmod import IrrepSpec
-from liemod.rootsys import RootSystemType
+from liemod.rootsys import RootSystemType, build_root_system
 
 P = mo.PRIME
 
@@ -40,6 +40,19 @@ def test_generic_orbit_dim_trivial_action():
     rep = mo.generic_orbit_dim(a)
     assert rep.generic_orbit_dim == 0
     assert rep.stabilizer_dim == 2
+    assert rep.codimension == 4
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "D4"])
+def test_zero_weight_acts_trivially(name):
+    rstype = RootSystemType.parse(name)
+    a = mo.action_from_module(IrrepSpec(rstype, (0,) * rstype.rank))
+    dim = rstype.rank + 2 * build_root_system(rstype).num_positive_roots
+    assert (a.algebra_dim, a.space_dim) == (dim, 1)
+    assert all(m == linalg.zeros(1) for m in a.matrices)
+    rep = mo.generic_orbit_dim(a)
+    assert (rep.generic_orbit_dim, rep.codimension) == (0, 1)
+    assert mo.modality_visible(a) == 1
 
 
 def test_generic_orbit_dim_natural_and_cubics():
@@ -266,6 +279,7 @@ def test_miss_bound_without_an_open_orbit():
     adj = mo.action_from_module(IrrepSpec(RootSystemType("A", 2), (1, 1)))
     rep = mo.generic_orbit_dim(adj, trials=3)
     assert rep.generic_orbit_dim == 6 and rep.trials_used == 3
+    assert rep.codimension == 2
     assert rep.miss_bound >= (8 / P) ** 3 > 0
     assert rep.miss_bound == pytest.approx((8 / P) ** 3, rel=1e-12)
     one = mo.generic_orbit_dim(adj)
