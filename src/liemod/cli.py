@@ -260,8 +260,8 @@ def _cmd_exmo(args):
     items = [
         _item("exmo:regular-sheet", computed=rep.regular_sheet_modality,
               expected=0, match=rep.regular_sheet_modality == 0,
-              orbit_dim=rep.space_dim, dims={"module": rep.space_dim},
-              time_ms=elapsed,
+              orbit_dim=rep.sampling.generic_orbit_dim,
+              dims={"module": rep.space_dim}, time_ms=elapsed,
               note=f"open orbit found: {rep.open_orbit_found}",
               sampling=_sampling([rep.sampling])),
         _item("exmo:family-bound", computed=rep.family_lower_bound,

@@ -44,7 +44,7 @@ from math import gcd
 from operator import add, mul, sub
 
 from . import linalg
-from .hwmod import IrrepSpec, _sparse_comm, extend_to_full_algebra
+from .hwmod import IrrepSpec, extend_to_full_algebra
 from .linalg import exact_ratio, integral
 from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, PRIME, ActionSpec,
                        generic_orbit_dim)
@@ -63,10 +63,10 @@ __all__ = [
 _FAITHFUL_NODE = {("F", 4): 3, ("E", 7): 6, ("E", 8): 7}
 
 
-def _entries(cols):
-    """Nonzero entries, keyed by (row, column), of a matrix in sparse
-    columns."""
-    return {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+def _entries(m):
+    """Nonzero entries of a matrix, keyed by (row, column)."""
+    return {(i, j): v for j, col in enumerate(m.columns())
+            for i, v in col.items()}
 
 
 class StructureConstants:
@@ -93,8 +93,8 @@ class StructureConstants:
             [None] * r + list(pos) + [tuple(-c for c in b) for b in pos])
 
         self._n = mod.dimension
-        cols = [m.columns() for m in mod.full_basis]
-        self._entries = [_entries(c) for c in cols]
+        basis = mod.full_basis
+        self._entries = [_entries(m) for m in basis]
         # a root vector owns every position where it is nonzero
         self._probes = [None] * r + [
             next(iter(e.items())) for e in self._entries[r:]]
@@ -134,7 +134,7 @@ class StructureConstants:
                     roots = (index[total],)
                 else:
                     continue  # zero by weight
-                comm = _sparse_comm(cols[a], cols[b])
+                comm = linalg.commutator(basis[a], basis[b])
                 entry = self._coords(_entries(comm), roots)
                 self.bracket[a][b] = entry
                 self.bracket[b][a] = {c: -v for c, v in entry.items()}
@@ -169,7 +169,7 @@ class StructureConstants:
     def expand_matrix(self, m):
         """Coordinates of a module matrix in the algebra basis; exact, with
         a residual check so non-members raise instead of mis-expanding."""
-        entries = {p: integral(v) for p, v in _entries(m.columns()).items()}
+        entries = {p: integral(v) for p, v in _entries(m).items()}
         coords = self._coords(entries)
         return [coords.get(k, 0) for k in range(self.dim)]
 
@@ -303,8 +303,7 @@ def build_grading(spec):
     mats = [linalg.Matrix.from_columns(
         [{pos_of[c]: s for c, s in sc.bracket[a][b].items()} for b in g1],
         len(g1)) for a in g0]
-    action = ActionSpec(matrices=tuple(mats), algebra_dim=len(g0),
-                        space_dim=len(g1))
+    action = ActionSpec(matrices=mats)
     return GradedAlgebra(spec=spec, sc=sc, degree_of_basis=degs,
                          components=components, g0_indices=tuple(g0),
                          g1_indices=tuple(g1), g0_on_g1=action)

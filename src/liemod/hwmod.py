@@ -22,7 +22,7 @@ the construction works in and write out dense rows only when read.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Matrix, exact_ratio
+from .linalg import Matrix, commutator, exact_ratio
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -220,44 +220,19 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
 # ---------------------------------------------------------------------------
 # full algebra action: one matrix per Cartan generator and per root
 
-def _sparse_mul(a, b):
-    out = []
-    for bcol in b:
-        acc = {}
-        for i, v in bcol.items():
-            for ii, av in a[i].items():
-                acc[ii] = acc.get(ii, 0) + av * v
-        out.append({k: v for k, v in acc.items() if v})
-    return out
-
-
-def _sparse_comm(a, b):
-    ab = _sparse_mul(a, b)
-    ba = _sparse_mul(b, a)
-    out = []
-    for c1, c2 in zip(ab, ba):
-        acc = dict(c1)
-        for k, v in c2.items():
-            acc[k] = acc.get(k, 0) - v
-        out.append({k: v for k, v in acc.items() if v})
-    return out
-
-
 @lru_cache(maxsize=None)
 def _extend_cached(spec):
     mod = _build_module_cached(spec)
     rs = build_root_system(spec.rstype)
     r = rs.rank
-    n = mod.dimension
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     pos_set = set(rs.positive_roots)
 
-    x_cols, y_cols = {}, {}
+    x, y = {}, {}
     for beta in rs.positive_roots:  # height order, so summands exist already
         if sum(beta) == 1:
             j = units.index(beta)
-            x_cols[beta] = mod.e[j].columns()
-            y_cols[beta] = mod.f[j].columns()
+            x[beta], y[beta] = mod.e[j], mod.f[j]
             continue
         for j in range(r):
             gamma = tuple(b - (1 if i == j else 0) for i, b in enumerate(beta))
@@ -266,19 +241,16 @@ def _extend_cached(spec):
         else:
             raise AssertionError(f"no simple summand below root {beta}")
         alpha = units[j]
-        x_cols[beta] = _sparse_comm(x_cols[alpha], x_cols[gamma])
-        y_cols[beta] = _sparse_comm(y_cols[alpha], y_cols[gamma])
-        assert any(x_cols[beta]) and any(y_cols[beta]), \
+        x[beta] = commutator(x[alpha], x[gamma])
+        y[beta] = commutator(y[alpha], y[gamma])
+        assert any(x[beta].columns()) and any(y[beta].columns()), \
             f"root vector for {beta} vanished in a faithful module"
 
-    full = list(mod.h)
+    full = [*mod.h, *(x[b] for b in rs.positive_roots),
+            *(y[b] for b in rs.positive_roots)]
     names = [f"h{j + 1}" for j in range(r)]
-    for beta in rs.positive_roots:
-        full.append(Matrix.from_columns(x_cols[beta], n))
-        names.append("x" + str(list(beta)))
-    for beta in rs.positive_roots:
-        full.append(Matrix.from_columns(y_cols[beta], n))
-        names.append("y" + str(list(beta)))
+    names += ["x" + str(list(b)) for b in rs.positive_roots]
+    names += ["y" + str(list(b)) for b in rs.positive_roots]
     return HWModule(spec=mod.spec, dimension=mod.dimension, weights=mod.weights,
                     monomials=mod.monomials, e=mod.e, f=mod.f, h=mod.h,
                     full_basis=tuple(full), basis_names=tuple(names))

@@ -7,7 +7,9 @@ arithmetic promotes to ``Fraction`` as needed.  A column vector is a
 points read any matrix through one row helper, so they also accept nested
 lists or a 2-d array of Python numbers.  Polynomials are python lists of
 coefficients in ascending degree order, normalized so the leading
-coefficient is nonzero (the zero polynomial is ``[]``).
+coefficient is nonzero (the zero polynomial is ``[]``).  Modules are built
+and bracketed in sparse columns: ``commutator`` and ``block_diag`` take
+and return ``Matrix`` values and never write out dense rows.
 
 ``Fraction`` appears only at the edges, and four helpers are the one place
 where exact values become ints and come back: ``clear_denominators``
@@ -37,6 +39,7 @@ from operator import add, mul, sub
 
 __all__ = [
     "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
+    "commutator", "block_diag",
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
     "solve_square", "inverse", "char_poly", "char_poly_is_squarefree_mod_p",
@@ -213,6 +216,45 @@ def eye(n):
 
 def is_zero_matrix(m):
     return not any(map(any, m))
+
+
+def _sparse_mul(a, b):
+    """The columns of ``a b``, from the sparse columns of a and of b."""
+    out = []
+    for bcol in b:
+        acc = {}
+        for i, v in bcol.items():
+            for ii, av in a[i].items():
+                acc[ii] = acc.get(ii, 0) + av * v
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
+def commutator(a, b):
+    """``a b - b a`` of two square matrices of one size, as a frozen
+    sparse ``Matrix``."""
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError("shape mismatch")
+    a, b = a.columns(), b.columns()
+    out = []
+    for c1, c2 in zip(_sparse_mul(a, b), _sparse_mul(b, a)):
+        acc = dict(c1)
+        for k, v in c2.items():
+            acc[k] = acc.get(k, 0) - v
+        out.append({k: v for k, v in acc.items() if v})
+    return Matrix.from_columns(out, len(out))
+
+
+def block_diag(blocks):
+    """The frozen sparse matrix with the given square blocks along its
+    diagonal."""
+    cols = []
+    for b in blocks:
+        if b.shape[0] != b.shape[1]:
+            raise ValueError("block is not square")
+        off = len(cols)
+        cols += ({i + off: v for i, v in col.items()} for col in b.columns())
+    return Matrix.from_columns(cols, len(cols))
 
 
 def clear_denominators(values):

@@ -21,7 +21,7 @@ rank one, and the shipped classification tables of modality 0, 1 and 2.
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -59,19 +59,22 @@ class ActionSpec:
     ``matrices[k]``, a ``linalg.Matrix``, is the action of the k-th basis
     element.  Entries may be ints or ``Fraction``; orbit computations read
     them through ``integer_entries``, their ``linalg.int_nonzeros``.
+    ``algebra_dim`` and ``space_dim`` are read off the matrices: their
+    number and their common size.
     """
 
     matrices: tuple
-    algebra_dim: int
-    space_dim: int
+    algebra_dim: int = field(init=False)
+    space_dim: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        if len(self.matrices) != self.algebra_dim:
-            raise ValueError("need one matrix per algebra basis element")
-        for m in self.matrices:
-            if m.shape != (self.space_dim, self.space_dim):
-                raise ValueError("action matrix has wrong shape")
+        mats = tuple(self.matrices)
+        size = mats[0].shape[0] if mats else 0
+        if not mats or any(m.shape != (size, size) for m in mats):
+            raise ValueError("need one or more square matrices of one size")
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "algebra_dim", len(mats))
+        object.__setattr__(self, "space_dim", size)
 
     @cached_property
     def integer_entries(self):
@@ -89,15 +92,11 @@ class OrbitDimReport:
     """
 
     generic_orbit_dim: int
-    stabilizer_dim: int
     codimension: int
     trials_used: int
     seed: int
     field: str
     miss_bound: float
-
-    def __post_init__(self):
-        assert self.generic_orbit_dim + self.stabilizer_dim >= 0
 
 
 def _orbit_rows(action, v):
@@ -156,9 +155,8 @@ def _sampled_orbit_dim(action, draw, degree, trials, seed):
         if best == cap:
             break
     return OrbitDimReport(
-        generic_orbit_dim=best, stabilizer_dim=action.algebra_dim - best,
-        codimension=action.space_dim - best, trials_used=used, seed=seed,
-        field=FIELD,
+        generic_orbit_dim=best, codimension=action.space_dim - best,
+        trials_used=used, seed=seed, field=FIELD,
         miss_bound=0.0 if best == cap else _miss_bound(degree * cap, used))
 
 
@@ -195,15 +193,6 @@ def modality_visible(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     return generic_orbit_dim(action, trials, seed).codimension
 
 
-def _block_diag(blocks):
-    """Block-diagonal matrix with the given square blocks along the diagonal."""
-    cols = []
-    for b in blocks:
-        off = len(cols)
-        cols += ({i + off: v for i, v in col.items()} for col in b.columns())
-    return linalg.Matrix.from_columns(cols, len(cols))
-
-
 def _check_ceiling(what, dim, ceiling):
     if dim > ceiling:
         raise BuildCeilingExceeded(
@@ -225,9 +214,9 @@ def sl2_action(summands, ceiling=DEFAULT_BUILD_CEILING):
     _check_ceiling(f"sl2 module sum {list(summands)}", total, ceiling)
     mods = [build_hw_module(IrrepSpec(a1, (n,)), ceiling=ceiling)
             for n in summands]
-    mats = [_block_diag([getattr(mod, g)[0] for mod in mods])
-            for g in ("e", "f", "h")]
-    return ActionSpec(matrices=tuple(mats), algebra_dim=3, space_dim=total)
+    return ActionSpec(matrices=[
+        linalg.block_diag([getattr(mod, g)[0] for mod in mods])
+        for g in ("e", "f", "h")])
 
 
 def sl2_modality(summands):
@@ -280,14 +269,10 @@ def action_from_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     """
     build_hw_module(spec, ceiling=ceiling)  # ceiling enforcement
     if not any(spec.highest_weight):
-        dim = build_root_system(spec.rstype).dimension
         zero = linalg.Matrix.from_columns([{}], 1)
-        return ActionSpec(matrices=(zero,) * dim, algebra_dim=dim,
-                          space_dim=1)
-    full = extend_to_full_algebra(spec)
-    return ActionSpec(matrices=full.full_basis,
-                      algebra_dim=len(full.full_basis),
-                      space_dim=full.dimension)
+        return ActionSpec(
+            matrices=(zero,) * build_root_system(spec.rstype).dimension)
+    return ActionSpec(matrices=extend_to_full_algebra(spec).full_basis)
 
 
 @dataclass(frozen=True)
@@ -409,7 +394,6 @@ class ExmoReport:
     family_orbit_dim: int
     family_lower_bound: int
     modality_regular: bool
-    seed: int
     sampling: OrbitDimReport          # of the generic orbit
     family_sampling: OrbitDimReport   # of the family's generic orbit
 
@@ -439,11 +423,8 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     rstype = RootSystemType("A", n - 1)
     natural = tuple(1 if i == 0 else 0 for i in range(n - 1))
     full = extend_to_full_algebra(IrrepSpec(rstype, natural))
-    algebra_dim = len(full.full_basis)
-    space_dim = n * d
-    mats = [_block_diag([m] * d) for m in full.full_basis]
-    action = ActionSpec(matrices=tuple(mats), algebra_dim=algebra_dim,
-                        space_dim=space_dim)
+    action = ActionSpec(matrices=[linalg.block_diag([m] * d)
+                                  for m in full.full_basis])
 
     report = generic_orbit_dim(action, trials=trials, seed=seed)
 
@@ -459,10 +440,10 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     family_orbit = family.generic_orbit_dim
     family_dim = n + d - 1
     lower = family_dim - family_orbit
-    return ExmoReport(n=n, d=d, space_dim=space_dim,
+    return ExmoReport(n=n, d=d, space_dim=action.space_dim,
                       regular_sheet_modality=report.codimension,
                       open_orbit_found=report.codimension == 0,
                       family_dim=family_dim, family_orbit_dim=family_orbit,
                       family_lower_bound=lower,
                       modality_regular=lower <= report.codimension,
-                      seed=seed, sampling=report, family_sampling=family)
+                      sampling=report, family_sampling=family)

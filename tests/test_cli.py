@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -143,6 +144,23 @@ def test_exmo(capsys):
     assert by_id["exmo:regular-sheet"]["computed"] == 0
     assert by_id["exmo:family-bound"]["computed"] == 1
     assert by_id["exmo:modality-regular"]["computed"] is False
+
+
+def test_exmo_regular_sheet_orbit_dim_is_sampled(capsys, monkeypatch):
+    # the item states the orbit dimension the sample found, so a sample
+    # that fell short of an open orbit does not claim one
+    check = modality.sum_of_copies_check
+
+    def short_sample(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        return dataclasses.replace(rep, sampling=dataclasses.replace(
+            rep.sampling, generic_orbit_dim=rep.space_dim - 1,
+            codimension=1))
+
+    monkeypatch.setattr(modality, "sum_of_copies_check", short_sample)
+    _, report = run_json(capsys, ["exmo", "--n", "3", "--d", "2"])
+    by_id = {it["id"]: it for it in report["items"]}
+    assert by_id["exmo:regular-sheet"]["orbit_dim"] == 6 - 1
 
 
 def test_determinism_same_seed(capsys):

@@ -367,6 +367,61 @@ def test_product_of_mismatched_shapes_is_an_error():
             a @ b
 
 
+def _dense_and_sparse(rows):
+    """The same matrix as dense rows and as frozen sparse columns."""
+    cols = [{i: r[j] for i, r in enumerate(rows) if r[j]}
+            for j in range(len(rows))]
+    return linalg.rmat(rows), linalg.Matrix.from_columns(cols, len(rows))
+
+
+def test_commutator_matches_dense_reference():
+    rng = random.Random(2031)
+    values = [0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2)]
+    for n in range(1, 6):
+        for _ in range(5):
+            a, b = ([[rng.choice(values) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            want = (np.dot(np.array(a, dtype=object), b)
+                    - np.dot(np.array(b, dtype=object), a)).tolist()
+            for x in _dense_and_sparse(a):
+                for y in _dense_and_sparse(b):
+                    got = linalg.commutator(x, y)
+                    assert got.frozen and got.shape == (n, n)
+                    assert got.tolist() == want
+                    assert all(v for _, _, v in got.nonzeros())
+    # a matrix commutes with its own multiples: no entry is stored
+    for m in _dense_and_sparse([[1, Fraction(1, 2)], [0, 3]]):
+        zero = linalg.commutator(m, m * Fraction(-2, 3))
+        assert zero.frozen and zero.nonzeros() == []
+        assert zero == linalg.zeros(2)
+    with pytest.raises(ValueError):
+        linalg.commutator(linalg.eye(2), linalg.eye(3))
+    with pytest.raises(ValueError):
+        linalg.commutator(linalg.zeros(2, 3), linalg.zeros(2, 3))
+
+
+def test_block_sum_matches_dense_reference():
+    dense, sparse = _dense_and_sparse(
+        [[0, Fraction(1, 2), 0], [-4, 0, 0], [1, 0, Fraction(2, 3)]])
+    blocks = [linalg.rmat([[1, 2], [3, 4]]), sparse, linalg.zeros(1), dense]
+    got = linalg.block_diag(blocks)
+    want = np.zeros((9, 9), dtype=object)
+    off = 0
+    for b in blocks:
+        k = b.shape[0]
+        want[off:off + k, off:off + k] = np.asarray(b)
+        off += k
+    assert got.frozen and got.shape == (9, 9)
+    assert got.tolist() == want.tolist()
+    # block sums multiply blockwise
+    assert (got @ got).tolist() == np.dot(want, want).tolist()
+    zero = linalg.block_diag([linalg.zeros(2), linalg.zeros(1)])
+    assert zero.nonzeros() == [] and zero == linalg.zeros(3)
+    assert linalg.block_diag([]).shape == (0, 0)
+    with pytest.raises(ValueError):
+        linalg.block_diag([linalg.eye(2), linalg.zeros(2, 3)])
+
+
 def _residue(q, p):
     return q.numerator * pow(q.denominator, -1, p) % p
 
