@@ -14,7 +14,6 @@ tested, and spans are tested against integer kernel vectors.  None of
 this scaling changes which functionals vanish or lie in a span.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -86,11 +85,6 @@ def root_functionals(rs):
                           for beta in rs.positive_roots))
 
 
-def _rows_matrix(fset, indices):
-    rows = [list(fset.functionals[i]) for i in sorted(indices)]
-    return linalg.rmat(rows or [[Fraction(0)] * fset.ambient_dim])
-
-
 def _int_rows_of(fset, indices):
     return [fset.int_rows[i] for i in sorted(indices)]
 
@@ -153,20 +147,26 @@ def cell_of_point(fset, point):
 
 
 def sample_point_in_cell(fset, cell, rng):
-    """A random rational point whose vanishing set is exactly the flat.
+    """A random integer point whose vanishing set is exactly the flat.
 
-    Draws integer combinations of a kernel basis of the flat's span; retries
-    while some functional outside the flat happens to vanish, 60 times at
-    most.  The generic combination works, so a handful of tries suffices.
+    Draws combinations of an integer kernel basis of the flat's span with
+    coefficients in [-N, N], N the number of functionals, and retries while
+    some functional outside the flat vanishes, 60 times at most.  Such a
+    functional is a nonzero linear form in the coefficients, so it vanishes
+    at a draw with probability at most 1/(2N+1); some functional does with
+    probability below 1/2, and all 60 draws miss with probability below
+    2^-60.
     """
-    ker = linalg.kernel_basis(_rows_matrix(fset, cell.flat))
+    ker = linalg.integer_kernel(_int_rows_of(fset, cell.flat),
+                                fset.ambient_dim)
     if not ker:
-        point = [Fraction(0)] * fset.ambient_dim
+        point = [0] * fset.ambient_dim
         if fset.vanishing_set(point) == cell.flat:
             return point
         raise ValueError("flat of full rank is not the closure of the origin")
+    bound = len(fset.functionals)
     for _ in range(60):
-        coeffs = [rng.randint(-9, 9) for _ in ker]
+        coeffs = [rng.randint(-bound, bound) for _ in ker]
         point = [sum(c * k[i] for c, k in zip(coeffs, ker))
                  for i in range(fset.ambient_dim)]
         if fset.vanishing_set(point) == cell.flat:
@@ -201,12 +201,6 @@ def centralizer_data(rs, cell):
     expected_dim = rs.rank - _flat_rank(fset, cell.flat)
     if cell.closure_dim != expected_dim:
         raise ValueError("cell closure_dim inconsistent with this root system")
-
-    # points of one cell share their centralizer: check two random ones
-    rng = random.Random(11)
-    first = sample_point_in_cell(fset, cell, rng)
-    second = sample_point_in_cell(fset, cell, rng)
-    assert fset.vanishing_set(first) == fset.vanishing_set(second) == cell.flat
 
     vanishing = tuple(rs.positive_roots[i] for i in sorted(cell.flat))
     dim_centralizer = rs.rank + 2 * len(vanishing)

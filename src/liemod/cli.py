@@ -1,11 +1,16 @@
 """Command-line front end emitting machine-readable verification reports.
 
-Every subcommand assembles the same report shape: a command echo, the
-effective configuration, a list of per-item results sorted by id, and an
-aggregate pass flag.  An item with an expected value either matches or
-fails; items without an expected value (pure computations) never fail the
-run; items skipped for exceeding the build ceiling are marked but do not
-fail the run either.  Exit code 0 means every verification passed, 1
+Every subcommand body yields its items, and ``run_command`` assembles the
+same report shape from them: a command echo, the effective configuration
+(the common settings, then the command's options in declaration order), a
+list of per-item results sorted by id, and an aggregate pass flag.  An
+item's ``match`` is ``computed == expected`` when both are given, else
+null, unless the item states it because its expected value is a
+description.  A false match fails the run; a null one, as for pure
+computations and items skipped for exceeding the build ceiling, never
+does.  An item's ``time_ms`` counts the whole milliseconds since the
+previous item, or since the command started, so a report's item times add
+up to the command's time.  Exit code 0 means every verification passed, 1
 that one failed, and 2 that the input was bad or the report could not be
 written.  An item whose value rests on sampled genericity says how sure
 it is in a ``sampling`` object: the field, the points drawn, the bound on
@@ -44,11 +49,13 @@ _CODIMENSION = ("generic-orbit codimension, which equals the modality for "
 
 
 def _item(item_id, computed=None, expected=None, match=None, orbit_dim=None,
-          dims=None, time_ms=None, note="", sampling=None):
-    # run_command fills in the seed
+          dims=None, note="", sampling=None):
+    # run_command fills in the seed and the time
+    if match is None and computed is not None and expected is not None:
+        match = computed == expected
     return {"id": item_id, "computed": computed, "expected": expected,
             "match": match, "orbit_dim": orbit_dim, "dims": dims,
-            "seed": None, "time_ms": time_ms, "note": note,
+            "seed": None, "time_ms": None, "note": note,
             "sampling": sampling}
 
 
@@ -81,91 +88,75 @@ def _parse_ints(text):
     return tuple(int(t) for t in text.split(","))
 
 
-def _now_ms(t0):
-    return int((time.monotonic() - t0) * 1000)
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies; each returns (extra_config, items)
+# subcommand bodies; each yields its items
 
 def _cmd_tables_verify(args):
-    entries = modality.table_entries(args.list, rank_cutoff=args.rank_cutoff)
-    items = []
-    for entry in entries:
-        t0 = time.monotonic()
+    for entry in modality.table_entries(args.list,
+                                        rank_cutoff=args.rank_cutoff):
         res = modality.verify_table_entry(
             entry, trials=args.trials, seed=args.seed,
             ceiling=args.build_ceiling)
         if res.skipped:
-            items.append(_item(
-                entry.entry_id, expected=entry.expected_modality,
-                time_ms=_now_ms(t0), note=f"skipped: {res.reason}"))
+            yield _item(entry.entry_id, expected=entry.expected_modality,
+                        note=f"skipped: {res.reason}")
         else:
-            items.append(_item(
+            yield _item(
                 entry.entry_id, computed=res.computed,
-                expected=entry.expected_modality, match=res.matches,
-                orbit_dim=res.orbit_dim, dims={"module": res.dim_v},
-                time_ms=_now_ms(t0), sampling=_sampling([res.sampling])))
-    note = (f"classical families expanded up to rank {args.rank_cutoff}; "
-            f"higher ranks not checked")
-    return {"list": args.list, "note": note}, items
+                expected=entry.expected_modality, orbit_dim=res.orbit_dim,
+                dims={"module": res.dim_v},
+                sampling=_sampling([res.sampling]))
 
 
 def _cmd_rep_modality(args):
     rstype = RootSystemType.parse(args.type)
     spec = IrrepSpec(rstype, _parse_ints(args.weight))
-    t0 = time.monotonic()
     entry = modality.lookup_expected_modality(rstype, spec.highest_weight)
     expected = None if entry is None else entry.expected_modality
     try:
         action = modality.action_from_module(spec, ceiling=args.build_ceiling)
     except BuildCeilingExceeded as exc:
-        return {"type": args.type, "weight": args.weight}, [_item(
-            f"rep:{spec.name}", expected=expected, time_ms=_now_ms(t0),
-            note=f"skipped: {exc}")]
+        yield _item(f"rep:{spec.name}", expected=expected,
+                    note=f"skipped: {exc}")
+        return
     report = modality.generic_orbit_dim(
         action, trials=args.trials, seed=args.seed)
-    return {"type": args.type, "weight": args.weight}, [_item(
+    yield _item(
         f"rep:{spec.name}", computed=report.codimension, expected=expected,
-        match=None if expected is None else report.codimension == expected,
         orbit_dim=report.generic_orbit_dim,
         dims={"module": action.space_dim, "algebra": action.algebra_dim},
-        time_ms=_now_ms(t0), note="" if expected is not None else
+        note="" if expected is not None else
         "weight not in the shipped tables; computed value only",
-        sampling=_sampling([report]))]
+        sampling=_sampling([report]))
 
 
 def _cmd_sl2_modality(args):
     summands = _parse_ints(args.summands)
-    t0 = time.monotonic()
     closed = modality.sl2_modality(summands)
     action = modality.sl2_action(summands, ceiling=args.build_ceiling)
     report = modality.generic_orbit_dim(
         action, trials=args.trials, seed=args.seed)
-    return {"summands": args.summands}, [_item(
+    yield _item(
         f"sl2:{args.summands}", computed=closed, expected=report.codimension,
-        match=closed == report.codimension,
         orbit_dim=report.generic_orbit_dim,
-        dims={"module": action.space_dim}, time_ms=_now_ms(t0),
+        dims={"module": action.space_dim},
         note="closed form checked against explicit matrices",
-        sampling=_sampling([report]))]
+        sampling=_sampling([report]))
 
 
 def _cmd_cells_count(args):
     from . import cells
     rstype = RootSystemType.parse(args.type)
-    t0 = time.monotonic()
     rs = build_root_system(rstype)
     fset = cells.root_functionals(rs)
-    count = len(cells.enumerate_cells(fset))
     expected = _bell(rstype.rank + 1) if rstype.family == "A" else None
-    return {"type": args.type}, [_item(
-        f"cells:{rstype.name}", computed=count, expected=expected,
-        match=None if expected is None else count == expected,
+    yield _item(
+        f"cells:{rstype.name}", computed=len(cells.enumerate_cells(fset)),
+        expected=expected,
         dims={"ambient": rstype.rank,
               "functionals": len(fset.functionals)},
-        time_ms=_now_ms(t0), note="" if expected is not None else
-        "no closed-form count outside type A; computed value only")]
+        note="" if expected is not None else
+        "no closed-form count outside type A; computed value only")
 
 
 def _cmd_grading_rank(args):
@@ -173,138 +164,118 @@ def _cmd_grading_rank(args):
     rstype = RootSystemType.parse(args.type)
     m = None if args.m == "inf" else int(args.m)
     spec = graded.GradingSpec(rstype, m, _parse_ints(args.labels))
-    t0 = time.monotonic()
     ga = graded.build_grading(spec)
     report = modality.generic_orbit_dim(
         ga.g0_on_g1, trials=args.trials, seed=args.seed)
     rank = report.codimension
     cartan_dim = len(graded.cartan_subspace(ga, seed=args.seed))
-    return {"type": args.type, "m": args.m, "labels": args.labels}, [_item(
+    yield _item(
         f"grading:{spec.name}",
         computed={"rank": rank, "cartan_subspace_dim": cartan_dim},
         expected={"rank": rank, "cartan_subspace_dim": rank},
-        match=cartan_dim == rank,
         dims={"algebra": ga.dim,
               "degree_one": len(ga.g1_indices)},
-        time_ms=_now_ms(t0),
         note="rank from generic orbits; dimension from an explicit "
              "commuting semisimple family",
-        sampling=_sampling([report]))]
+        sampling=_sampling([report]))
 
 
 def _cmd_packets_enum(args):
     from . import packets
     n = args.sln
-    t0 = time.monotonic()
     descriptors = packets.enumerate_packets_adjoint_typeA(n)
-    items = [_item(
-        f"packet-count:{n}", computed=len(descriptors),
-        expected=packets.count_packets(n),
-        match=len(descriptors) == packets.count_packets(n),
-        time_ms=_now_ms(t0))]
+    yield _item(f"packet-count:{n}", computed=len(descriptors),
+                expected=packets.count_packets(n))
     for p in descriptors:
-        t1 = time.monotonic()
         closure, mod = packets.packet_dims(p)
-        items.append(_item(
+        yield _item(
             f"packet:{n}:{p.jordan_type.name}",
             computed={"closure_dim": closure, "modality": mod},
             expected={"closure_dim": p.closure_dim, "modality": p.modality},
-            match=(closure, mod) == (p.closure_dim, p.modality),
             orbit_dim=p.orbit_dim, dims={"eigenvalue_groups":
-                                         p.jordan_type.num_blocks},
-            time_ms=_now_ms(t1)))
-    return {"sln": n}, items
+                                         p.jordan_type.num_blocks})
 
 
 def _cmd_packets_check(args):
     from . import packets
     n = args.sln
-    t0 = time.monotonic()
     rep = packets.packet_sanity_suite(n, samples=args.samples, seed=args.seed)
-    elapsed = _now_ms(t0)
-    items = [
-        _item(f"packets-check:{n}:coverage", computed=rep.coverage_ok,
-              expected=True, match=rep.coverage_ok, time_ms=elapsed,
-              note=f"{rep.samples} random traceless samples classified"),
-        _item(f"packets-check:{n}:max-modality", computed=rep.max_modality,
-              expected=n - 1, match=rep.aggregator_ok, time_ms=elapsed,
-              note="aggregated over the packet cover of the algebra"),
-        _item(f"packets-check:{n}:identity", computed=rep.identity_ok,
-              expected=True, match=rep.identity_ok, time_ms=elapsed,
-              note="same packet iff same centralizer dim and same "
-                   "eigenvalue-coincidence pattern"),
-        _item(f"packets-check:{n}:regular-center", computed=rep.regular_center_ok,
-              expected=True, match=rep.regular_center_ok, time_ms=elapsed,
-              note="center of a nilpotent centralizer stays in the orbit "
-                   "closure dimension bound, with equality attained"),
-    ]
+    for name, computed, expected, note in [
+            ("coverage", rep.coverage_ok, True,
+             f"{rep.samples} random traceless samples classified"),
+            ("max-modality", rep.max_modality, n - 1,
+             "aggregated over the packet cover of the algebra"),
+            ("identity", rep.identity_ok, True,
+             "same packet iff same centralizer dim and same "
+             "eigenvalue-coincidence pattern"),
+            ("regular-center", rep.regular_center_ok, True,
+             "center of a nilpotent centralizer stays in the orbit "
+             "closure dimension bound, with equality attained")]:
+        yield _item(f"packets-check:{n}:{name}", computed=computed,
+                    expected=expected, note=note)
     for check in rep.sheet_checks:
-        items.append(_item(
+        yield _item(
             f"packets-check:{n}:sheet:{check.sheet[0]}-{check.sheet[1]}",
             computed=check.matched_packet,
             expected="unique packet with these dimensions",
             match=check.point_orbit_dims_constant
-            and check.matched_packet != "<unmatched>", time_ms=elapsed))
-    return {"sln": n, "samples": args.samples}, items
+            and check.matched_packet != "<unmatched>")
 
 
 _FAMILY = "generic orbit dimension on the family (v, c_1 v, ...)"
 
 
 def _cmd_exmo(args):
-    t0 = time.monotonic()
     rep = modality.sum_of_copies_check(
         args.n, args.d, trials=args.trials, seed=args.seed,
         ceiling=args.build_ceiling)
-    elapsed = _now_ms(t0)
-    items = [
-        _item("exmo:regular-sheet", computed=rep.regular_sheet_modality,
-              expected=0, match=rep.regular_sheet_modality == 0,
-              orbit_dim=rep.sampling.generic_orbit_dim,
-              dims={"module": rep.space_dim}, time_ms=elapsed,
-              note=f"open orbit found: {rep.open_orbit_found}",
-              sampling=_sampling([rep.sampling])),
-        _item("exmo:family-bound", computed=rep.family_lower_bound,
-              expected=args.d - 1, match=rep.family_lower_bound == args.d - 1,
-              orbit_dim=rep.family_orbit_dim,
-              dims={"family": rep.family_dim}, time_ms=elapsed,
-              note="proportional tuples form a positive-dimensional "
-                   "family of equal-dimension orbits",
-              sampling=_sampling([rep.family_sampling], _FAMILY)),
-        _item("exmo:modality-regular", computed=rep.modality_regular,
-              time_ms=elapsed,
-              note="false means the family bound exceeds the regular-sheet "
-                   "modality",
-              sampling=_sampling([rep.sampling, rep.family_sampling],
-                                 f"{_CODIMENSION}; {_FAMILY}")),
-    ]
-    return {"n": args.n, "d": args.d}, items
+    yield _item("exmo:regular-sheet", computed=rep.regular_sheet_modality,
+                expected=0, orbit_dim=rep.sampling.generic_orbit_dim,
+                dims={"module": rep.space_dim},
+                note=f"open orbit found: {rep.open_orbit_found}",
+                sampling=_sampling([rep.sampling]))
+    yield _item("exmo:family-bound", computed=rep.family_lower_bound,
+                expected=args.d - 1, orbit_dim=rep.family_orbit_dim,
+                dims={"family": rep.family_dim},
+                note="proportional tuples form a positive-dimensional "
+                     "family of equal-dimension orbits",
+                sampling=_sampling([rep.family_sampling], _FAMILY))
+    yield _item("exmo:modality-regular", computed=rep.modality_regular,
+                note="false means the family bound exceeds the "
+                     "regular-sheet modality",
+                sampling=_sampling([rep.sampling, rep.family_sampling],
+                                   f"{_CODIMENSION}; {_FAMILY}"))
 
 
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
 
-# command, help of its group, options
+# command, body, help of its group, options (echoed into the report's
+# config in this order), and a template of a config note
 _COMMANDS = [
     ("tables verify", _cmd_tables_verify, "classification table checks",
-     {"--list": {"choices": ["m1", "m2", "m3", "all"], "default": "all"}}),
+     {"--list": {"choices": ["m1", "m2", "m3", "all"], "default": "all"}},
+     "classical families expanded up to rank {rank_cutoff}; higher ranks "
+     "not checked"),
     ("rep modality", _cmd_rep_modality, "single module computations",
-     {"--type": _REQUIRED, "--weight": _REQUIRED}),
+     {"--type": _REQUIRED, "--weight": _REQUIRED}, None),
     ("sl2 modality", _cmd_sl2_modality, "rank-one module checks",
-     {"--summands": _REQUIRED}),
+     {"--summands": _REQUIRED}, None),
     ("cells count", _cmd_cells_count, "hyperplane arrangement cells",
-     {"--type": _REQUIRED}),
+     {"--type": _REQUIRED}, None),
     ("grading rank", _cmd_grading_rank, "graded algebra rank",
      {"--type": _REQUIRED,
       "--m": {"required": True,
               "help": "modulus, or 'inf' for an integer grading"},
-      "--labels": _REQUIRED}),
+      "--labels": _REQUIRED}, None),
     ("packets enum", _cmd_packets_enum,
-     "adjoint packets of traceless matrices", {"--sln": _REQUIRED_INT}),
+     "adjoint packets of traceless matrices", {"--sln": _REQUIRED_INT},
+     None),
     ("packets check", _cmd_packets_check, None,
-     {"--sln": _REQUIRED_INT, "--samples": {"type": int, "default": 200}}),
+     {"--sln": _REQUIRED_INT, "--samples": {"type": int, "default": 200}},
+     None),
     ("exmo", _cmd_exmo, "copies-of-the-natural-module modality anatomy",
-     {"--n": _REQUIRED_INT, "--d": _REQUIRED_INT}),
+     {"--n": _REQUIRED_INT, "--d": _REQUIRED_INT}, None),
 ]
 
 
@@ -328,7 +299,7 @@ def _build_parser():
 
     sub = parser.add_subparsers(dest="group", required=True)
     groups = {}
-    for command, func, text, options in _COMMANDS:
+    for command, func, text, options, note in _COMMANDS:
         group, _, action = command.partition(" ")
         if not action:
             cmd = sub.add_parser(group, parents=[common], help=text)
@@ -337,9 +308,10 @@ def _build_parser():
                 groups[group] = sub.add_parser(group, help=text) \
                     .add_subparsers(dest="action", required=True)
             cmd = groups[group].add_parser(action, parents=[common])
-        for flag, kwargs in options.items():
-            cmd.add_argument(flag, **kwargs)
-        cmd.set_defaults(func=func, command=command)
+        echoed = [cmd.add_argument(flag, **kwargs).dest
+                  for flag, kwargs in options.items()]
+        cmd.set_defaults(func=func, command=command, echoed=echoed,
+                         config_note=note)
     return parser
 
 
@@ -387,7 +359,8 @@ def _check_output_path(path):
 
 
 def run_command(argv=None):
-    """Parse argv, run the subcommand, emit the report.  Returns exit code."""
+    """Parse argv, run the subcommand, time and stamp each item it yields,
+    emit the report.  Returns exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     env_seed = os.environ.get("MODALITY_SEED")
@@ -397,15 +370,22 @@ def run_command(argv=None):
     if args.output:
         _check_output_path(args.output)
 
-    extra, items = args.func(args)
-    items.sort(key=lambda it: it["id"])
-    for item in items:
+    items = []
+    start = time.monotonic()
+    for item in args.func(args):
+        now = time.monotonic()
         item["seed"] = args.seed
+        item["time_ms"] = int((now - start) * 1000)
+        items.append(item)
+        start = now
+    items.sort(key=lambda it: it["id"])
     passed = all(it["match"] is not False for it in items)
     config = {"seed": args.seed, "trials": args.trials,
               "rank_cutoff": args.rank_cutoff,
               "build_ceiling": args.build_ceiling}
-    config.update(extra)
+    config.update((key, getattr(args, key)) for key in args.echoed)
+    if args.config_note:
+        config["note"] = args.config_note.format(**vars(args))
     report = {
         "command": args.command,
         "config": config,

@@ -20,12 +20,14 @@ off the root-space structure rather than solved for.  A nonzero entry
 differ by beta, and no other basis element is nonzero there, so each root
 vector has one fixed probe entry and its coordinate is the ratio of the
 matrix's entry there to the root vector's.  Only the Cartan generators
-reach the diagonal; their coordinates come from one rank-by-rank solve on
-the diagonal entries at basis vectors of independent weight, held as an
-integer matrix over one denominator.  Every expansion then rebuilds the
-matrix from its coordinates and compares it with the input over every
-nonzero entry of either, so a closure failure or a matrix outside the
-algebra is an error, never a silent wrong answer.
+reach the diagonal.  The diagonal entries of sum_i c_i h_i at the row and
+the column of the probe entry of a simple root vector x_j differ by
+sum_i c_i <alpha_j, alpha_i^vee>, so c is the inverse Cartan matrix, held
+as an integer matrix over one denominator, times those r differences.
+Every expansion then rebuilds the matrix from its coordinates and
+compares it with the input over every nonzero entry of either, so a
+closure failure or a matrix outside the algebra is an error, never a
+silent wrong answer.
 
 Coordinates are Python ints wherever they are integral and ``Fraction``
 only where they are not: some structure constants of types C and F have
@@ -98,21 +100,15 @@ class StructureConstants:
         # a root vector owns every position where it is nonzero
         self._probes = [None] * r + [
             next(iter(e.items())) for e in self._entries[r:]]
-        # Cartan coordinates: diagonals at r basis vectors of independent
-        # weight, through the inverse of their weight matrix as ints over den
-        rows = []
-        for k, w in enumerate(mod.weights):
-            if len(rows) == r:
-                break
-            cand = [mod.weights[i] for i in rows] + [w]
-            if linalg.rank(linalg.rmat(cand)) > len(rows):
-                rows.append(k)
-        self._diag_rows = rows
-        inverse = linalg.inverse(linalg.rmat([mod.weights[k] for k in rows]))
-        *flat, self._diag_den = linalg.clear_denominators([*inverse.flat, 1])
-        self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
-
         index = {root: k for k, root in enumerate(self.root_of_index)}
+        # Cartan coordinates: the inverse Cartan matrix, as ints over den,
+        # times the diagonal differences along the simple roots' probes
+        self._diag_rows = [
+            self._probes[index[tuple(int(i == j) for i in range(r))]][0]
+            for j in range(r)]
+        *flat, self._diag_den = linalg.clear_denominators(
+            [*(c for w in rs.fundamental_weights for c in w), 1])
+        self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
         zero = (0,) * r
         self.bracket = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         for b in range(r, self.dim):
@@ -146,7 +142,8 @@ class StructureConstants:
         residual check over every nonzero entry of the matrix and of its
         reconstruction.  Values are ints where integral."""
         coords = {}
-        diag = [entries.get((k, k), 0) for k in self._diag_rows]
+        diag = [entries.get((i, i), 0) - entries.get((j, j), 0)
+                for i, j in self._diag_rows]
         if any(diag):
             for i, row in enumerate(self._diag_inverse):
                 c = exact_ratio(sum(map(mul, row, diag)), self._diag_den)

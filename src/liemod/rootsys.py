@@ -119,7 +119,6 @@ class RootSystem:
             for j in range(r):
                 assert self._form[i][j] == self._form[j][i]
         self.positive_roots = self._generate_positive_roots()
-        self._pos_index = {b: k for k, b in enumerate(self.positive_roots)}
         at = linalg.rmat([[self.cartan[j][i] for j in range(r)] for i in range(r)])
         fw = linalg.inverse(at)  # columns are fundamental weights in root coords
         self.fundamental_weights = tuple(

@@ -91,7 +91,8 @@ def test_closure_of_cell_is_union_of_smaller_flats():
     rs = build_root_system(RootSystemType("A", 3))
     fset = cells.root_functionals(rs)
     for c in cells.enumerate_cells(fset):
-        ker = cells.linalg.kernel_basis(cells._rows_matrix(fset, c.flat))
+        ker = cells.linalg.integer_kernel(cells._int_rows_of(fset, c.flat),
+                                          fset.ambient_dim)
         hit_cell = False
         for _ in range(40):
             coeffs = [rng.randint(-5, 5) for _ in ker]
@@ -115,6 +116,19 @@ def test_sample_point_in_cell_lands_in_cell():
         v = cells.sample_point_in_cell(fset, c, rng)
         assert fset.vanishing_set(v) == c.flat
 
+
+def test_e8_open_cell_is_sampled():
+    # 120 root hyperplanes in rank 8: a point drawn from a fixed small box
+    # lies on one of them too often for 60 tries to be safe
+    rs = build_root_system(RootSystemType("E", 8))
+    fset = cells.root_functionals(rs)
+    open_cell = cells.Cell(frozenset(), 8)
+    for seed in range(20):
+        v = cells.sample_point_in_cell(fset, open_cell, random.Random(seed))
+        assert fset.vanishing_set(v) == frozenset()
+    d = cells.centralizer_data(rs, open_cell)
+    assert (d.dim_centralizer, d.dim_center, d.dim_derived) == (8, 8, 0)
+    assert d.roots_vanishing == ()
 
 def test_centralizer_data_a2_cases():
     rs = build_root_system(RootSystemType("A", 2))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -389,3 +390,59 @@ def test_commands_do_not_load_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "packets check --sln 3 --samples 20",
+    "exmo --n 3 --d 2",
+    "tables verify --list m3",
+    "packets enum --sln 3",
+])
+def test_item_times_add_up_to_at_most_the_command_time(command, capsys):
+    # each item is timed from the one before it, so no time counts twice
+    start = time.monotonic()
+    assert cli.main(command.split()) == 0
+    wall_ms = (time.monotonic() - start) * 1000
+    times = [it["time_ms"] for it in json.loads(capsys.readouterr().out)
+             ["items"]]
+    assert all(type(t) is int and t >= 0 for t in times), times
+    assert sum(times) <= wall_ms, (times, wall_ms)
+
+
+@pytest.mark.parametrize("command", [
+    *_SMALL_COMMANDS, "packets enum --sln 3",
+    "rep modality --type A3 --weight 2,2,2 --build-ceiling 10",
+])
+def test_match_is_computed_equals_expected(command, capsys):
+    _, report = run_json(capsys, command.split())
+    for item in report["items"]:
+        if ":sheet:" in item["id"]:
+            continue    # its expected value is a description
+        if item["computed"] is None or item["expected"] is None:
+            assert item["match"] is None, item["id"]
+        else:
+            assert item["match"] is (item["computed"] == item["expected"]), \
+                item["id"]
+
+
+_COMMON_CONFIG = ["seed", "trials", "rank_cutoff", "build_ceiling"]
+
+
+@pytest.mark.parametrize("command,echo", [
+    ("tables verify --list m3",
+     {"list": "m3", "note": "classical families expanded up to rank 8; "
+                            "higher ranks not checked"}),
+    ("rep modality --type G2 --weight 0,1", {"type": "G2", "weight": "0,1"}),
+    ("sl2 modality --summands 0,0,0", {"summands": "0,0,0"}),
+    ("cells count --type A3", {"type": "A3"}),
+    ("grading rank --type A2 --m inf --labels 1,0",
+     {"type": "A2", "m": "inf", "labels": "1,0"}),
+    ("packets enum --sln 3", {"sln": 3}),
+    ("packets check --sln 3 --samples 20", {"sln": 3, "samples": 20}),
+    ("exmo --n 3 --d 2", {"n": 3, "d": 2}),
+])
+def test_config_echoes_options_in_declaration_order(command, echo, capsys):
+    _, report = run_json(capsys, command.split())
+    config = report["config"]
+    assert list(config) == _COMMON_CONFIG + list(echo)
+    assert {k: config[k] for k in echo} == echo
