@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
+from types import MappingProxyType
 
 from . import linalg
 from .hwmod import IrrepSpec, extend_to_full_algebra
@@ -65,6 +66,12 @@ __all__ = [
 _FAITHFUL_NODE = {("F", 4): 3, ("E", 7): 6, ("E", 8): 7}
 
 
+# the bracket of a pair whose roots sum to neither a root nor zero: one
+# read-only value fills every such slot of every table (most of them: 46,000
+# of E8's 61,504), and slots are only ever replaced, never written into
+_ZERO_BRACKET = MappingProxyType({})
+
+
 def _entries(m):
     """Nonzero entries of a matrix, keyed by (row, column)."""
     return {(i, j): v for j, col in enumerate(m.columns())
@@ -75,8 +82,9 @@ class StructureConstants:
     """Bracket table of a simple algebra in its root-space basis.
 
     Basis order: Cartan generators, then raising vectors by root height,
-    then the matching lowering vectors.  ``bracket[a][b]`` is a sparse dict
-    mapping basis index to coefficient, an int where it is integral.
+    then the matching lowering vectors.  ``bracket[a][b]`` is a sparse
+    mapping from basis index to coefficient, an int where it is integral;
+    treat it as read-only (the empty slots share one value).
     """
 
     def __init__(self, rstype):
@@ -110,7 +118,7 @@ class StructureConstants:
             [*(c for w in rs.fundamental_weights for c in w), 1])
         self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
         zero = (0,) * r
-        self.bracket = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]
         for b in range(r, self.dim):
             # [h_a, x_b] = <beta, alpha_a^vee> x_b: the weight difference
             # along x_b's probe entry

@@ -199,7 +199,11 @@ def _build_module(spec):
                     h=tuple(h_mats))
 
 
-@lru_cache(maxsize=None)
+# Both caches keep only the most recent module: every caller reuses a
+# module right after building it (an action is built and then extended, a
+# sum repeats a summand) and never after the next one, so a sweep holds the
+# one module it is verifying.
+@lru_cache(maxsize=1)
 def _build_module_cached(spec):
     return _build_module(spec)
 
@@ -208,7 +212,9 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     """Construct the irreducible module with the given highest weight.
 
     Raises BuildCeilingExceeded when the Weyl dimension formula already
-    shows the module would be larger than ``ceiling``.
+    shows the module would be larger than ``ceiling``.  Only the most
+    recently built module is kept: asking for it again returns the same
+    object, and building another one releases it.
     """
     d = weyl_dim(spec)
     if d > ceiling:
@@ -220,7 +226,7 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
 # ---------------------------------------------------------------------------
 # full algebra action: one matrix per Cartan generator and per root
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _extend_cached(spec):
     mod = _build_module_cached(spec)
     rs = build_root_system(spec.rstype)
@@ -243,7 +249,10 @@ def _extend_cached(spec):
         alpha = units[j]
         x[beta] = commutator(x[alpha], x[gamma])
         y[beta] = commutator(y[alpha], y[gamma])
-        assert any(x[beta].columns()) and any(y[beta].columns()), \
+        # every nonzero irreducible of a simple algebra is faithful; only
+        # the trivial line (zero weight) sends root vectors to zero
+        assert not any(spec.highest_weight) or (
+            any(x[beta].columns()) and any(y[beta].columns())), \
             f"root vector for {beta} vanished in a faithful module"
 
     full = [*mod.h, *(x[b] for b in rs.positive_roots),
@@ -262,5 +271,11 @@ def extend_to_full_algebra(mod):
     Root vectors for non-simple positive roots are left-normed iterated
     commutators along the smallest-index decomposition of each root; the
     lowering side mirrors the raising side, so the count is rank + #roots.
+    On the zero weight every matrix is the 1x1 zero.
+
+    Only the most recently extended module is kept, and it shares ``e``,
+    ``f`` and ``h`` with the built module of its spec.  The module is looked
+    up by its spec, so passing an ``HWModule`` whose spec has since been
+    evicted (another module was built or extended in between) rebuilds it.
     """
     return _extend_cached(mod.spec if isinstance(mod, HWModule) else mod)

@@ -264,14 +264,9 @@ def action_from_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     """Action of a full algebra basis on the irreducible module of spec.
 
     The zero weight gives the trivial line, on which every basis element
-    acts by zero; it is not faithful, so there are no root vectors to
-    build.
+    acts by zero.
     """
     build_hw_module(spec, ceiling=ceiling)  # ceiling enforcement
-    if not any(spec.highest_weight):
-        zero = linalg.Matrix.from_columns([{}], 1)
-        return ActionSpec(
-            matrices=(zero,) * build_root_system(spec.rstype).dimension)
     return ActionSpec(matrices=extend_to_full_algebra(spec).full_basis)
 
 

@@ -1,13 +1,17 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from liemod import hwmod
 from liemod.hwmod import (BuildCeilingExceeded, IrrepSpec, build_hw_module,
                           enumerate_dominant_up_to_dim,
                           extend_to_full_algebra, weyl_dim)
+from liemod.modality import action_from_module
 from liemod.rootsys import RootSystemType, build_root_system
 
 A1 = RootSystemType("A", 1)
@@ -169,6 +173,31 @@ def test_module_caching():
     a = build_hw_module(IrrepSpec(A2, (1, 1)))
     b = build_hw_module(IrrepSpec(A2, (1, 1)))
     assert a is b
+
+
+def test_caches_release_the_previous_module():
+    # neither module is an adjoint, so no structure-constant table holds it
+    extended = weakref.ref(extend_to_full_algebra(IrrepSpec(A2, (2, 0))))
+    action_from_module(IrrepSpec(B3, (0, 0, 1)))
+    gc.collect()
+    assert extended() is None
+
+
+def test_extension_reuses_the_built_module():
+    spec = IrrepSpec(B3, (1, 0, 0))
+    build_hw_module(IrrepSpec(A1, (1,)))  # whatever came before, evicted
+    misses = hwmod._build_module_cached.cache_info().misses
+    mod = build_hw_module(spec)
+    full = extend_to_full_algebra(spec)
+    assert full.e is mod.e and full.f is mod.f and full.h is mod.h
+    assert hwmod._build_module_cached.cache_info().misses == misses + 1
+
+
+def test_extension_of_the_zero_weight_is_zero():
+    mod = extend_to_full_algebra(IrrepSpec(A2, (0, 0)))
+    assert len(mod.full_basis) == 8
+    for m in mod.full_basis:
+        assert m.shape == (1, 1) and m[0, 0] == 0
 
 
 def test_matrices_read_only():

@@ -1,6 +1,7 @@
 """Every name a liemod module imports is used there or listed in its
 ``__all__``, and every name its ``__all__`` lists exists on the module, so
-a rewrite leaves no stale import behind."""
+a rewrite leaves no stale import behind.  Every unbounded cache is keyed by
+a small, fixed domain, so a sweep over modules cannot grow it."""
 
 import ast
 import importlib
@@ -52,3 +53,40 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in _declared_all(_tree(name))
                if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names what it lacks: {missing}"
+
+
+# each unbounded cache and the domain of its keys; a cache keyed by modules
+# or points must be bounded instead
+UNBOUNDED_CACHES = {
+    "rootsys.build_root_system": "one per type",
+    "graded.structure_constants": "one per type",
+    "packets._sl_int_entries": "n <= 5",
+    "modality.load_raw_tables": "no arguments",
+}
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _is_unbounded_cache(decorator):
+    """``functools.cache``, or ``lru_cache`` with a ``maxsize`` of None."""
+    if not isinstance(decorator, ast.Call):
+        return _name(decorator) == "cache"
+    if _name(decorator.func) != "lru_cache":
+        return False
+    sizes = [*decorator.args[:1],
+             *(k.value for k in decorator.keywords if k.arg == "maxsize")]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def test_unbounded_caches_are_allowlisted():
+    found = {f"{name}.{node.name}"
+             for name in MODULES for node in ast.walk(_tree(name))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(map(_is_unbounded_cache, node.decorator_list))}
+    unlisted = sorted(found - UNBOUNDED_CACHES.keys())
+    assert not unlisted, \
+        f"unbounded caches with no stated key domain: {unlisted}"
+    stale = sorted(UNBOUNDED_CACHES.keys() - found)
+    assert not stale, f"allowlisted caches that are gone or bounded: {stale}"
