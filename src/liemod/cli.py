@@ -19,7 +19,7 @@ the chance of a miss and the quantity sampled; other items have
 
 Reports are deterministic for a fixed seed apart from the timestamp and
 the per-item timings.  The environment variable MODALITY_SEED, when set,
-overrides --seed.
+overrides --seed and must be a nonnegative integer.
 """
 
 import argparse
@@ -81,11 +81,13 @@ def _bell(n):
     return row[-1]
 
 
-def _parse_ints(text):
-    text = text.strip()
-    if not text:
-        raise ValueError("expected comma-separated integers")
-    return tuple(int(t) for t in text.split(","))
+def _parse_ints(flag, text):
+    """The comma-separated integers given to option ``flag``."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ def _cmd_tables_verify(args):
 
 def _cmd_rep_modality(args):
     rstype = RootSystemType.parse(args.type)
-    spec = IrrepSpec(rstype, _parse_ints(args.weight))
+    spec = IrrepSpec(rstype, _parse_ints("--weight", args.weight))
     entry = modality.lookup_expected_modality(rstype, spec.highest_weight)
     expected = None if entry is None else entry.expected_modality
     try:
@@ -131,7 +133,7 @@ def _cmd_rep_modality(args):
 
 
 def _cmd_sl2_modality(args):
-    summands = _parse_ints(args.summands)
+    summands = _parse_ints("--summands", args.summands)
     closed = modality.sl2_modality(summands)
     action = modality.sl2_action(summands, ceiling=args.build_ceiling)
     report = modality.generic_orbit_dim(
@@ -162,8 +164,12 @@ def _cmd_cells_count(args):
 def _cmd_grading_rank(args):
     from . import graded
     rstype = RootSystemType.parse(args.type)
-    m = None if args.m == "inf" else int(args.m)
-    spec = graded.GradingSpec(rstype, m, _parse_ints(args.labels))
+    try:
+        m = None if args.m == "inf" else int(args.m)
+    except ValueError:
+        raise ValueError("--m: expected an integer or 'inf', "
+                         f"got {args.m!r}") from None
+    spec = graded.GradingSpec(rstype, m, _parse_ints("--labels", args.labels))
     ga = graded.build_grading(spec)
     report = modality.generic_orbit_dim(
         ga.g0_on_g1, trials=args.trials, seed=args.seed)
@@ -365,6 +371,9 @@ def run_command(argv=None):
     args = parser.parse_args(argv)
     env_seed = os.environ.get("MODALITY_SEED")
     if env_seed is not None:
+        if not env_seed.strip().isdecimal():
+            raise ValueError("MODALITY_SEED must be a nonnegative integer, "
+                             f"got {env_seed!r}")
         args.seed = int(env_seed)
     _validate_config(args)
     if args.output:

@@ -9,7 +9,9 @@ lists or a 2-d array of Python numbers.  Polynomials are python lists of
 coefficients in ascending degree order, normalized so the leading
 coefficient is nonzero (the zero polynomial is ``[]``).  Modules are built
 and bracketed in sparse columns: ``commutator`` and ``block_diag`` take
-and return ``Matrix`` values and never write out dense rows.
+and return ``Matrix`` values and never write out dense rows.  The
+commutator forms each column of ``a b - b a`` in one pass, and a column
+empty in both inputs costs nothing.
 
 ``Fraction`` appears only at the edges, and four helpers are the one place
 where exact values become ints and come back: ``clear_denominators``
@@ -218,29 +220,30 @@ def is_zero_matrix(m):
     return not any(map(any, m))
 
 
-def _sparse_mul(a, b):
-    """The columns of ``a b``, from the sparse columns of a and of b."""
-    out = []
-    for bcol in b:
-        acc = {}
-        for i, v in bcol.items():
-            for ii, av in a[i].items():
-                acc[ii] = acc.get(ii, 0) + av * v
-        out.append({k: v for k, v in acc.items() if v})
-    return out
-
-
 def commutator(a, b):
     """``a b - b a`` of two square matrices of one size, as a frozen
-    sparse ``Matrix``."""
+    sparse ``Matrix``.
+
+    Column j of the bracket is ``a (b e_j) - b (a e_j)``: b's column-j
+    entries times a's columns, less a's column-j entries times b's columns,
+    summed in one accumulator whose zeros are dropped once.  A column empty
+    in both inputs comes out empty without any work.
+    """
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("shape mismatch")
     a, b = a.columns(), b.columns()
     out = []
-    for c1, c2 in zip(_sparse_mul(a, b), _sparse_mul(b, a)):
-        acc = dict(c1)
-        for k, v in c2.items():
-            acc[k] = acc.get(k, 0) - v
+    for acol, bcol in zip(a, b):
+        if not (acol or bcol):
+            out.append({})
+            continue
+        acc = {}
+        for i, v in bcol.items():
+            for k, x in a[i].items():
+                acc[k] = acc.get(k, 0) + x * v
+        for i, v in acol.items():
+            for k, x in b[i].items():
+                acc[k] = acc.get(k, 0) - x * v
         out.append({k: v for k, v in acc.items() if v})
     return Matrix.from_columns(out, len(out))
 

@@ -5,6 +5,10 @@ integer coordinate vectors in the simple-root basis.  Weights are integer
 vectors in the fundamental-weight basis.  The invariant bilinear form is
 normalized so long roots have squared length 2.
 
+The positive roots are raised from the simple roots by simple reflections,
+each recording its squared length, which a reflection keeps; the coroot of
+a root is read off those lengths.
+
 Conventions: ``cartan[i][j]`` is the pairing of the i-th simple root with
 the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 ``alpha_i - cartan[i][j] * alpha_j``.
@@ -118,7 +122,11 @@ class RootSystem:
         for i in range(r):
             for j in range(r):
                 assert self._form[i][j] == self._form[j][i]
-        self.positive_roots = self._generate_positive_roots()
+        # squared lengths of the simple roots, scaled to integers
+        self._sq = linalg.clear_denominators(self._d)
+        self._lengths = self._generate_positive_roots()
+        self.positive_roots = tuple(
+            sorted(self._lengths, key=lambda b: (sum(b), b)))
         at = linalg.rmat([[self.cartan[j][i] for j in range(r)] for i in range(r)])
         fw = linalg.inverse(at)  # columns are fundamental weights in root coords
         self.fundamental_weights = tuple(
@@ -138,22 +146,41 @@ class RootSystem:
         return tuple(out)
 
     def _generate_positive_roots(self):
+        """Each positive root with its squared length, on the integer scale
+        of ``_sq``.
+
+        A positive root beta that is not simple has some simple alpha_j with
+        ``<beta, alpha_j^vee> > 0``, and then ``s_j beta`` is a lower positive
+        root (Humphreys, section 10.2).  So raising the simple roots by every
+        ``s_j`` whose pairing is negative reaches every positive root and no
+        other vector.  A reflection keeps lengths, so each root inherits the
+        length of the root it was raised from, and its pairings, read in
+        fundamental-weight coordinates, are those of that root reflected.
+        """
         simples = [tuple(1 if i == j else 0 for i in range(self.rank))
                    for j in range(self.rank)]
-        roots = set(simples)
-        frontier = list(simples)
+        lengths = dict(zip(simples, self._sq))
+        pairings = {a: tuple(row) for a, row in zip(simples, self.cartan)}
+        frontier = simples
         while frontier:
             new = []
             for beta in frontier:
-                for j in range(self.rank):
-                    g = self._reflect_root(beta, j)
-                    if g not in roots:
-                        roots.add(g)
-                        new.append(g)
+                for j, c in enumerate(pairings[beta]):
+                    if c < 0:
+                        g = self._reflect_root(beta, j)
+                        if g not in lengths:
+                            lengths[g] = lengths[beta]
+                            pairings[g] = self.simple_reflection_weight(
+                                j, pairings[beta])
+                            new.append(g)
             frontier = new
-        pos = [b for b in roots if all(x >= 0 for x in b)]
-        assert 2 * len(pos) == len(roots)
-        return tuple(sorted(pos, key=lambda b: (sum(b), b)))
+        # closed under lowering too: with the raising above, the roots found
+        # and their negatives are permuted by every simple reflection
+        for beta, pairing in pairings.items():
+            for j, c in enumerate(pairing):
+                if c > 0 and beta != simples[j]:
+                    assert self._reflect_root(beta, j) in lengths
+        return lengths
 
     # -- pairings and coordinate changes ------------------------------------
 
@@ -168,16 +195,14 @@ class RootSystem:
         in the order of ``positive_roots``.
 
         ``beta^vee = 2 beta / (beta, beta)``, so the coefficient of
-        ``alpha_i^vee`` is ``b_i (alpha_i, alpha_i) / (beta, beta)``, with
-        ``(beta, beta) = sum_j b_j (alpha_j, alpha_j) <beta, alpha_j^vee> / 2``.
+        ``alpha_i^vee`` is ``b_i (alpha_i, alpha_i) / (beta, beta)``: the
+        ratio ``b_i q_i / q(beta)`` of the squared lengths recorded when the
+        roots were raised.
         """
-        # proportional to (alpha_i, alpha_i)
-        sq = linalg.clear_denominators(self._d)
         out = []
         for beta in self.positive_roots:
-            norm = sum(b * q * c for b, q, c in
-                       zip(beta, sq, self.root_weight_coords(beta)))
-            cor = [divmod(2 * b * q, norm) for b, q in zip(beta, sq)]
+            length = self._lengths[beta]
+            cor = [divmod(b * q, length) for b, q in zip(beta, self._sq)]
             assert all(rem == 0 for _, rem in cor)
             out.append(tuple(c for c, _ in cor))
         return tuple(out)

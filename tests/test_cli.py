@@ -223,6 +223,31 @@ def test_bad_flags():
                      "--labels", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("rep modality --type A2 --weight 1,,0",
+     "--weight: expected comma-separated integers, got '1,,0'"),
+    ("grading rank --type A2 --m 2 --labels 1,0,",
+     "--labels: expected comma-separated integers, got '1,0,'"),
+    ("sl2 modality --summands 1,x",
+     "--summands: expected comma-separated integers, got '1,x'"),
+    ("grading rank --type A1 --m x --labels 1",
+     "--m: expected an integer or 'inf', got 'x'"),
+], ids=["weight", "labels", "summands", "m"])
+def test_unparsable_option_names_the_option(argv, message, capsys,
+                                             monkeypatch):
+    monkeypatch.delenv("MODALITY_SEED", raising=False)
+    assert cli.main(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "", "-3", "1.5"])
+def test_bad_env_seed_names_the_variable(value, capsys, monkeypatch):
+    monkeypatch.setenv("MODALITY_SEED", value)
+    assert cli.main(["sl2", "modality", "--summands", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: MODALITY_SEED must be a nonnegative integer, got {value!r}\n")
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "missing" / "r.json"
     code = cli.main(["cells", "count", "--type", "A2", "--output", str(path)])

@@ -1,10 +1,13 @@
 """Every name a liemod module imports is used there or listed in its
 ``__all__``, and every name its ``__all__`` lists exists on the module, so
-a rewrite leaves no stale import behind.  Every unbounded cache is keyed by
-a small, fixed domain, so a sweep over modules cannot grow it."""
+a rewrite leaves no stale import behind.  Every private helper has a
+caller, so a rewrite leaves no dead helper behind either.  Every unbounded
+cache is keyed by a small, fixed domain, so a sweep over modules cannot grow
+it."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,28 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in _declared_all(_tree(name))
                if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names what it lacks: {missing}"
+
+
+def _referenced_names(node):
+    """How often each name is read in ``node``, as a bare name or an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_private_helper_has_a_caller():
+    trees = [_tree(name) for name in MODULES]
+    referenced = sum(map(_referenced_names, trees), Counter())
+    dead = sorted(
+        f"{name}.{node.name} (line {node.lineno})"
+        for name, tree in zip(MODULES, trees) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        # a function calling itself is not a caller
+        and referenced[node.name] == _referenced_names(node)[node.name])
+    assert not dead, f"private helpers nothing in liemod calls: {dead}"
 
 
 # each unbounded cache and the domain of its keys; a cache keyed by modules

@@ -389,6 +389,17 @@ def test_commutator_matches_dense_reference():
                     assert got.frozen and got.shape == (n, n)
                     assert got.tolist() == want
                     assert all(v for _, _, v in got.nonzeros())
+    # two block sums sharing a zero block: its columns are empty in both
+    # inputs and come out empty
+    x, y = (linalg.block_diag([linalg.zeros(1), linalg.rmat(block),
+                               linalg.zeros(2)])
+            for block in ([[1, 2], [0, Fraction(1, 2)]], [[0, 1], [-3, 0]]))
+    want = (np.dot(np.asarray(x), np.asarray(y))
+            - np.dot(np.asarray(y), np.asarray(x))).tolist()
+    got = linalg.commutator(x, y)
+    assert got.tolist() == want and any(map(any, want))
+    cols = got.columns()
+    assert cols[0] == cols[3] == cols[4] == {}
     # a matrix commutes with its own multiples: no entry is stored
     for m in _dense_and_sparse([[1, Fraction(1, 2)], [0, 3]]):
         zero = linalg.commutator(m, m * Fraction(-2, 3))

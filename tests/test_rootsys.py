@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from liemod import linalg
 from liemod.rootsys import RootSystemType, build_root_system
 
 
@@ -180,3 +181,55 @@ def test_positive_coroots_form_the_dual_root_system():
                          ("E", 6), ("E", 7), ("E", 8)):
         rs = build_root_system(RootSystemType(family, rank))
         assert rs.positive_coroots == rs.positive_roots
+
+
+def _reference_positive_roots(rs):
+    """The positive roots as they were generated before roots were raised
+    one simple reflection at a time: every root, positive and negative,
+    reflected by every simple reflection, the positive ones kept."""
+    simples = [tuple(int(i == j) for i in range(rs.rank))
+               for j in range(rs.rank)]
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for j in range(rs.rank):
+                c = sum(beta[i] * rs.cartan[i][j] for i in range(rs.rank))
+                g = beta[:j] + (beta[j] - c,) + beta[j + 1:]
+                if g not in roots:
+                    roots.add(g)
+                    new.append(g)
+        frontier = new
+    pos = [b for b in roots if all(x >= 0 for x in b)]
+    assert 2 * len(pos) == len(roots)
+    return tuple(sorted(pos, key=lambda b: (sum(b), b)))
+
+
+def _reference_coroot(rs, beta):
+    """``b_i (alpha_i, alpha_i) / (beta, beta)`` as it was computed before the
+    lengths were recorded: ``(beta, beta)`` summed from the weight
+    coordinates of beta, O(r^2) per root."""
+    sq = linalg.clear_denominators(rs._d)
+    norm = sum(b * q * c for b, q, c in
+               zip(beta, sq, rs.root_weight_coords(beta)))
+    cor = [divmod(2 * b * q, norm) for b, q in zip(beta, sq)]
+    assert all(rem == 0 for _, rem in cor)
+    return tuple(c for c, _ in cor)
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_raised_roots_match_the_all_roots_reference(family, rank):
+    rs = build_root_system(RootSystemType(family, rank))
+    assert rs.positive_roots == _reference_positive_roots(rs)
+    assert rs.positive_coroots == tuple(
+        _reference_coroot(rs, beta) for beta in rs.positive_roots)
