@@ -15,7 +15,8 @@ for which in ("m1", "m2", "m3"):
           f"classical families up to rank 8")
     for entry in entries[:4]:
         res = verify_table_entry(entry)
-        status = "ok" if res.matches else "MISMATCH"
+        status = ("ok" if res.computed == entry.expected_modality
+                  else "MISMATCH")
         print(f"  {entry.entry_id:<16} dim {res.dim_v:>3}  "
               f"generic orbit {res.orbit_dim:>3}  "
               f"modality {res.computed} (expected "

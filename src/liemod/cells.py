@@ -89,25 +89,16 @@ def _int_rows_of(fset, indices):
     return [fset.int_rows[i] for i in sorted(indices)]
 
 
-def _flat_rank(fset, indices):
-    return linalg.integer_rank(_int_rows_of(fset, indices), fset.ambient_dim)
-
-
 def _closure(fset, indices):
-    """All functionals lying in the span of the given ones: the given ones,
-    and every other one that vanishes on each (integer) kernel vector of
-    the given ones."""
+    """The cell of the flat the given functionals span: they and every
+    other one vanishing on each (integer) kernel vector of theirs.  The
+    kernel vectors span the cell's closure, so they count its dimension."""
     ker = linalg.integer_kernel(_int_rows_of(fset, indices), fset.ambient_dim)
     rows = fset.int_rows
     rest = [i for i in range(len(rows)) if i not in indices]
     for k in ker:
         rest = [i for i in rest if not sum(map(mul, rows[i], k))]
-    return frozenset(indices).union(rest)
-
-
-def _make_cell(fset, flat):
-    return Cell(flat=flat,
-                closure_dim=fset.ambient_dim - _flat_rank(fset, flat))
+    return Cell(flat=frozenset(indices).union(rest), closure_dim=len(ker))
 
 
 def enumerate_cells(fset):
@@ -120,8 +111,8 @@ def enumerate_cells(fset):
     functionals of a cover already found are not tried again.
     """
     start = _closure(fset, frozenset())
-    flats = {start}
-    frontier = [start]
+    found = {start.flat: start}
+    frontier = [start.flat]
     while frontier:
         new = []
         for flat in frontier:
@@ -130,20 +121,18 @@ def enumerate_cells(fset):
                 if i in covered:
                     continue
                 bigger = _closure(fset, flat | {i})
-                covered |= bigger
-                if bigger not in flats:
-                    flats.add(bigger)
-                    new.append(bigger)
+                covered |= bigger.flat
+                if bigger.flat not in found:
+                    found[bigger.flat] = bigger
+                    new.append(bigger.flat)
         frontier = new
-    cells = [_make_cell(fset, flat) for flat in flats]
-    cells.sort(key=lambda c: (len(c.flat), sorted(c.flat)))
-    return cells
+    return sorted(found.values(), key=lambda c: (len(c.flat), sorted(c.flat)))
 
 
 def cell_of_point(fset, point):
     """The cell containing the point; its flat is the point's vanishing set,
     which is span-closed automatically."""
-    return _make_cell(fset, fset.vanishing_set(point))
+    return _closure(fset, fset.vanishing_set(point))
 
 
 def sample_point_in_cell(fset, cell, rng):
@@ -196,10 +185,10 @@ def centralizer_data(rs, cell):
     nfun = len(fset.functionals)
     if any(i < 0 or i >= nfun for i in cell.flat):
         raise ValueError("cell does not belong to this root system")
-    if _closure(fset, cell.flat) != cell.flat:
+    closed = _closure(fset, cell.flat)
+    if closed.flat != cell.flat:
         raise ValueError("cell flat is not span-closed for this root system")
-    expected_dim = rs.rank - _flat_rank(fset, cell.flat)
-    if cell.closure_dim != expected_dim:
+    if closed.closure_dim != cell.closure_dim:
         raise ValueError("cell closure_dim inconsistent with this root system")
 
     vanishing = tuple(rs.positive_roots[i] for i in sorted(cell.flat))

@@ -386,8 +386,9 @@ def random_homogeneous_element(ga, degree, rng):
     return coords
 
 
-def _in_span(vectors, v):
-    return linalg.rank([*vectors, v]) == linalg.rank(vectors)
+def _in_span(independent, v):
+    """Whether v lies in the span of linearly independent vectors."""
+    return linalg.rank([*independent, v]) == len(independent)
 
 
 def _combine(coeffs, vectors):

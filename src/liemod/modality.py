@@ -21,7 +21,7 @@ rank one, and the shipped classification tables of modality 0, 1 and 2.
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -35,12 +35,12 @@ from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
     "ActionSpec", "OrbitDimReport", "CoverPiece", "TableEntry", "VerifyResult",
-    "ExmoReport", "stabilizer_dim_at", "orbit_dim_at", "generic_orbit_dim",
-    "modality_visible", "sl2_action", "sl2_modality", "modality_from_cover",
-    "action_from_module", "load_raw_tables", "table_entries",
-    "lookup_expected_modality", "verify_table_entry", "sum_of_copies_check",
-    "DEFAULT_TRIALS", "DEFAULT_SEED", "DEFAULT_RANK_CUTOFF", "PRIME",
-    "FIELD",
+    "ExmoReport", "stabilizer_dim_at", "stabilizer_basis", "orbit_dim_at",
+    "generic_orbit_dim", "modality_visible", "sl2_action", "sl2_modality",
+    "modality_from_cover", "action_from_module", "load_raw_tables",
+    "table_entries", "lookup_expected_modality", "verify_table_entry",
+    "sum_of_copies_check", "DEFAULT_TRIALS", "DEFAULT_SEED",
+    "DEFAULT_RANK_CUTOFF", "PRIME", "FIELD",
 ]
 
 DEFAULT_TRIALS = 1
@@ -134,6 +134,17 @@ def stabilizer_dim_at(action, v, p=None):
 
 def orbit_dim_at(action, v, p=None):
     return action.algebra_dim - stabilizer_dim_at(action, v, p)
+
+
+def stabilizer_basis(action, points):
+    """Exact basis of the subalgebra annihilating each of the points, as
+    coefficient vectors: the kernel over Q of their orbit matrices stacked,
+    in ``linalg.kernel_basis``'s reduced form, which no nonzero scale of
+    one orbit matrix, or of every matrix of the action at once, changes."""
+    rows = [row for v in points for row in _orbit_rows(action, v)]
+    if not rows:
+        raise ValueError("need one or more points")
+    return linalg.kernel_basis(rows)
 
 
 def _miss_bound(degree, trials):
@@ -336,13 +347,20 @@ def lookup_expected_modality(rstype, weight):
 
     The tables list one member of each orbit of diagram automorphisms (the
     dual, the two half-spin weights of D_n, the triality images in D4), so
-    lookups are normalized over the whole orbit.
+    lookups are normalized over the whole orbit.  The raw records of the
+    type's family are matched in table order, with no expansion.
     """
     weight = tuple(int(c) for c in weight)
     candidates = build_root_system(rstype).diagram_orbit(weight)
-    for entry in table_entries("all", rank_cutoff=rstype.rank):
-        if entry.rstype == rstype and entry.weight in candidates:
-            return replace(entry, weight=weight)
+    raw = load_raw_tables()
+    for name in ("m1", "m2", "m3"):
+        for record in raw[name]:
+            if (record["family"] == rstype.family
+                    and rstype.rank in _record_ranks(record, rstype.rank)
+                    and _record_weight(record, rstype.rank) in candidates):
+                return TableEntry(rstype=rstype, weight=weight,
+                                  expected_modality=record["modality"],
+                                  table=name)
     return None
 
 
@@ -350,9 +368,8 @@ def lookup_expected_modality(rstype, weight):
 class VerifyResult:
     entry: TableEntry
     dim_v: int
-    computed: int
-    matches: bool
-    orbit_dim: int
+    computed: int | None       # None when skipped
+    orbit_dim: int | None      # None when skipped
     skipped: bool
     reason: str
     sampling: OrbitDimReport | None = None   # None when skipped
@@ -364,13 +381,12 @@ def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     spec = IrrepSpec(entry.rstype, entry.weight)
     dim_v = weyl_dim(spec)
     if dim_v > ceiling:
-        return VerifyResult(entry=entry, dim_v=dim_v, computed=-1,
-                            matches=False, orbit_dim=-1, skipped=True,
+        return VerifyResult(entry=entry, dim_v=dim_v, computed=None,
+                            orbit_dim=None, skipped=True,
                             reason=f"dimension {dim_v} exceeds ceiling {ceiling}")
     action = action_from_module(spec, ceiling=ceiling)
     report = generic_orbit_dim(action, trials=trials, seed=seed)
     return VerifyResult(entry=entry, dim_v=dim_v, computed=report.codimension,
-                        matches=report.codimension == entry.expected_modality,
                         orbit_dim=report.generic_orbit_dim, skipped=False,
                         reason="", sampling=report)
 

@@ -22,7 +22,10 @@ from math import comb
 from operator import mul
 
 from . import cells, linalg
-from .modality import CoverPiece, modality_from_cover
+from .modality import (
+    ActionSpec, CoverPiece, modality_from_cover, orbit_dim_at,
+    stabilizer_basis,
+)
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -190,38 +193,31 @@ def sl_basis(n):
     return basis
 
 
-@lru_cache(maxsize=None)
-def _sl_int_entries(n):
-    return linalg.int_nonzeros(sl_basis(n))
-
-
-def _bracket_map(x, entries):
-    """Matrix of ``b -> [x, b]`` from the span of a basis to flattened
-    n x n matrices, one column per basis element, as int rows.
-
-    ``entries`` is the basis as ``linalg.int_nonzeros`` gives it.  The map
-    comes out times one positive integer, the lcm of x's denominators times
-    the basis' multiplier, which changes neither its rank nor its kernel.
-    """
-    n = x.shape[0]
-    xs = linalg.clear_denominators(list(x.flat))
+def _ad(u):
+    """The matrix of ``b -> [u, b]`` on n x n matrices flattened row by
+    row: column i n + j is the bracket with the matrix unit at (i, j)."""
+    n = u.shape[0]
+    u = linalg.Matrix.from_columns(u.columns(), n)  # read u's columns once
     cols = []
-    for nonzeros in entries:
-        col = [0] * (n * n)
-        for r, c, v in nonzeros:
-            # x b gains x[i, r] v at (i, c); b x loses v x[c, i] at (r, i)
-            for i in range(n):
-                col[i * n + c] += xs[i * n + r] * v
-                col[r * n + i] -= v * xs[c * n + i]
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
+    for i in range(n):
+        for j in range(n):
+            unit = linalg.Matrix.from_columns(
+                [{i: 1} if c == j else {} for c in range(n)], n)
+            cols.append({r * n + c: v for r, c, v in
+                         linalg.commutator(u, unit).nonzeros()})
+    return linalg.Matrix.from_columns(cols, n * n)
+
+
+@lru_cache(maxsize=None)
+def _adjoint_action(n):
+    """``sl_basis(n)`` acting on flattened n x n matrices by brackets; its
+    orbit matrix at x has column ``[b_k, x]``."""
+    return ActionSpec(tuple(_ad(b) for b in sl_basis(n)))
 
 
 def adjoint_orbit_dim(x):
-    """Orbit dimension of a traceless matrix: rank of its bracket map."""
-    n = x.shape[0]
-    return linalg.integer_rank(_bracket_map(x, _sl_int_entries(n)),
-                               n * n - 1)
+    """Exact orbit dimension of a traceless matrix under conjugation."""
+    return orbit_dim_at(_adjoint_action(x.shape[0]), x.flat)
 
 
 def packet_dims(p):
@@ -307,16 +303,13 @@ def _center_of_centralizer(x):
     """Basis (as matrices) of the center of the centralizer of x in the
     traceless algebra."""
     n = x.shape[0]
-    basis = sl_basis(n)
-    cent = [_combination(v, basis, n) for v in
-            linalg.kernel_basis(_bracket_map(x, _sl_int_entries(n)))]
-    if not cent:
-        return []
-    # u is central when [b, u] = 0 for every b in the centralizer
-    # one positive scale per block leaves the stack's kernel unchanged
-    entries = linalg.int_nonzeros(cent)
-    stack = [row for b in cent for row in _bracket_map(b, entries)]
-    return [_combination(v, cent, n) for v in linalg.kernel_basis(stack)]
+    cent = [_combination(v, sl_basis(n), n) for v in
+            stabilizer_basis(_adjoint_action(n), [x.flat])]
+    # u is central when [b, u] = 0 for every b in the centralizer: the
+    # stabilizer of the centralizer's elements under its own brackets
+    inner = ActionSpec(tuple(_ad(b) for b in cent))
+    return [_combination(v, cent, n) for v in
+            stabilizer_basis(inner, [b.flat for b in cent])]
 
 
 def _combination(coeffs, mats, n):

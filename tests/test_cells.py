@@ -50,8 +50,9 @@ def test_flats_are_span_closed():
     rs = build_root_system(RootSystemType("B", 2))
     fset = cells.root_functionals(rs)
     for c in cells.enumerate_cells(fset):
-        assert cells._closure(fset, c.flat) == c.flat
-        assert c.closure_dim == rs.rank - cells._flat_rank(fset, c.flat)
+        assert cells._closure(fset, c.flat).flat == c.flat
+        assert c.closure_dim == rs.rank - cells.linalg.rank(
+            [fset.functionals[i] for i in c.flat])
 
 
 def test_cell_of_point_examples():
@@ -164,7 +165,7 @@ def test_centralizer_data_rejects_foreign_cell():
     # a non-span-closed subset is not a flat
     fset = cells.root_functionals(rs)
     full_rank_pair = frozenset({0, 1})
-    assert cells._closure(fset, full_rank_pair) == frozenset({0, 1, 2})
+    assert cells._closure(fset, full_rank_pair).flat == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
         cells.centralizer_data(rs, cells.Cell(flat=full_rank_pair, closure_dim=0))
     with pytest.raises(ValueError):
@@ -210,11 +211,13 @@ def fraction_rank(rows):
 
 
 def reference_closure(fset, indices):
-    """Functionals that do not raise the rank of the given ones."""
+    """Functionals that do not raise the rank of the given ones, and the
+    dimension of the subspace where the given ones vanish."""
     base = [fset.functionals[i] for i in indices]
     r = fraction_rank(base)
-    return frozenset(i for i, f in enumerate(fset.functionals)
-                     if fraction_rank(base + [f]) == r)
+    return cells.Cell(flat=frozenset(i for i, f in enumerate(fset.functionals)
+                                     if fraction_rank(base + [f]) == r),
+                      closure_dim=fset.ambient_dim - r)
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4", "G2"])

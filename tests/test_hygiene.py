@@ -85,7 +85,7 @@ def test_every_private_helper_has_a_caller():
 UNBOUNDED_CACHES = {
     "rootsys.build_root_system": "one per type",
     "graded.structure_constants": "one per type",
-    "packets._sl_int_entries": "n <= 5",
+    "packets._adjoint_action": "n <= 5",
     "modality.load_raw_tables": "no arguments",
 }
 

@@ -7,7 +7,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from liemod import linalg, packets
+from liemod import linalg, modality, packets
+from liemod.modality import ActionSpec, stabilizer_basis
 from liemod.packets import (JordanTypeA, adjoint_orbit_dim,
                             classify_adjoint_typeA, conjugate_partition,
                             count_packets, enumerate_packets_adjoint_typeA,
@@ -247,6 +248,8 @@ def _dense_bracket_map(x, basis):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bracket_map_matches_dense_fraction_reference(n):
+    # the orbit matrix at x of sl_n's adjoint action, and of a centralizer's
+    # inner action, has columns [b, x]: -1 times the dense [x, b]
     rng = random.Random(100 + n)
     for trial in range(6):
         x = _random_fraction_matrix(rng, n)
@@ -259,13 +262,15 @@ def test_bracket_map_matches_dense_fraction_reference(n):
         # the cent case: a Fraction basis holding elements that commute with x
         cent = [xm, linalg.rmat(xx)] + [
             linalg.rmat(_random_fraction_matrix(rng, n)) for _ in range(2)]
-        for basis in (packets.sl_basis(n), cent):
-            got = packets._bracket_map(xm, linalg.int_nonzeros(basis))
+        inner = ActionSpec(tuple(packets._ad(b) for b in cent))
+        for basis, action in ((packets.sl_basis(n), packets._adjoint_action(n)),
+                              (cent, inner)):
+            got = modality._orbit_rows(action, xm.flat)
             ref = _dense_bracket_map(x, [b.tolist() for b in basis])
-            # one positive scale for the whole map
+            # -1 times one positive scale for the whole map
             scale = next(g / r for gr, rr in zip(got, ref)
                          for g, r in zip(gr, rr) if r)
-            assert scale > 0
+            assert scale < 0
             assert got == [[scale * r for r in row] for row in ref]
             assert all(type(v) is int for row in got for v in row)
             assert (linalg.rank(linalg.rmat(got))
@@ -273,6 +278,8 @@ def test_bracket_map_matches_dense_fraction_reference(n):
             got_ker = linalg.kernel_basis(linalg.rmat(got))
             ref_ker = linalg.kernel_basis(linalg.rmat(ref))
             assert [list(v) for v in got_ker] == [list(v) for v in ref_ker]
+            assert ([list(v) for v in stabilizer_basis(action, [xm.flat])]
+                    == [list(v) for v in ref_ker])
         assert adjoint_orbit_dim(xm) == linalg.rank(linalg.rmat(
             _dense_bracket_map(x, [b.tolist() for b in packets.sl_basis(n)])))
 
