@@ -40,7 +40,6 @@ no longer match those matrices.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
@@ -273,9 +272,6 @@ class GradedAlgebra:
     def dim(self):
         return self.sc.dim
 
-    def degree_of_root(self, beta):
-        return self.spec.degree_of_root(beta)
-
 
 def build_grading(spec):
     """Assemble the graded algebra for a label vector.
@@ -331,38 +327,36 @@ class JordanPair:
 def jordan_chevalley(x):
     """Split a square rational matrix into commuting semisimple plus
     nilpotent parts by Newton iteration against the squarefree part of the
-    characteristic polynomial; exact, and immediate when the characteristic
-    polynomial is already squarefree.
+    characteristic polynomial; exact.
 
     The common case is settled mod ``PRIME`` first: a characteristic
     polynomial that is squarefree mod p is squarefree over Q
     (``linalg.char_poly_is_squarefree_mod_p``), so x is semisimple.  Any
     other outcome, an unlucky p included, takes the exact path, so the
     answer never depends on p.
+
+    The exact path computes sf = p / gcd(p, p'), the squarefree part of the
+    characteristic polynomial p, and iterates y <- y - sf'(y)^-1 sf(y) from
+    x until sf(y) = 0.  A squarefree p is its own squarefree part, so
+    Cayley-Hamilton settles it at the first test.  After k steps sf(y) is a
+    multiple of sf(x)^(2^k), and sf(x)^e = 0 for the largest multiplicity e
+    of a root of p, which is at most n - deg sf + 1.  The loop therefore
+    makes at most ``(n - deg sf + 1).bit_length() + 3`` evaluations of sf,
+    at least two more than it needs, and raises ``AssertionError`` if they
+    do not settle it.
     """
     n = x.shape[0]
     if linalg.char_poly_is_squarefree_mod_p(x, PRIME):
         return JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
-    p = linalg.char_poly(x)
-    dec = linalg.squarefree_decomposition(p)
-    e_max = max((e for _, e in dec), default=1)
-    sf = [Fraction(1)]
-    for f, _ in dec:
-        sf = linalg.poly_mul(sf, f)
-    if e_max == 1:
-        return JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
+    sf = linalg.squarefree_part(linalg.char_poly(x))
     dsf = linalg.poly_derivative(sf)
     y = x
-    steps = 0
-    while True:
+    for _ in range((n - linalg.poly_degree(sf) + 1).bit_length() + 3):
         val = linalg.poly_eval_matrix(sf, y)
         if linalg.is_zero_matrix(val):
-            break
-        dval = linalg.poly_eval_matrix(dsf, y)
-        y = y - linalg.solve_square(dval, val)
-        steps += 1
-        assert steps <= e_max.bit_length() + 2, "iteration failed to settle"
-    return JordanPair(semisimple_part=y, nilpotent_part=x - y)
+            return JordanPair(semisimple_part=y, nilpotent_part=x - y)
+        y = y - linalg.solve_square(linalg.poly_eval_matrix(dsf, y), val)
+    raise AssertionError("Newton iteration failed to settle")
 
 
 def decompose_graded_element(ga, coords):

@@ -265,8 +265,9 @@ def _extend_cached(spec):
                     full_basis=tuple(full), basis_names=tuple(names))
 
 
-def extend_to_full_algebra(mod):
-    """Return the module with matrices for a full algebra basis attached.
+def extend_to_full_algebra(spec):
+    """Return the module of ``spec`` with matrices for a full algebra basis
+    attached.
 
     Root vectors for non-simple positive roots are left-normed iterated
     commutators along the smallest-index decomposition of each root; the
@@ -274,8 +275,6 @@ def extend_to_full_algebra(mod):
     On the zero weight every matrix is the 1x1 zero.
 
     Only the most recently extended module is kept, and it shares ``e``,
-    ``f`` and ``h`` with the built module of its spec.  The module is looked
-    up by its spec, so passing an ``HWModule`` whose spec has since been
-    evicted (another module was built or extended in between) rebuilds it.
+    ``f`` and ``h`` with the built module of its spec.
     """
-    return _extend_cached(mod.spec if isinstance(mod, HWModule) else mod)
+    return _extend_cached(spec)

@@ -252,8 +252,6 @@ def classify_adjoint_typeA(x):
     blocks = []
     for factor, e in linalg.squarefree_decomposition(p):
         d = linalg.poly_degree(factor)
-        if d == 0:
-            continue
         if e == 1:
             blocks.extend([(1, (1,))] * d)
             continue

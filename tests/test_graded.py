@@ -181,10 +181,10 @@ def test_build_grading_components():
 
     zg = a2_z_grading()
     assert {d: len(v) for d, v in zg.components.items()} == {-1: 2, 0: 4, 1: 2}
-    assert zg.degree_of_root((1, 0)) == 1
-    assert zg.degree_of_root((0, 1)) == 0
-    assert zg.degree_of_root((1, 1)) == 1
-    assert zg.degree_of_root((-1, -1)) == -1
+    assert zg.spec.degree_of_root((1, 0)) == 1
+    assert zg.spec.degree_of_root((0, 1)) == 0
+    assert zg.spec.degree_of_root((1, 1)) == 1
+    assert zg.spec.degree_of_root((-1, -1)) == -1
     # Cartan sits in degree zero
     assert all(zg.degree_of_basis[i] == 0 for i in range(2))
 
@@ -275,6 +275,136 @@ def test_jordan_chevalley_falls_back_to_the_exact_path(monkeypatch):
     x = linalg.rmat([[0, 0], [0, 5]])
     p = gr.jordan_chevalley(x)
     assert p.semisimple_part == x and linalg.is_zero_matrix(p.nilpotent_part)
+
+
+def _yun_jordan_chevalley(x):
+    """``jordan_chevalley`` as it was before it asked ``linalg`` for the
+    squarefree part alone: Yun's factors multiplied back into it, a second
+    exit for a squarefree characteristic polynomial, and a loop bounded
+    only by an assertion on the largest multiplicity."""
+    n = x.shape[0]
+    if linalg.char_poly_is_squarefree_mod_p(x, gr.PRIME):
+        return gr.JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
+    dec = linalg.squarefree_decomposition(linalg.char_poly(x))
+    e_max = max((e for _, e in dec), default=1)
+    sf = [Fraction(1)]
+    for f, _ in dec:
+        sf = linalg.poly_mul(sf, f)
+    if e_max == 1:
+        return gr.JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
+    dsf = linalg.poly_derivative(sf)
+    y = x
+    steps = 0
+    while True:
+        val = linalg.poly_eval_matrix(sf, y)
+        if linalg.is_zero_matrix(val):
+            break
+        y = y - linalg.solve_square(linalg.poly_eval_matrix(dsf, y), val)
+        steps += 1
+        assert steps <= e_max.bit_length() + 2, "iteration failed to settle"
+    return gr.JordanPair(semisimple_part=y, nilpotent_part=x - y)
+
+
+def _jordan_block(ev, k):
+    return linalg.rmat([[ev if i == j else int(j == i + 1) for j in range(k)]
+                        for i in range(k)])
+
+
+# the companion matrix of t^2 - 2, and a 4x4 matrix with minimal
+# polynomial (t^2 - 2)^2
+_ROOT2 = linalg.rmat([[0, 2], [1, 0]])
+_ROOT2_SQ = linalg.rmat(
+    [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]])
+
+# block lists with n <= 8 and every characteristic polynomial repeated
+# mod PRIME: mixed multiplicities, single Jordan blocks, and squarefree
+# polynomials whose roots 0 and PRIME collide mod PRIME
+JORDAN_TYPES = [
+    *([_jordan_block(ev, k) for ev, k in blocks] for blocks in (
+        ((1, 2), (2, 3)), ((1, 1), (1, 1), (2, 2), (2, 1)),
+        ((1, 2), (2, 1), (2, 1), (2, 1)),
+        ((1, 1), (1, 1), (2, 1), (2, 1), (2, 1)),
+        ((0, 4), (-1, 1)), ((0, 2), (0, 2), (-1, 1)),
+        ((0, 3), (0, 1), (-1, 1)), ((0, 2), (0, 1), (0, 1), (-1, 1)),
+        ((3, 2),), ((-2, 3),), ((0, 5),), ((Fraction(1, 2), 6),), ((5, 8),),
+        ((0, 8),), ((0, 3), (0, 3), (1, 2)), ((2, 4), (2, 2), (-3, 2)),
+        ((1, 5), (1, 2), (0, 1)), ((0, 1), (gr.PRIME, 1)),
+        ((0, 1), (gr.PRIME, 1), (1, 1)))),
+    [_ROOT2, _ROOT2], [_ROOT2_SQ], [_ROOT2_SQ, _jordan_block(-1, 2)],
+    [_ROOT2, _jordan_block(Fraction(1, 3), 3), _jordan_block(0, 1)],
+]
+
+
+def _conjugated_block_matrices():
+    """Each of ``JORDAN_TYPES`` conjugated twice by three rational shears
+    I + c E_ij, so every matrix has ``Fraction`` entries."""
+    rng = random.Random(17)
+    out = []
+    for blocks in JORDAN_TYPES:
+        t = linalg.block_diag(blocks)
+        n = t.shape[0]
+        for _ in range(2):
+            x = t.copy()
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                c = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                for k in range(n):   # row i += c row j
+                    x[i, k] += c * x[j, k]
+                for k in range(n):   # then column j -= c column i
+                    x[k, j] -= c * x[k, i]
+            out.append(x)
+    return out
+
+
+def _exact_path_elements():
+    """Two sparse elements from each of criterion 07's principal gradings
+    whose characteristic polynomial the mod-PRIME certificate cannot pass
+    and has at least two distinct roots, as structure-module matrices."""
+    rng = random.Random(gr.DEFAULT_SEED)
+    out = []
+    for name in ("A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4",
+                 "G2"):
+        rt = RootSystemType.parse(name)
+        ga = gr.build_grading(gr.GradingSpec(rt, 1, (1,) * rt.rank))
+        found = 0
+        while found < 2:
+            coords = [0] * ga.dim
+            for i in rng.sample(ga.g1_indices, 3):
+                coords[i] = rng.choice((-2, -1, 1, 2))
+            mat = ga.sc.element_matrix(coords)
+            if (not linalg.char_poly_is_squarefree_mod_p(mat, gr.PRIME) and
+                    linalg.poly_degree(linalg.squarefree_part(
+                        linalg.char_poly(mat))) > 1):
+                out.append(mat)
+                found += 1
+    return out
+
+
+def test_jordan_chevalley_matches_the_yun_reference():
+    cases = _conjugated_block_matrices() + _exact_path_elements()
+    assert len(cases) >= 30 + 10
+    for x in cases:
+        assert not linalg.char_poly_is_squarefree_mod_p(x, gr.PRIME)
+        got, want = gr.jordan_chevalley(x), _yun_jordan_chevalley(x)
+        assert got.semisimple_part == want.semisimple_part
+        assert got.nilpotent_part == want.nilpotent_part
+
+
+def test_jordan_chevalley_newton_steps_stay_within_the_yun_bound(monkeypatch):
+    cases = _conjugated_block_matrices() + _exact_path_elements()
+    steps = [0]
+    solve = linalg.solve_square
+
+    def counted(a, b):
+        steps[0] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve_square", counted)
+    for x in cases:
+        steps[0] = 0
+        gr.jordan_chevalley(x)
+        dec = linalg.squarefree_decomposition(linalg.char_poly(x))
+        assert steps[0] <= max(e for _, e in dec).bit_length() + 2
 
 
 def test_decompose_graded_element_homogeneous():
