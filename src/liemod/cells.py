@@ -14,10 +14,11 @@ tested, and spans are tested against integer kernel vectors.  None of
 this scaling changes which functionals vanish or lie in a span.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 
@@ -28,20 +29,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FunctionalSet:
+class FunctionalSet(namedtuple("FunctionalSet", "ambient_dim functionals")):
     """Finite list of rational covectors on a fixed ambient space."""
 
-    ambient_dim: int
-    functionals: tuple
-
-    def __post_init__(self):
-        fs = tuple(tuple(Fraction(c) for c in f) for f in self.functionals)
-        object.__setattr__(self, "functionals", fs)
+    def __new__(cls, ambient_dim, functionals):
+        fs = tuple(tuple(Fraction(c) for c in f) for f in functionals)
         if not fs:
             raise ValueError("functional set must be nonempty")
-        if any(len(f) != self.ambient_dim for f in fs):
+        if any(len(f) != ambient_dim for f in fs):
             raise ValueError("functional length does not match ambient_dim")
+        return super().__new__(cls, ambient_dim, fs)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
     @cached_property
     def int_rows(self):
@@ -62,15 +61,15 @@ class FunctionalSet:
                          if not sum(map(mul, f, p)))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(namedtuple("Cell", "flat closure_dim")):
     """A cell, named by its flat (indices into the functional set)."""
 
-    flat: frozenset
-    closure_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "flat", frozenset(self.flat))
+    def __new__(cls, flat, closure_dim):
+        return super().__new__(cls, frozenset(flat), closure_dim)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
 
 def root_functionals(rs):
@@ -163,8 +162,7 @@ def sample_point_in_cell(fset, cell, rng):
     raise RuntimeError("failed to sample a generic point of the cell")
 
 
-@dataclass(frozen=True)
-class CentralizerData:
+class CentralizerData(NamedTuple):
     """Centralizer stratification data of a cell in the Cartan.
 
     The centralizer of a point of the cell is the Cartan plus the root

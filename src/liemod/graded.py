@@ -39,18 +39,19 @@ no longer match those matrices.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import linalg
 from .hwmod import IrrepSpec, extend_to_full_algebra
 from .linalg import exact_ratio, integral
 from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, PRIME, ActionSpec,
                        generic_orbit_dim)
-from .rootsys import RootSystemType, build_root_system
+from .rootsys import build_root_system
 
 __all__ = [
     "GradingSpec", "GradedAlgebra", "JordanPair", "StructureConstants",
@@ -228,25 +229,24 @@ def killing_gram(rstype):
     return gram
 
 
-@dataclass(frozen=True)
-class GradingSpec:
+class GradingSpec(namedtuple("GradingSpec", "rstype m labels")):
     """Degree labels on the simple roots, mod m (None means integer degrees)."""
 
-    rstype: RootSystemType
-    m: object
-    labels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
-        if len(labels) != self.rstype.rank:
+    def __new__(cls, rstype, m, labels):
+        labels = tuple(int(x) for x in labels)
+        if len(labels) != rstype.rank:
             raise ValueError("need one label per simple root")
         if any(x < 0 for x in labels):
             raise ValueError("labels must be nonnegative")
-        if self.m is not None:
-            if not isinstance(self.m, int) or self.m < 1:
+        if m is not None:
+            if not isinstance(m, int) or m < 1:
                 raise ValueError("m must be a positive integer or None")
-            labels = tuple(x % self.m for x in labels)
-        object.__setattr__(self, "labels", labels)
+            labels = tuple(x % m for x in labels)
+        return super().__new__(cls, rstype, m, labels)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
     def degree_of_root(self, beta):
         d = sum(x * l for x, l in zip(beta, self.labels))
@@ -258,8 +258,7 @@ class GradingSpec:
         return f"{self.rstype.name}:{mm}:{','.join(map(str, self.labels))}"
 
 
-@dataclass
-class GradedAlgebra:
+class GradedAlgebra(NamedTuple):
     spec: GradingSpec
     sc: StructureConstants
     degree_of_basis: tuple
@@ -318,8 +317,7 @@ def rank_of_grading(ga, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # Jordan decomposition
 
-@dataclass(frozen=True)
-class JordanPair:
+class JordanPair(NamedTuple):
     semisimple_part: object
     nilpotent_part: object
 

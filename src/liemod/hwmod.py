@@ -19,11 +19,11 @@ matrices are frozen ``linalg.Matrix`` values that keep the sparse columns
 the construction works in and write out dense rows only when read.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .linalg import Matrix, commutator, exact_ratio
-from .rootsys import RootSystemType, build_root_system
+from .rootsys import build_root_system
 
 __all__ = [
     "BuildCeilingExceeded", "IrrepSpec", "HWModule", "weyl_dim",
@@ -38,48 +38,46 @@ class BuildCeilingExceeded(ValueError):
     """Requested module dimension exceeds the configured build ceiling."""
 
 
-@dataclass(frozen=True)
-class IrrepSpec:
+class IrrepSpec(namedtuple("IrrepSpec", "rstype highest_weight")):
     """Type plus dominant highest weight in fundamental-weight coordinates."""
 
-    rstype: RootSystemType
-    highest_weight: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(c != int(c) for c in self.highest_weight):
+    def __new__(cls, rstype, highest_weight):
+        if any(c != int(c) for c in highest_weight):
             raise ValueError("highest weight coefficients must be integers")
-        w = tuple(int(c) for c in self.highest_weight)
-        object.__setattr__(self, "highest_weight", w)
-        if len(w) != self.rstype.rank:
+        w = tuple(int(c) for c in highest_weight)
+        if len(w) != rstype.rank:
             raise ValueError("weight length does not match rank")
         if any(c < 0 for c in w):
             raise ValueError("highest weight must be dominant")
+        return super().__new__(cls, rstype, w)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
     @property
     def name(self):
         return f"{self.rstype.name}:{','.join(map(str, self.highest_weight))}"
 
 
-@dataclass
 class HWModule:
     """Constructed module; treat all arrays as read-only.
 
     ``e``, ``f``, ``h`` hold the matrices of the simple generators in the
-    monomial basis.  After ``extend_to_full_algebra`` the field ``full_basis``
-    holds matrices for a basis of the whole algebra, ordered as the Cartan
-    generators, then one raising vector per positive root (by height), then
-    the matching lowering vectors.
+    monomial basis, ``weights`` the weight of each basis vector (weight
+    coordinates) and ``monomials`` its lowering-index sequence.  After
+    ``extend_to_full_algebra`` the field ``full_basis`` holds matrices for a
+    basis of the whole algebra, ordered as the Cartan generators, then one
+    raising vector per positive root (by height), then the matching
+    lowering vectors.
     """
 
-    spec: IrrepSpec
-    dimension: int
-    weights: tuple          # weight of each basis vector, weight coords
-    monomials: tuple        # lowering-index sequence of each basis vector
-    e: tuple
-    f: tuple
-    h: tuple
-    full_basis: tuple = None
-    basis_names: tuple = None
+    def __init__(self, spec, dimension, weights, monomials, e, f, h,
+                 full_basis=None, basis_names=None):
+        self.spec, self.dimension = spec, dimension
+        self.weights, self.monomials = weights, monomials
+        self.e, self.f, self.h = e, f, h
+        self.full_basis, self.basis_names = full_basis, basis_names
 
 
 def weyl_dim(spec):

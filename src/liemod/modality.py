@@ -21,10 +21,11 @@ rank one, and the shipped classification tables of modality 0, 1 and 2.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import linalg
 from .hwmod import (
@@ -52,8 +53,7 @@ PRIME = 2**61 - 1
 FIELD = "GF(2^61 - 1)"
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(namedtuple("ActionSpec", "matrices")):
     """A Lie algebra basis acting on a vector space by square matrices.
 
     ``matrices[k]``, a ``linalg.Matrix``, is the action of the k-th basis
@@ -63,26 +63,29 @@ class ActionSpec:
     number and their common size.
     """
 
-    matrices: tuple
-    algebra_dim: int = field(init=False)
-    space_dim: int = field(init=False)
-
-    def __post_init__(self):
-        mats = tuple(self.matrices)
+    def __new__(cls, matrices):
+        mats = tuple(matrices)
         size = mats[0].shape[0] if mats else 0
         if not mats or any(m.shape != (size, size) for m in mats):
             raise ValueError("need one or more square matrices of one size")
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "algebra_dim", len(mats))
-        object.__setattr__(self, "space_dim", size)
+        return super().__new__(cls, mats)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
+
+    @property
+    def algebra_dim(self):
+        return len(self.matrices)
+
+    @property
+    def space_dim(self):
+        return self.matrices[0].shape[0]
 
     @cached_property
     def integer_entries(self):
         return linalg.int_nonzeros(self.matrices)
 
 
-@dataclass(frozen=True)
-class OrbitDimReport:
+class OrbitDimReport(NamedTuple):
     """The best orbit dimension over ``trials_used`` points of ``field``.
 
     ``miss_bound`` bounds the probability that ``generic_orbit_dim`` is
@@ -249,14 +252,15 @@ def sl2_modality(summands):
 # ---------------------------------------------------------------------------
 # finite constructible covers with constant orbit dimension per piece
 
-@dataclass(frozen=True)
-class CoverPiece:
-    closure_dim: int
-    orbit_dim: int
+class CoverPiece(namedtuple("CoverPiece", "closure_dim orbit_dim")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.orbit_dim <= self.closure_dim:
+    def __new__(cls, closure_dim, orbit_dim):
+        if not 0 <= orbit_dim <= closure_dim:
             raise ValueError("need 0 <= orbit_dim <= closure_dim")
+        return super().__new__(cls, closure_dim, orbit_dim)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
 
 def modality_from_cover(pieces):
@@ -281,8 +285,7 @@ def action_from_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     return ActionSpec(matrices=extend_to_full_algebra(spec).full_basis)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     rstype: RootSystemType
     weight: tuple
     expected_modality: int
@@ -364,8 +367,7 @@ def lookup_expected_modality(rstype, weight):
     return None
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     entry: TableEntry
     dim_v: int
     computed: int | None       # None when skipped
@@ -394,8 +396,7 @@ def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
 # ---------------------------------------------------------------------------
 # copies of the natural module: the standard counterexample family
 
-@dataclass(frozen=True)
-class ExmoReport:
+class ExmoReport(NamedTuple):
     n: int
     d: int
     space_dim: int

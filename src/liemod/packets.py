@@ -14,12 +14,13 @@ using only squarefree decomposition and exact rank profiles.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from . import cells, linalg
 from .modality import (
@@ -65,19 +66,20 @@ def gl_centralizer_dim(mu):
     return sum(c * c for c in conjugate_partition(mu))
 
 
-@dataclass(frozen=True)
-class JordanTypeA:
+class JordanTypeA(namedtuple("JordanTypeA", "block_data")):
     """Multiset of (eigenvalue multiplicity, Jordan partition) pairs."""
 
-    block_data: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        data = tuple(sorted(((int(s), tuple(p)) for s, p in self.block_data),
+    def __new__(cls, block_data):
+        data = tuple(sorted(((int(s), tuple(p)) for s, p in block_data),
                             key=lambda bp: (-bp[0], bp[1])))
-        object.__setattr__(self, "block_data", data)
         for size, part in data:
             if sum(part) != size:
                 raise ValueError("partition does not sum to its block size")
+        return super().__new__(cls, data)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
     @property
     def n(self):
@@ -92,8 +94,7 @@ class JordanTypeA:
         return " | ".join(f"{s}:{list(p)}" for s, p in self.block_data)
 
 
-@dataclass(frozen=True)
-class PacketDescriptor:
+class PacketDescriptor(NamedTuple):
     n: int
     jordan_type: JordanTypeA
     cell: cells.Cell
@@ -326,15 +327,13 @@ _HAND_SHEETS = {
 }
 
 
-@dataclass(frozen=True)
-class SheetCheck:
+class SheetCheck(NamedTuple):
     sheet: tuple
     matched_packet: str
     point_orbit_dims_constant: bool
 
 
-@dataclass(frozen=True)
-class SanityReport:
+class SanityReport(NamedTuple):
     n: int
     samples: int
     seed: int

@@ -14,7 +14,7 @@ the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 ``alpha_i - cartan[i][j] * alpha_j``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -26,8 +26,7 @@ _RANK_FLOORS = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
 _RANK_CEILS = {"E": 8, "F": 4, "G": 2}
 
 
-@dataclass(frozen=True, order=True)
-class RootSystemType:
+class RootSystemType(namedtuple("RootSystemType", "family rank")):
     """A simple type label: family letter plus rank.
 
     Rank conventions: A needs rank >= 1, C >= 2, D >= 4, E in 6..8,
@@ -36,16 +35,18 @@ class RootSystemType:
     distinct (transposed) Cartan data.
     """
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _RANK_FLOORS:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < _RANK_FLOORS[self.family]:
-            raise ValueError(f"rank {self.rank} too small for type {self.family}")
-        if self.rank > _RANK_CEILS.get(self.family, 10 ** 9):
-            raise ValueError(f"rank {self.rank} too large for type {self.family}")
+    def __new__(cls, family, rank):
+        if family not in _RANK_FLOORS:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < _RANK_FLOORS[family]:
+            raise ValueError(f"rank {rank} too small for type {family}")
+        if rank > _RANK_CEILS.get(family, 10 ** 9):
+            raise ValueError(f"rank {rank} too large for type {family}")
+        return super().__new__(cls, family, rank)
+
+    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
     @property
     def name(self):

@@ -1,9 +1,9 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -154,8 +154,8 @@ def test_exmo_regular_sheet_orbit_dim_is_sampled(capsys, monkeypatch):
 
     def short_sample(*args, **kwargs):
         rep = check(*args, **kwargs)
-        return dataclasses.replace(rep, sampling=dataclasses.replace(
-            rep.sampling, generic_orbit_dim=rep.space_dim - 1,
+        return rep._replace(sampling=rep.sampling._replace(
+            generic_orbit_dim=rep.space_dim - 1,
             codimension=1))
 
     monkeypatch.setattr(modality, "sum_of_copies_check", short_sample)
@@ -329,6 +329,30 @@ def test_reports_match_golden_digests(command, digest, capsys, monkeypatch):
     code, report = run_json(capsys, [*command.split(), "--seed", "2024"])
     assert code == 0
     text = json.dumps(strip_volatile(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of a command's --format csv output with its time_ms cells blanked.
+# _csv_cell writes any tuple as a JSON list, so these also pin that no
+# record reaches a report.
+_GOLDEN_CSV = [
+    ("tables verify --list m1",
+     "331a809d38fe4b9d0a14b471e7e65ed98c61e7fce5edf1f259d17f52fd079f8a"),
+    ("grading rank --type A2 --m inf --labels 1,0",
+     "c46452add4add4ace6e242e1dca12a04a2fd067ebef9b001535f311cc3343f8a"),
+]
+# time_ms is the unquoted cell before the last one, note, always quoted
+_TIME_MS_CELL = re.compile(r',[^,"\r\n]*(,"(?:[^"]|"")*"\r?)$', re.M)
+
+
+@pytest.mark.parametrize("command,digest", _GOLDEN_CSV,
+                         ids=[c for c, _ in _GOLDEN_CSV])
+def test_csv_reports_match_golden_digests(command, digest, capsys,
+                                          monkeypatch):
+    monkeypatch.delenv("MODALITY_SEED", raising=False)
+    code = cli.main([*command.split(), "--seed", "2024", "--format", "csv"])
+    assert code == 0
+    text = _TIME_MS_CELL.sub(r",\1", capsys.readouterr().out)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

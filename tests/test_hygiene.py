@@ -3,10 +3,14 @@
 a rewrite leaves no stale import behind.  Every private helper has a
 caller, so a rewrite leaves no dead helper behind either.  Every unbounded
 cache is keyed by a small, fixed domain, so a sweep over modules cannot grow
-it."""
+it.  No module imports ``dataclasses``, which would cost every command its
+start-up time."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -115,3 +119,28 @@ def test_unbounded_caches_are_allowlisted():
         f"unbounded caches with no stated key domain: {unlisted}"
     stale = sorted(UNBOUNDED_CACHES.keys() - found)
     assert not stale, f"allowlisted caches that are gone or bounded: {stale}"
+
+
+def test_no_module_imports_dataclasses():
+    found = sorted(
+        f"{name}.py line {node.lineno}"
+        for name in MODULES for node in ast.walk(_tree(name))
+        if (isinstance(node, ast.Import) and any(
+                a.name.partition(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").partition(".")[0] == "dataclasses"))
+    assert not found, f"dataclasses imported at: {found}"
+
+
+def test_commands_start_without_dataclasses_or_inspect():
+    # both cost start-up time in every command: dataclasses pulls in
+    # inspect, and each decorated class execs its generated methods
+    script = ("import sys\n"
+              "from liemod import cells, cli, graded, packets\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

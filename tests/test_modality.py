@@ -2,7 +2,6 @@
 
 import inspect
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -235,7 +234,7 @@ def _expanded_lookup(rstype, weight):
     candidates = build_root_system(rstype).diagram_orbit(weight)
     for entry in mo.table_entries("all", rank_cutoff=rstype.rank):
         if entry.rstype == rstype and entry.weight in candidates:
-            return replace(entry, weight=weight)
+            return entry._replace(weight=weight)
     return None
 
 

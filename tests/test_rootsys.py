@@ -233,3 +233,10 @@ def test_raised_roots_match_the_all_roots_reference(family, rank):
     assert rs.positive_roots == _reference_positive_roots(rs)
     assert rs.positive_coroots == tuple(
         _reference_coroot(rs, beta) for beta in rs.positive_roots)
+
+
+def test_types_sort_by_family_then_rank():
+    types = [RootSystemType(f, r) for f, r in REFERENCE_TYPES]
+    by_fields = sorted(types, key=lambda t: (t.family, t.rank))
+    assert sorted(types[::-1]) == by_fields
+    assert RootSystemType("A", 9) < RootSystemType("B", 2)
