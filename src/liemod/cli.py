@@ -169,6 +169,9 @@ def _cmd_grading_rank(args):
     except ValueError:
         raise ValueError("--m: expected an integer or 'inf', "
                          f"got {args.m!r}") from None
+    if m is not None and m < 1:
+        raise ValueError("--m: expected a positive integer or 'inf', "
+                         f"got {args.m!r}")
     spec = graded.GradingSpec(rstype, m, _parse_ints("--labels", args.labels))
     ga = graded.build_grading(spec)
     report = modality.generic_orbit_dim(

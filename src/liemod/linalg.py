@@ -27,10 +27,14 @@ every answer is exact.
 
 Three kernels work over a finite field F_p and certify a fact over Q.
 ``rank_mod_p`` is exact over F_p and a lower bound over Q; orbit-dimension
-sampling uses it.  ``char_poly_mod_p`` reduces a characteristic polynomial
-mod p, and when ``is_squarefree_mod_p`` finds it squarefree there it is
-squarefree over Q too, so the matrix is semisimple; a False answer proves
-nothing, and callers then take the exact path.
+sampling uses it.  It packs each row into one Python int, an entry per
+slot of 2 b + l + 1 bits rounded up to whole bytes (b and l the bit
+lengths of p and of the smaller side), which no slot outgrows before it
+is read, so one big-int multiply-add eliminates a whole row.
+``char_poly_mod_p`` reduces a characteristic polynomial mod p, and when
+``is_squarefree_mod_p`` finds it squarefree there it is squarefree over Q
+too, so the matrix is semisimple; a False answer proves nothing, and
+callers then take the exact path.
 ``char_poly_is_squarefree_mod_p`` runs the two on a rational matrix.
 """
 
@@ -349,34 +353,54 @@ def rank_mod_p(rows, ncols, p):
     """Rank over F_p, for a prime ``p``, of a matrix given as ``ncols``-long
     lists of Python ints.
 
-    Gaussian elimination that skips the rows already zero in the pivot
-    column and updates only the tail of each row, right of the pivot.  The
-    rows below a pivot are reduced mod p only where they are read, so each
-    update adds less than ``p**2`` to an entry.  A minor that is
-    nonzero mod p is nonzero over Q, so the rank mod p of an integer
-    matrix is at most its rank r over Q.  It is lower exactly when p
+    A minor that is nonzero mod p is nonzero over Q, so the rank mod p of an
+    integer matrix is at most its rank r over Q.  It is lower exactly when p
     divides every r x r minor, as in ``[[p, 0], [0, 1]]``.
+
+    Gaussian elimination on packed rows.  Each row is one nonnegative
+    Python int holding its entries in slots of ``w`` bits, column ``j`` in
+    bits ``[j w, (j + 1) w)``, so one big-int multiply-add updates a whole
+    row.  Entries are reduced mod p once, when packed.  At each column
+    every row drops its low slot (``row >> w``) after that slot is read mod
+    p; the pivot row's tail alone is unpacked, scaled by the pivot's
+    inverse, reduced and packed again, and every other row adds
+    ``(-f % p) * tail``, ``f`` its low slot.  Each update adds at most
+    ``(p - 1)**2`` to a slot and a row is updated at most
+    ``L = min(rows, cols)`` times, so every slot stays nonnegative and
+    below ``p + L (p - 1)**2 < 2**(2 b + l + 1)``, with ``b`` and ``l``
+    the bit lengths of p and L: at ``w = 2 b + l + 1`` rounded up to whole
+    bytes no carry ever crosses a slot.  Rows are packed along the shorter
+    side: a wide matrix is ranked as its transpose, which has the same rank.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
+    if ncols > len(rows):
+        rows, ncols = list(zip(*rows)), len(rows)
+    nbytes = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 8) // 8
+    w = 8 * nbytes
+    low = (1 << w) - 1
+
+    def pack(values):
+        return int.from_bytes(
+            b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+
+    active = [r for r in (pack([v % p for v in row]) for row in rows) if r]
     rk = 0
-    for c in range(ncols):
-        pivot_row = next((r for r in range(rk, nrows) if rows[r][c] % p),
-                         None)
-        if pivot_row is None:
-            continue
-        rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
-        top = rows[rk]
-        inv = pow(top[c], -1, p)
-        tail = [v * inv % p for v in top[c + 1:]]
-        for rr in rows[rk + 1:]:
-            f = rr[c] % p
-            if f:
-                f = p - f
-                rr[c + 1:] = [v + f * t for v, t in zip(rr[c + 1:], tail)]
-        rk += 1
-        if rk == nrows:
+    for rest in range(ncols - 1, -1, -1):
+        if not active:
             break
+        for i, r in enumerate(active):
+            if (r & low) % p:
+                break
+        else:
+            active = [r >> w for r in active]
+            continue
+        top = active.pop(i)
+        inv = pow(top & low, -1, p)
+        digits = (top >> w).to_bytes(nbytes * rest, "little")
+        tail = pack([int.from_bytes(digits[j:j + nbytes], "little") * inv % p
+                     for j in range(0, len(digits), nbytes)])
+        active = [r for r in [(r >> w) + (-(r & low) % p) * tail
+                              for r in active] if r]
+        rk += 1
     return rk
 
 

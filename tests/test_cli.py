@@ -240,6 +240,16 @@ def test_unparsable_option_names_the_option(argv, message, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_grading_rank_m_must_be_positive(m, capsys, monkeypatch):
+    # the CLI spells the integer grading 'inf', which GradingSpec calls None
+    monkeypatch.delenv("MODALITY_SEED", raising=False)
+    argv = ["grading", "rank", "--type", "A2", "--m", m, "--labels", "1,0"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --m: expected a positive integer or 'inf', got {m!r}\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "", "-3", "1.5"])
 def test_bad_env_seed_names_the_variable(value, capsys, monkeypatch):
     monkeypatch.setenv("MODALITY_SEED", value)
@@ -319,6 +329,11 @@ _GOLDEN_REPORTS = [
      "66478c8fba6f7902216c46035e01afe40cad15e2edc5e920f5538cef473d0039"),
     ("grading rank --type A2 --m inf --labels 0,0",
      "e814b244367766a1880fc0bd08772c0303d67d0a865df7d1d0374a24cb89c00d"),
+    # the largest orbit matrices: E7 omega7 (56 x 133), E8 adjoint (248 x 248)
+    ("rep modality --type E7 --weight 0,0,0,0,0,0,1",
+     "149e4862ac12d29e11875a0281c86d5496768de65b2240ce1a2617ecaf54ef99"),
+    ("rep modality --type E8 --weight 0,0,0,0,0,0,0,1",
+     "34cfd7e280c10bb99d60f5954e94d2aa8c81d4f85f701db64e8b09994313078e"),
 ]
 
 

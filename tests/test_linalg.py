@@ -10,7 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liemod import linalg
+from liemod import linalg, modality
+from liemod.hwmod import IrrepSpec
+from liemod.rootsys import RootSystemType
 
 
 def oracle_rank(rows):
@@ -99,6 +101,94 @@ def test_rank_mod_p_is_at_most_the_rank_over_q():
     assert linalg.rank_mod_p([], 3, p) == 0
     # entries beyond p and negative entries are read mod p
     assert linalg.rank_mod_p([[p + 1, 2], [-1, -2]], 2, p) == 1
+
+
+def _row_list_rank_mod_p(rows, ncols, p):
+    """``linalg.rank_mod_p`` as it was before packed rows: a list of Python
+    ints per row, the tail right of each pivot updated entry by entry."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    rk = 0
+    for c in range(ncols):
+        pivot_row = next((r for r in range(rk, nrows) if rows[r][c] % p),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+        top = rows[rk]
+        inv = pow(top[c], -1, p)
+        tail = [v * inv % p for v in top[c + 1:]]
+        for rr in rows[rk + 1:]:
+            f = rr[c] % p
+            if f:
+                f = p - f
+                rr[c + 1:] = [v + f * t for v, t in zip(rr[c + 1:], tail)]
+        rk += 1
+        if rk == nrows:
+            break
+    return rk
+
+
+def _product(a, b, ncols):
+    return [[sum(r[t] * b[t][j] for t in range(len(b))) for j in range(ncols)]
+            for r in a]
+
+
+@pytest.mark.parametrize("p", [MERSENNE_61, 5, 3])
+def test_packed_rank_mod_p_matches_row_list_reference(p):
+    # low-rank products, tall and wide, with entries beyond p**2 in size
+    rng = random.Random(p)
+    shapes = [(70, 140), (140, 70)] + [
+        (rng.randint(1, 40), rng.randint(1, 40)) for _ in range(10)]
+    for nr, nc in shapes:
+        k = rng.randint(0, min(nr, nc))
+        a = [[rng.randint(-p, p) for _ in range(k)] for _ in range(nr)]
+        b = [[rng.randint(-p * p, p * p) for _ in range(nc)]
+             for _ in range(k)]
+        rows = _product(a, b, nc)
+        assert any(abs(x) > p * p for r in rows for x in r) or k == 0
+        before = [list(r) for r in rows]
+        got = linalg.rank_mod_p(rows, nc, p)
+        assert got == _row_list_rank_mod_p(rows, nc, p), (nr, nc, k)
+        assert rows == before
+
+
+@pytest.mark.parametrize("p", [MERSENNE_61, 5, 3])
+@pytest.mark.parametrize("short", [0, 1])
+def test_packed_rank_mod_p_at_the_slot_bound(p, short):
+    # L U with unit pivots, -1 right of each pivot and every multiplier 1:
+    # each row past the pivots is updated at every pivot by (p - 1) times
+    # a tail of p - 1, the most an update can add to a slot.  With one
+    # pivot short of min(rows, cols), a carry across slots would leave
+    # nonzero residues and raise the rank.
+    nr, nc = 140, 70
+    r = nc - short
+    lower = [[int(i >= k) for k in range(r)] for i in range(nr)]
+    upper = [[(j == k) - (j > k) for j in range(nc)] for k in range(r)]
+    rows = _product(lower, upper, nc)
+    cols = [list(c) for c in zip(*rows)]
+    assert linalg.rank_mod_p(rows, nc, p) == r == _row_list_rank_mod_p(
+        rows, nc, p)
+    assert linalg.rank_mod_p(cols, nr, p) == r == _row_list_rank_mod_p(
+        cols, nr, p)
+
+
+@pytest.mark.parametrize("name,weight", [
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ("D7", (0, 0, 0, 0, 0, 0, 1)),
+    ("B6", (0, 0, 0, 0, 0, 1)),
+])
+def test_packed_rank_mod_p_on_orbit_matrices(name, weight):
+    # the largest orbit matrices of the tables, at the point
+    # generic_orbit_dim samples first
+    action = modality.action_from_module(
+        IrrepSpec(RootSystemType.parse(name), weight))
+    rng = random.Random(modality.DEFAULT_SEED)
+    v = [rng.randrange(modality.PRIME) for _ in range(action.space_dim)]
+    rows = modality._orbit_rows(action, v)
+    p = modality.PRIME
+    assert (linalg.rank_mod_p(rows, action.algebra_dim, p)
+            == _row_list_rank_mod_p(rows, action.algebra_dim, p))
 
 
 def test_rank_rectangular_and_degenerate():
