@@ -192,13 +192,12 @@ class StructureConstants:
 
     def bracket_coords(self, u, v):
         out = [0] * self.dim
+        v_nonzeros = [(b, cb) for b, cb in enumerate(v) if cb]
         for a, ca in enumerate(u):
             if not ca:
                 continue
             row = self.bracket[a]
-            for b, cb in enumerate(v):
-                if not cb:
-                    continue
+            for b, cb in v_nonzeros:
                 for c, s in row[b].items():
                     out[c] += ca * cb * s
         return out
@@ -276,7 +275,8 @@ def build_grading(spec):
     """Assemble the graded algebra for a label vector.
 
     Verifies bracket degree additivity on every pair of basis elements, so a
-    wrong degree map cannot survive construction.
+    wrong degree map cannot survive construction: it raises
+    ``AssertionError``, under ``python -O`` too.
     """
     sc = structure_constants(spec.rstype)
     degs = tuple(0 if root is None else spec.degree_of_root(root)
@@ -293,8 +293,9 @@ def build_grading(spec):
             if spec.m is not None:
                 target %= spec.m
             for c in sc.bracket[a][b]:
-                assert degs[c] == target, \
-                    f"bracket breaks grading: [{a},{b}] hits degree {degs[c]}"
+                if degs[c] != target:
+                    raise AssertionError(f"bracket breaks grading: [{a},{b}] "
+                                         f"hits degree {degs[c]}")
 
     one = 1 % spec.m if spec.m is not None else 1
     g0 = components.get(0, ())
@@ -364,6 +365,9 @@ def decompose_graded_element(ga, coords):
     through the verified expansion; faithful representations preserve the
     decomposition, so the pullback always succeeds.
     """
+    # ints where integral, so neither the matrix nor c - s below does
+    # Fraction arithmetic on integral Fraction inputs
+    coords = [integral(c) for c in coords]
     mat = ga.sc.element_matrix(coords)
     pair = jordan_chevalley(mat)
     s_coords = ga.sc.expand_matrix(pair.semisimple_part)
@@ -391,19 +395,27 @@ def _combine(coeffs, vectors):
     return [x // g for x in out] if g > 1 else out
 
 
+def _centralizer_slice(sc, s, slice_basis):
+    """A basis of the elements of the slice's span that commute with s:
+    primitive integer combinations of the slice basis."""
+    s = linalg.clear_denominators(s)
+    images = [sc.bracket_coords(s, v) for v in slice_basis]
+    rows = [linalg.clear_denominators(row) for row in zip(*images)
+            if any(row)]
+    kernel = linalg.integer_kernel(rows, len(slice_basis))
+    return [_combine(k, slice_basis) for k in kernel]
+
+
 def cartan_subspace(ga, seed=DEFAULT_SEED):
     """A commuting family of semisimple degree-one elements.
 
-    Iterates: sample in the current centralizer slice of the degree-one
-    part, keep the semisimple part of the sample when it adds a new
-    direction, cut the slice down to its centralizer, repeat.  Stops when
-    eight samples, from the integer boxes [-(3+2k), 3+2k] for k = 0..7,
-    yield nothing new, or at once when the slice is spanned by the family
-    found.  The family's size is therefore a lower bound on the dimension
-    of a Cartan subspace, which a sample that happens to fall on a special
-    element can understate; unlike ``rank_of_grading`` it comes with no
-    stated miss bound, and the second stop does not change that.  Returns
-    full-basis coordinate vectors.
+    Starts from the Cartan generators that have degree one, then iterates:
+    sample in the current centralizer slice of the degree-one part, keep
+    the semisimple part of the sample when it adds a new direction, cut
+    the slice down to its centralizer, repeat.  Stops when eight samples,
+    from the integer boxes [-(3+2k), 3+2k] for k = 0..7, yield nothing
+    new, or at once when the slice is spanned by the family found.
+    Returns full-basis coordinate vectors.
 
     The second stop is exact.  A semisimple part s of a sample x is a
     polynomial in x, so it commutes with everything x commutes with: s
@@ -414,6 +426,22 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     span.  The eight samples the first stop would draw there add nothing,
     and since the random generator is local to the call, skipping them
     leaves the returned vectors unchanged.
+
+    The seeds make m = 1 exact.  The Cartan generators lie in degree
+    zero, so they have degree one only when m = 1, where g_1 is the whole
+    algebra; then all r of them are seeds, and for every other grading
+    none is.  They are semisimple and commute, since ad h is diagonal in
+    the root-space basis, and each cuts the slice down to its centralizer
+    by the same step as a sampled element.  A root vector x_beta commutes
+    with every h_i only if <beta, alpha_i^vee> = 0 for all i, which no
+    root satisfies, so after the seeds the slice is the span of the
+    Cartan subalgebra and the second stop ends the loop before any sample
+    is drawn: the family is the r Cartan unit vectors, made with no
+    Jordan decomposition, and its size is the rank.  For every other
+    grading the family's size is a lower bound on the dimension of a
+    Cartan subspace, which a sample that happens to fall on a special
+    element can understate; unlike ``rank_of_grading`` it comes with no
+    stated miss bound.
 
     The slice is spanned by primitive integer vectors: each kernel vector
     is divided by the gcd of its entries, which keeps the samples and
@@ -427,6 +455,11 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     slice_basis = [[int(i == idx) for i in range(ga.dim)]
                    for idx in ga.g1_indices]
     found = []
+    for idx in ga.g1_indices:
+        if ga.sc.root_of_index[idx] is None:
+            h = tuple(int(i == idx) for i in range(ga.dim))
+            found.append(h)
+            slice_basis = _centralizer_slice(ga.sc, h, slice_basis)
     while len(slice_basis) > len(found):
         for attempt in range(8):
             box = 3 + 2 * attempt
@@ -438,13 +471,7 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
             if not any(s) or _in_span(found, s):
                 continue
             found.append(tuple(s))
-            # restrict the slice to the centralizer of the new element
-            s = linalg.clear_denominators(s)
-            images = [ga.sc.bracket_coords(s, v) for v in slice_basis]
-            rows = [linalg.clear_denominators(row) for row in zip(*images)
-                    if any(row)]
-            kernel = linalg.integer_kernel(rows, len(slice_basis))
-            slice_basis = [_combine(k, slice_basis) for k in kernel]
+            slice_basis = _centralizer_slice(ga.sc, s, slice_basis)
             break
         else:
             break

@@ -110,6 +110,17 @@ def test_grading_rank(capsys):
     assert item["match"] is True
 
 
+def test_grading_rank_e7_adjoint(capsys):
+    # m = 1: the Cartan subalgebra is the commuting semisimple family
+    code, report = run_json(
+        capsys, ["grading", "rank", "--type", "E7", "--m", "1",
+                 "--labels", "0,0,0,0,0,0,0"])
+    assert code == 0
+    item = report["items"][0]
+    assert item["computed"] == {"rank": 7, "cartan_subspace_dim": 7}
+    assert item["match"] is True
+
+
 def test_grading_rank_integer_grading(capsys):
     code, report = run_json(
         capsys, ["grading", "rank", "--type", "A2", "--m", "inf",

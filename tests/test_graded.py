@@ -1,7 +1,10 @@
 """Gradings, structure constants, Jordan decomposition, Cartan subspaces."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +190,27 @@ def test_build_grading_components():
     assert zg.spec.degree_of_root((-1, -1)) == -1
     # Cartan sits in degree zero
     assert all(zg.degree_of_basis[i] == 0 for i in range(2))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_build_grading_rejects_a_degree_map_that_is_not_additive(flags):
+    # python -O strips assert statements; the check must survive it
+    script = (
+        "from liemod import graded as gr\n"
+        "from liemod.rootsys import RootSystemType\n"
+        "spec = gr.GradingSpec(RootSystemType('A', 2), None, (1, 0))\n"
+        "gr.GradingSpec.degree_of_root = lambda self, beta: 1\n"
+        "try:\n"
+        "    gr.build_grading(spec)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("bracket breaks grading")
 
 
 def test_g0_action_matrices_shape():
@@ -489,15 +513,19 @@ def _unbounded_cartan_subspace(ga, seed, counter, decompose):
     return found
 
 
-# criterion 07's gradings (tests/test_acceptance.py) and E6 EII
-STOP_RULE_GRADINGS = (
-    [(f"{f}{r}", 1, (1,) * r) for f, ranks in (
+# criterion 07's gradings (tests/test_acceptance.py): m = 1, all of g in
+# degree one, so the Cartan generators seed the family
+ADJOINT_GRADINGS = [
+    (f"{f}{r}", 1, (1,) * r) for f, ranks in (
         ("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
         ("D", (4,)), ("G", (2,))) for r in ranks]
-    + [("A2", None, (1, 0)), ("A1", 2, (1,)), ("E6", 2, (0, 1, 0, 0, 0, 0))])
+# criterion 07's other two gradings and E6 EII: no Cartan generator has
+# degree one, so the family comes from samples alone
+SAMPLED_GRADINGS = [
+    ("A2", None, (1, 0)), ("A1", 2, (1,)), ("E6", 2, (0, 1, 0, 0, 0, 0))]
 
 
-def test_cartan_subspace_stops_when_the_slice_is_spanned(monkeypatch):
+def _counted_decompositions(monkeypatch):
     calls = [0]
     decompose = gr.decompose_graded_element
 
@@ -506,8 +534,13 @@ def test_cartan_subspace_stops_when_the_slice_is_spanned(monkeypatch):
         return decompose(ga, coords)
 
     monkeypatch.setattr(gr, "decompose_graded_element", counted)
+    return calls, decompose
+
+
+def test_cartan_subspace_stops_when_the_slice_is_spanned(monkeypatch):
+    calls, decompose = _counted_decompositions(monkeypatch)
     reference = [0]
-    for name, m, labels in STOP_RULE_GRADINGS:
+    for name, m, labels in SAMPLED_GRADINGS:
         ga = gr.build_grading(
             gr.GradingSpec(RootSystemType.parse(name), m, labels))
         before = calls[0], reference[0]
@@ -517,6 +550,18 @@ def test_cartan_subspace_stops_when_the_slice_is_spanned(monkeypatch):
         assert got == want, name
         assert calls[0] - before[0] <= reference[0] - before[1], name
     assert calls[0] < reference[0]
+
+
+def test_cartan_subspace_of_an_adjoint_grading_is_the_cartan(monkeypatch):
+    calls, _ = _counted_decompositions(monkeypatch)
+    for name, m, labels in ADJOINT_GRADINGS:
+        rt = RootSystemType.parse(name)
+        ga = gr.build_grading(gr.GradingSpec(rt, m, labels))
+        assert ga.g1_indices == tuple(range(ga.dim))
+        cartan = [tuple(int(i == k) for i in range(ga.dim))
+                  for k in range(rt.rank)]
+        assert gr.cartan_subspace(ga) == cartan, name
+    assert calls[0] == 0
 
 
 def test_killing_gram_a1_and_invariance():
