@@ -57,7 +57,7 @@ __all__ = [
     "GradingSpec", "GradedAlgebra", "JordanPair", "StructureConstants",
     "structure_constants", "build_grading", "rank_of_grading",
     "jordan_chevalley", "decompose_graded_element", "cartan_subspace",
-    "random_homogeneous_element", "killing_gram",
+    "random_homogeneous_element",
 ]
 
 # node of the fundamental weight of the smallest convenient faithful module,
@@ -206,26 +206,6 @@ class StructureConstants:
 @lru_cache(maxsize=None)
 def structure_constants(rstype):
     return StructureConstants(rstype)
-
-
-def killing_gram(rstype):
-    """Trace form of the adjoint representation on the root-space basis."""
-    sc = structure_constants(rstype)
-    n = sc.dim
-    gram = linalg.zeros(n)
-    for a in range(n):
-        for b in range(a, n):
-            total = 0
-            for c in range(n):
-                row = sc.bracket[a][c]
-                if not row:
-                    continue
-                other = sc.bracket[b]
-                for d, s in row.items():
-                    total += s * other[d].get(c, 0)
-            gram[a, b] = total
-            gram[b, a] = total
-    return gram
 
 
 class GradingSpec(namedtuple("GradingSpec", "rstype m labels")):

@@ -21,9 +21,9 @@ int when the division is exact, and ``integral`` turns an integral
 ``Fraction`` back into an int.  Each kernel clears its input's denominators
 once, computes on Python ints, and divides only in its result.  Ranks,
 kernels and solves share one fraction-free (Bareiss) elimination;
-characteristic polynomials come from the Faddeev-LeVerrier recurrence,
-which stays integral on integers.  No floating point is used anywhere, so
-every answer is exact.
+characteristic polynomials come from one Hessenberg recurrence over F_p,
+exact at a prime past twice a bound on their coefficients.  No floating
+point is used anywhere, so every answer is exact.
 
 Three kernels work over a finite field F_p and certify a fact over Q.
 ``rank_mod_p`` is exact over F_p and a lower bound over Q; orbit-dimension
@@ -31,8 +31,9 @@ sampling uses it.  It packs each row into one Python int, an entry per
 slot of 2 b + l + 1 bits rounded up to whole bytes (b and l the bit
 lengths of p and of the smaller side), which no slot outgrows before it
 is read, so one big-int multiply-add eliminates a whole row.
-``char_poly_mod_p`` reduces a characteristic polynomial mod p, and when
-``is_squarefree_mod_p`` finds it squarefree there it is squarefree over Q
+``char_poly_mod_p`` reduces a characteristic polynomial mod p; ``char_poly``
+runs it at a prime large enough to be exact.  When
+``is_squarefree_mod_p`` finds it squarefree mod p it is squarefree over Q
 too, so the matrix is semisimple; a False answer proves nothing, and
 callers then take the exact path.
 ``char_poly_is_squarefree_mod_p`` runs the two on a rational matrix.
@@ -40,7 +41,7 @@ callers then take the exact path.
 
 from fractions import Fraction
 from itertools import compress, zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
 __all__ = [
@@ -49,9 +50,9 @@ __all__ = [
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
     "solve_square", "inverse", "char_poly", "char_poly_is_squarefree_mod_p",
-    "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_mul",
-    "poly_divmod", "poly_derivative", "poly_gcd", "poly_eval",
-    "poly_eval_matrix", "squarefree_part", "squarefree_decomposition",
+    "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_divmod",
+    "poly_derivative", "poly_gcd", "poly_eval_matrix", "squarefree_part",
+    "squarefree_decomposition",
 ]
 
 
@@ -156,7 +157,8 @@ class Matrix:
     __hash__ = None
 
     def _zip(self, op, other):
-        assert self.shape == other.shape, "shape mismatch"
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
         return Matrix([list(map(op, r, s)) for r, s in zip(self, other)],
                       self.shape[1])
 
@@ -198,7 +200,8 @@ def rmat(rows):
     """Build an exact matrix from an iterable of rows."""
     data = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
             for row in rows]
-    assert all(len(row) == len(data[0]) for row in data), "ragged rows"
+    if any(len(row) != len(data[0]) for row in data):
+        raise ValueError("ragged rows")
     return Matrix(data)
 
 
@@ -464,7 +467,8 @@ def solve_square(a, b):
     n = len(a)
     column = isinstance(b, Vector)
     b = [[x] for x in b] if column else _rows(b)
-    assert len(b) == n and all(len(r) == n for r in a)
+    if len(b) != n or any(len(r) != n for r in a):
+        raise ValueError("shape mismatch")
     aug = [clear_denominators(r + s) for r, s in zip(a, b)]
     width = _width(aug)
     ech, pivots = _bareiss_echelon(aug, width)
@@ -498,24 +502,40 @@ def _int_matmul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def char_poly(m):
-    """Characteristic polynomial det(tI - M), ascending, monic.
+# the exponents e of the Mersenne primes 2^e - 1 from 61 up (OEIS A000043)
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423, 9689, 9941, 11213, 19937)
 
-    Faddeev-LeVerrier recurrence on ``a = den * M``: each coefficient c_k
-    of det(tI - a) is an integer, so the division by k is exact, and the
-    coefficient of t^(n-k) in det(tI - M) is c_k / den^k.
+
+def char_poly(m):
+    """Characteristic polynomial det(tI - M), ascending, monic, in
+    ``Fraction``.
+
+    It is ``char_poly_mod_p`` of ``a = den * M`` at one prime p, lifted.
+    The coefficient c_k of t^(n-k) in det(tI - a) is a signed sum of a's
+    k x k principal minors, and by Hadamard's inequality each such minor is
+    at most the product of its rows' norms, so with r_i the norm of a's
+    row i, |c_k| <= e_k(r_1, ..., r_n) <= prod_i (r_i + 1) <= B =
+    prod_i (isqrt(r_i^2) + 2).  p is the smallest Mersenne prime 2^e - 1
+    of ``_MERSENNE_EXPONENTS`` above 2 B, so each c_k is the one integer of
+    (-p/2, p/2) in its residue class, and since p is prime every pivot of
+    the Hessenberg reduction is invertible.  A B past the last prime raises
+    ValueError.  The coefficient of t^(n-k) in det(tI - M) is c_k / den^k.
     """
     a, den = _integer_square(m)
     n = len(a)
-    coeffs = [1]  # c_k, the coefficient of t^(n-k) in det(tI - a)
-    bk = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        bk = _int_matmul(a, bk)
-        ck = -sum(bk[i][i] for i in range(n)) // k
-        coeffs.append(ck)
-        for i in range(n):
-            bk[i][i] += ck
-    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)][::-1]
+    bound = 1
+    for row in a:
+        bound *= isqrt(sum(v * v for v in row)) + 2
+    p = next((q for q in (2 ** e - 1 for e in _MERSENNE_EXPONENTS)
+              if q > 2 * bound), None)
+    if p is None:
+        raise ValueError(f"characteristic polynomial: a coefficient bound of "
+                         f"{bound.bit_length()} bits is past the largest "
+                         f"tabled prime")
+    half = p // 2
+    return [Fraction(c - p if c > half else c, den ** (n - k))
+            for k, c in enumerate(char_poly_mod_p(a, p))]
 
 
 def _mod_p(v, p):
@@ -532,10 +552,13 @@ def char_poly_mod_p(rows, p):
 
     ``rows`` is a square matrix of ints (or of ``Fraction`` whose
     denominators p does not divide).  Similarity transforms over F_p take
-    it to upper Hessenberg form h, and the characteristic polynomials
+    it to upper Hessenberg form h: at column j each row i > j + 1 loses
+    u_i times row j + 1, which zeroes its entry in column j, and then
+    column j + 1 gains the sum of u_i times column i, the inverse
+    transform, in one pass over the rows.  The characteristic polynomials
     p_k of h's leading k x k blocks then obey
     p_k = (t - h_kk) p_(k-1) - sum_i h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1)
-    (1-based): O(n^3) in all, where Faddeev-LeVerrier would be O(n^4).
+    (1-based): O(n^3) in all.
     """
     h = [[_mod_p(v, p) for v in r] for r in rows]
     n = len(h)
@@ -552,14 +575,17 @@ def char_poly_mod_p(rows, p):
                 r[piv], r[k] = r[k], r[piv]
         inv = pow(h[k][j], -1, p)
         top = h[k]
+        us = []
         for i in range(k + 1, n):
             u = h[i][j] * inv % p
-            if not u:
-                continue
-            # row i -= u row k, then column k += u column i
-            h[i] = [(v - u * t) % p for v, t in zip(h[i], top)]
+            if u:
+                # row i -= u row k
+                h[i] = [(v - u * t) % p for v, t in zip(h[i], top)]
+                us.append((i, u))
+        if us:
+            # then column k += u column i for each such i, in one pass
             for r in h:
-                r[k] = (r[k] + u * r[i]) % p
+                r[k] = (r[k] + sum([u * r[i] for i, u in us])) % p
     polys = [[1]]  # polys[k] is p_k, ascending
     for k in range(n):
         nxt = [0] + polys[k]
@@ -654,17 +680,6 @@ def poly_scale(p, c):
     return poly_normalize([c * x for x in p])
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_normalize(out)
-
-
 def poly_divmod(p, q):
     """Exact division with remainder over the rationals."""
     q = poly_normalize(q)
@@ -724,13 +739,6 @@ def poly_gcd(p, q):
         return []
     lead = Fraction(a[-1])
     return [Fraction(x) / lead for x in a]
-
-
-def poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_eval_matrix(p, m):

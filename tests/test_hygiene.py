@@ -1,10 +1,11 @@
 """Every name a liemod module imports is used there or listed in its
 ``__all__``, and every name its ``__all__`` lists exists on the module, so
 a rewrite leaves no stale import behind.  Every private helper has a
-caller, so a rewrite leaves no dead helper behind either.  Every unbounded
-cache is keyed by a small, fixed domain, so a sweep over modules cannot grow
-it.  No module imports ``dataclasses``, which would cost every command its
-start-up time."""
+caller, so a rewrite leaves no dead helper behind either, and every exported
+name is read outside the tests, so no public function lives on for its tests
+alone.  Every unbounded cache is keyed by a small, fixed domain, so a sweep
+over modules cannot grow it.  No module imports ``dataclasses``, which would
+cost every command its start-up time."""
 
 import ast
 import importlib
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "liemod"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "liemod"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -82,6 +84,47 @@ def test_every_private_helper_has_a_caller():
         # a function calling itself is not a caller
         and referenced[node.name] == _referenced_names(node)[node.name])
     assert not dead, f"private helpers nothing in liemod calls: {dead}"
+
+
+def _definition(tree, name):
+    """The top-level statement of ``tree`` that binds ``name``."""
+    for node in tree.body:
+        if getattr(node, "name", None) == name or any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in getattr(node, "targets", ())):
+            return node
+    return None
+
+
+# exported names nothing outside tests/ reads yet, and why each stays
+UNREAD_EXPORTS = {
+    "cells.sample_point_in_cell": "ROADMAP item 4 is its caller",
+}
+
+
+def test_every_exported_name_is_read_outside_tests():
+    trees = {name: _tree(name) for name in MODULES}
+    refs = {name: _referenced_names(tree) for name, tree in trees.items()}
+    outside = sum((_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+                   for d in ("demos", "perfbench")
+                   for p in (ROOT / d).glob("*.py")), Counter())
+    package_exports = set(_declared_all(trees["__init__"]))
+    unread = set()
+    for name, tree in trees.items():
+        if name == "__init__":
+            continue
+        for export in _declared_all(tree):
+            node = _definition(tree, export)
+            own = refs[name][export] - (
+                _referenced_names(node)[export] if node else 0)
+            others = sum(r[export] for m, r in refs.items() if m != name)
+            if not (own or others or outside[export]
+                    or export in package_exports):
+                unread.add(f"{name}.{export}")
+    unlisted = sorted(unread - UNREAD_EXPORTS.keys())
+    assert not unlisted, f"exported names only tests read: {unlisted}"
+    stale = sorted(UNREAD_EXPORTS.keys() - unread)
+    assert not stale, f"allowlisted names that are gone or now read: {stale}"
 
 
 # each unbounded cache and the domain of its keys; a cache keyed by modules

@@ -2,14 +2,22 @@
 
 The oracle here is an independent plain-list Gaussian elimination over
 Fraction, written without reference to the implementation under test.
+Characteristic polynomials are checked against the Faddeev-LeVerrier
+recurrence, over Fraction and, for large matrices, over the integers.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt, lcm, prod
+from operator import mul
 
 import numpy as np
 import pytest
 
+from liemod import graded as gr
 from liemod import linalg, modality
 from liemod.hwmod import IrrepSpec
 from liemod.rootsys import RootSystemType
@@ -46,6 +54,26 @@ def poly_eval_dense(coeffs, m):
         for i in range(n):
             out[i, i] += c
     return out
+
+
+def poly_mul(p, q):
+    """Product of two polynomials, ascending and normalized."""
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return linalg.poly_normalize(out)
+
+
+def poly_eval(p, x):
+    """A polynomial's value at a number, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def test_rank_example():
@@ -256,18 +284,17 @@ def test_poly_divmod_and_gcd():
     b = [Fraction(-1), Fraction(1)]
     q, r = linalg.poly_divmod(a, b)
     assert r == [] or all(c == 0 for c in r)
-    assert linalg.poly_normalize(linalg.poly_mul(q, b)) == a
+    assert linalg.poly_normalize(poly_mul(q, b)) == a
     g = linalg.poly_gcd(a, [Fraction(-2), Fraction(1)])
     assert linalg.poly_degree(g) == 1
-    assert linalg.poly_eval(g, Fraction(2)) == 0
+    assert poly_eval(g, Fraction(2)) == 0
 
 
 def test_squarefree_decomposition():
     # t^2 (t-1)^3
     t = [Fraction(0), Fraction(1)]
     tm1 = [Fraction(-1), Fraction(1)]
-    p = linalg.poly_mul(linalg.poly_mul(t, t),
-                        linalg.poly_mul(tm1, linalg.poly_mul(tm1, tm1)))
+    p = poly_mul(poly_mul(t, t), poly_mul(tm1, poly_mul(tm1, tm1)))
     dec = linalg.squarefree_decomposition(p)
     dec = [(tuple(f), e) for f, e in dec if linalg.poly_degree(f) > 0]
     assert (tuple(t), 2) in dec
@@ -283,14 +310,14 @@ def test_squarefree_properties_random():
         roots = [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
         p = [Fraction(1)]
         for r0 in roots:
-            p = linalg.poly_mul(p, [Fraction(-r0), Fraction(1)])
+            p = poly_mul(p, [Fraction(-r0), Fraction(1)])
         sf = linalg.squarefree_part(p)
         # squarefree part divides p and has the distinct roots
         _, rem = linalg.poly_divmod(p, sf)
         assert rem == [] or all(c == 0 for c in rem)
         assert linalg.poly_degree(sf) == len(set(roots))
         for r0 in set(roots):
-            assert linalg.poly_eval(sf, Fraction(r0)) == 0
+            assert poly_eval(sf, Fraction(r0)) == 0
 
 
 def reference_char_poly(rows):
@@ -309,6 +336,38 @@ def reference_char_poly(rows):
     return list(reversed(coeffs))
 
 
+def integer_square(m):
+    """Integer rows ``a`` and the least positive int ``den`` with
+    ``m = a / den``."""
+    rows = [[Fraction(v) for v in r] for r in m]
+    den = lcm(*(v.denominator for r in rows for v in r))
+    return [[int(v * den) for v in r] for r in rows], den
+
+
+def integer_reference_char_poly(m):
+    """Faddeev-LeVerrier on ``a = den * M`` over the integers, ascending,
+    monic: each coefficient c_k of det(tI - a) is an integer, so the
+    division by k is exact, and the coefficient of t^(n-k) in det(tI - M)
+    is c_k / den^k.  O(n^4) on plain lists."""
+    a, den = integer_square(m)
+    n = len(a)
+    coeffs = [1]  # c_k, the coefficient of t^(n-k) in det(tI - a)
+    bk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*bk))
+        bk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        ck = -sum(bk[i][i] for i in range(n)) // k
+        coeffs.append(ck)
+        for i in range(n):
+            bk[i][i] += ck
+    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)][::-1]
+
+
+def row_norm_bound(rows):
+    """``char_poly``'s bound B on the coefficients of an integer matrix."""
+    return prod(isqrt(sum(v * v for v in r)) + 2 for r in rows)
+
+
 def mixed_denominator_matrix(rng, n):
     return [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6)))
              for _ in range(n)] for _ in range(n)]
@@ -320,7 +379,81 @@ def test_char_poly_mixed_denominators_matches_reference():
         rows = mixed_denominator_matrix(rng, rng.randint(1, 6))
         p = linalg.char_poly(linalg.rmat(rows))
         assert p == reference_char_poly(rows)
+        assert p == integer_reference_char_poly(rows)
         assert all(isinstance(c, Fraction) for c in p)
+
+
+def test_char_poly_of_empty_scalar_and_zero_matrices():
+    cases = [(linalg.zeros(0), [1]), ([[7]], [-7, 1]),
+             (linalg.rmat([[Fraction(-3, 2)]]), [Fraction(3, 2), 1])]
+    cases += [(linalg.zeros(n), [0] * n + [1]) for n in (1, 2, 5)]
+    for m, want in cases:
+        got = linalg.char_poly(m)
+        assert got == want == integer_reference_char_poly(m)
+        assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("size", [6, 2**50])
+@pytest.mark.parametrize("name,labels", [("F4", (1, 0, 0, 0)),         # FI
+                                         ("E6", (0, 1, 0, 0, 0, 0))])  # EII
+def test_char_poly_of_exceptional_elements_matches_reference(
+        name, labels, size):
+    ga = gr.build_grading(
+        gr.GradingSpec(RootSystemType.parse(name), 2, labels))
+    rng = random.Random(size)
+    coords = [0] * ga.dim
+    for i in ga.g1_indices:
+        coords[i] = rng.choice((-size, size))
+    x = ga.sc.element_matrix(coords)
+    got = linalg.char_poly(x)
+    assert got == integer_reference_char_poly(x)
+    assert all(type(c) is Fraction for c in got)
+    # the large coefficients need a prime past 2^1279 - 1
+    assert (2 * row_norm_bound(integer_square(x)[0]) > 2**1279) == (size > 6)
+
+
+@pytest.mark.parametrize("e", linalg._MERSENNE_EXPONENTS[:5])
+def test_char_poly_either_side_of_each_prime(e):
+    # the largest scale s with 2 B(s r) < 2^e - 1, the last at which
+    # char_poly computes mod 2^e - 1, and s + 1, the first past it; then
+    # the same with B(s r) < 2^e - 1, where [[s]] has a coefficient near
+    # 2^e that a prime above B alone would not lift
+    rng = random.Random(e)
+    for n in (1, 2, 3):
+        for r in (linalg.eye(n).rows,
+                  [[rng.choice((-1, 1)) * rng.randint(1, 3)
+                    for _ in range(n)] for _ in range(n)]):
+            for factor in (2, 1):
+                lo, hi = 1, 2**e
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    scaled = [[mid * v for v in row] for row in r]
+                    if factor * row_norm_bound(scaled) < 2**e - 1:
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                for s in (lo, lo + 1):
+                    m = [[s * v for v in row] for row in r]
+                    assert linalg.char_poly(m) == \
+                        integer_reference_char_poly(m)
+
+
+def test_mersenne_exponents_give_primes():
+    exponents = linalg._MERSENNE_EXPONENTS
+    assert list(exponents) == sorted(exponents)
+    for e in exponents:
+        if e > 3217:
+            break
+        # Lucas-Lehmer: 2^e - 1 is prime exactly when s_(e-2) = 0
+        m, s = 2**e - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % m
+        assert s == 0, e
+
+
+def test_char_poly_past_the_largest_prime_is_an_error():
+    with pytest.raises(ValueError, match="20001 bits"):
+        linalg.char_poly([[2**20000]])
 
 
 def test_poly_eval_matrix_mixed_denominators_matches_dense():
@@ -457,6 +590,43 @@ def test_product_of_mismatched_shapes_is_an_error():
             a @ b
 
 
+SHAPE_ERRORS = {
+    "ragged rows": lambda: linalg.rmat([[1, 2], [3]]),
+    "sum": lambda: linalg.rmat([[1, 2]]) + linalg.rmat([[1, 2], [3, 4]]),
+    "difference": lambda: linalg.rmat([[1, 2]]) - linalg.eye(2),
+    "solve": lambda: linalg.solve_square(linalg.eye(2),
+                                         linalg.rvec([1, 2, 3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_shape_errors_raise_value_error(case):
+    with pytest.raises(ValueError):
+        SHAPE_ERRORS[case]()
+
+
+def test_shape_errors_survive_python_o():
+    # python -O strips assert statements; the shape checks must survive it
+    script = (
+        "from liemod import linalg\n"
+        "for make in (lambda: linalg.rmat([[1, 2], [3]]),\n"
+        "             lambda: linalg.rmat([[1, 2]]) + linalg.eye(2),\n"
+        "             lambda: linalg.rmat([[1, 2]]) - linalg.eye(2),\n"
+        "             lambda: linalg.solve_square(\n"
+        "                 linalg.eye(2), linalg.rvec([1, 2, 3]))):\n"
+        "    try:\n"
+        "        print('no error:', make())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["ragged rows"] + ["shape mismatch"] * 3
+
+
 def _dense_and_sparse(rows):
     """The same matrix as dense rows and as frozen sparse columns."""
     cols = [{i: r[j] for i, r in enumerate(rows) if r[j]}
@@ -536,7 +706,8 @@ def test_char_poly_mod_p_matches_char_poly_random():
                          for _ in range(n)] for _ in range(n)]
                 for rows in (ints, mixed_denominator_matrix(rng, n)):
                     before = [list(r) for r in rows]
-                    want = [_residue(c, p) for c in linalg.char_poly(rows)]
+                    want = [_residue(c, p)
+                            for c in integer_reference_char_poly(rows)]
                     assert linalg.char_poly_mod_p(rows, p) == want
                     assert rows == before   # the input is left alone
     assert linalg.char_poly_mod_p([], 5) == [1]
