@@ -42,7 +42,7 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -95,7 +95,9 @@ class StructureConstants:
         mod = extend_to_full_algebra(spec)
         self.module = mod
         self.dim = len(mod.full_basis)
-        assert self.dim == rs.dimension
+        if self.dim != rs.dimension:
+            raise AssertionError(f"{rstype.name}: {self.dim} basis "
+                                 f"elements, not {rs.dimension}")
         self.basis_names = mod.basis_names
         r = self._r = rs.rank
         pos = rs.positive_roots
@@ -120,11 +122,10 @@ class StructureConstants:
         zero = (0,) * r
         self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]
         for b in range(r, self.dim):
-            # [h_a, x_b] = <beta, alpha_a^vee> x_b: the weight difference
-            # along x_b's probe entry
-            (row, col), _ = self._probes[b]
-            diff = map(sub, mod.weights[row], mod.weights[col])
-            for a, c in enumerate(diff):
+            # [h_a, x_b] = <beta, alpha_a^vee> x_b: beta's a-th coordinate
+            # in the fundamental weights
+            beta = rs.root_weight_coords(self.root_of_index[b])
+            for a, c in enumerate(beta):
                 if c:
                     self.bracket[a][b] = {b: c}
                     self.bracket[b][a] = {b: -c}

@@ -93,7 +93,8 @@ def weyl_dim(spec):
         num *= sum(c * x for c, x in zip(cor, shifted))
         den *= sum(cor)
     d, rem = divmod(num, den)
-    assert rem == 0 and d > 0
+    if rem or d <= 0:
+        raise AssertionError(f"{spec.name}: Weyl's formula gave {num}/{den}")
     return d
 
 
@@ -183,8 +184,10 @@ def _build_module(spec):
                          {x: exact_ratio(v, p) for x, v in comb.items()}))
             accepted.append(n)
         level = accepted
-        assert len(order) <= dim, f"{spec.name}: basis outgrew Weyl's formula"
-    assert len(order) == dim, f"{spec.name}: basis short of Weyl's formula"
+        if len(order) > dim:
+            raise AssertionError(f"{spec.name}: basis outgrew Weyl's formula")
+    if len(order) != dim:
+        raise AssertionError(f"{spec.name}: basis short of Weyl's formula")
     basis = range(dim)
     e_mats = [Matrix.from_columns([e_cols[b][j] for b in basis], dim)
               for j in range(r)]
@@ -249,9 +252,10 @@ def _extend_cached(spec):
         y[beta] = commutator(y[alpha], y[gamma])
         # every nonzero irreducible of a simple algebra is faithful; only
         # the trivial line (zero weight) sends root vectors to zero
-        assert not any(spec.highest_weight) or (
-            any(x[beta].columns()) and any(y[beta].columns())), \
-            f"root vector for {beta} vanished in a faithful module"
+        if any(spec.highest_weight) and not (
+                any(x[beta].columns()) and any(y[beta].columns())):
+            raise AssertionError(
+                f"root vector for {beta} vanished in a faithful module")
 
     full = [*mod.h, *(x[b] for b in rs.positive_roots),
             *(y[b] for b in rs.positive_roots)]

@@ -22,8 +22,11 @@ int when the division is exact, and ``integral`` turns an integral
 once, computes on Python ints, and divides only in its result.  Ranks,
 kernels and solves share one fraction-free (Bareiss) elimination;
 characteristic polynomials come from one Hessenberg recurrence over F_p,
-exact at a prime past twice a bound on their coefficients.  No floating
-point is used anywhere, so every answer is exact.
+exact at a prime past twice a bound on their coefficients.  A squarefree
+part is a primitive integer polynomial over its primitive gcd with its
+derivative, an exact quotient in Z[t], and the squarefree decomposition
+iterates that step; only the monic factors returned are in ``Fraction``.
+No floating point is used anywhere, so every answer is exact.
 
 Three kernels work over a finite field F_p and certify a fact over Q.
 ``rank_mod_p`` is exact over F_p and a lower bound over Q; orbit-dimension
@@ -40,7 +43,7 @@ callers then take the exact path.
 """
 
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import compress
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
@@ -50,9 +53,8 @@ __all__ = [
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
     "solve_square", "inverse", "char_poly", "char_poly_is_squarefree_mod_p",
-    "poly_normalize", "poly_degree", "poly_add", "poly_scale", "poly_divmod",
-    "poly_derivative", "poly_gcd", "poly_eval_matrix", "squarefree_part",
-    "squarefree_decomposition",
+    "poly_normalize", "poly_degree", "poly_derivative", "poly_eval_matrix",
+    "squarefree_part", "squarefree_decomposition",
 ]
 
 
@@ -178,6 +180,8 @@ class Matrix:
     def __matmul__(self, other):
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
+        if not other.shape[0]:   # other has no rows to carry its width
+            return zeros(self.shape[0], other.shape[1])
         return Matrix(_int_matmul(self.rows, other.rows), other.shape[1])
 
     def __array__(self, dtype=None, copy=None):
@@ -303,12 +307,16 @@ def exact_ratio(a, b):
 
 
 def _integer_rows(m):
-    """Scale each row by the lcm of its denominators.
+    """Each row scaled by the lcm of its denominators, and the column count.
 
     Row scaling changes neither the rank nor the kernel, and integer rows
-    let the Bareiss elimination below run division-free.
+    let the Bareiss elimination below run division-free.  The column count
+    comes from ``m``'s shape when it has one, so a matrix with no rows
+    keeps its width.
     """
-    return [clear_denominators(row) for row in _rows(m)]
+    rows = [clear_denominators(row) for row in _rows(m)]
+    shape = getattr(m, "shape", None)
+    return rows, shape[1] if shape else _width(rows)
 
 
 def _bareiss_echelon(rows, ncols):
@@ -413,8 +421,7 @@ def _width(rows):
 
 def rank(m):
     """Exact rank of a rational matrix."""
-    rows = _integer_rows(m)
-    return integer_rank(rows, _width(rows))
+    return integer_rank(*_integer_rows(m))
 
 
 def _back_substitute(ech, pivots, ncols, fc):
@@ -448,9 +455,8 @@ def integer_kernel(rows, ncols):
 
 def kernel_basis(m):
     """Exact basis of the right kernel, one vector per free column."""
-    rows = _integer_rows(m)
     out = []
-    for y in integer_kernel(rows, _width(rows)):
+    for y in integer_kernel(*_integer_rows(m)):
         d = next(v for v in reversed(y) if v)
         out.append(Vector(Fraction(v, d) for v in y))
     return out
@@ -672,32 +678,6 @@ def poly_degree(p):
     return len(p) - 1
 
 
-def poly_add(p, q):
-    return poly_normalize([a + b for a, b in zip_longest(p, q, fillvalue=0)])
-
-
-def poly_scale(p, c):
-    return poly_normalize([c * x for x in p])
-
-
-def poly_divmod(p, q):
-    """Exact division with remainder over the rationals."""
-    q = poly_normalize(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(x) for x in poly_normalize(p)]
-    dq = len(q) - 1
-    lead = Fraction(q[-1])
-    quot = [Fraction(0)] * max(0, len(r) - dq)
-    for k in range(len(r) - dq - 1, -1, -1):
-        c = r[dq + k] / lead
-        if c:
-            quot[k] = c
-            for i in range(dq + 1):
-                r[k + i] -= c * q[i]
-    return poly_normalize(quot), poly_normalize(r[:dq])
-
-
 def poly_derivative(p):
     return poly_normalize([i * p[i] for i in range(1, len(p))])
 
@@ -726,19 +706,31 @@ def _pseudo_rem(a, b):
     return poly_normalize(r)
 
 
-def poly_gcd(p, q):
-    """Monic gcd over the rationals (primitive pseudo-remainder sequence)."""
-    a = _int_primitive(poly_normalize(p))
-    b = _int_primitive(poly_normalize(q))
+def _exact_quotient(a, b):
+    """a / b for integer coefficient lists; ArithmeticError, under
+    ``python -O`` too, when b does not divide a in Z[t]."""
+    a = list(a)
+    db = len(b) - 1
+    quot = [0] * (len(a) - db)
+    for k in reversed(range(len(quot))):
+        # the remainder of each step stays in the slot it divided
+        quot[k], a[k + db] = divmod(a[k + db], b[-1])
+        for i in range(db):
+            a[k + i] -= quot[k] * b[i]
+    if any(a):
+        raise ArithmeticError("polynomial division is not exact")
+    return quot
+
+
+def _int_squarefree(a):
+    """The squarefree part of a primitive integer polynomial a with a
+    positive lead, a / gcd(a, a'), primitive with a positive lead too.  The
+    gcd runs the primitive pseudo-remainder sequence (Brown 1971) and is
+    primitive, so by Gauss's lemma the quotient is integral."""
+    g, b = a, _int_primitive(poly_derivative(a))
     while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        a, b = b, _int_primitive(_pseudo_rem(a, b))
-    if not a:
-        return []
-    lead = Fraction(a[-1])
-    return [Fraction(x) / lead for x in a]
+        g, b = b, _int_primitive(_pseudo_rem(g, b))
+    return _exact_quotient(a, g)
 
 
 def poly_eval_matrix(p, m):
@@ -763,39 +755,30 @@ def poly_eval_matrix(p, m):
 
 
 def squarefree_part(p):
-    """Monic product of the distinct irreducible factors of p."""
+    """Monic product of the distinct irreducible factors of p: 1 for a
+    nonzero constant, ``[]`` for zero."""
     p = poly_normalize(p)
-    if poly_degree(p) < 1:
-        return [Fraction(1)] if p else []
-    g = poly_gcd(p, poly_derivative(p))
-    quot, rem = poly_divmod(p, g)
-    assert not rem
-    lead = Fraction(quot[-1])
-    return [x / lead for x in quot]
+    s = _int_squarefree(_int_primitive(p)) if p else []
+    return [Fraction(x, s[-1]) for x in s]
 
 
 def squarefree_decomposition(p):
-    """Yun decomposition: list of (monic factor, multiplicity) with
-    pairwise-coprime squarefree factors whose weighted product is p."""
-    p = poly_normalize(p)
-    if poly_degree(p) < 1:
-        return []
-    lead = Fraction(p[-1])
-    p = [Fraction(x) / lead for x in p]
-    g = poly_gcd(p, poly_derivative(p))
-    if poly_degree(g) == 0:
-        return [(p, 1)]
-    b, _ = poly_divmod(p, g)
-    c, _ = poly_divmod(poly_derivative(p), g)
-    d = poly_add(c, poly_scale(poly_derivative(b), -1))
-    out = []
-    i = 1
-    while poly_degree(b) > 0:
-        a = poly_gcd(b, d)
-        if poly_degree(a) > 0:
-            out.append((a, i))
-        b, _ = poly_divmod(b, a)
-        c, _ = poly_divmod(d, a)
-        d = poly_add(c, poly_scale(poly_derivative(b), -1))
-        i += 1
+    """List of (monic factor, multiplicity), in increasing multiplicity:
+    pairwise-coprime squarefree factors, each to its multiplicity, whose
+    product is p made monic; ``[]`` for a constant or zero.
+
+    s_1 is the squarefree part of p and s_(k+1) that of p / (s_1 ... s_k).
+    s_k is then the product of the factors of multiplicity at least k, so
+    the factor of multiplicity k is s_k / s_(k+1).  Every step runs on
+    primitive integer polynomials, whose exact quotients stay primitive.
+    """
+    rest = _int_primitive(poly_normalize(p)) or [1]   # zero has no factors
+    out, s, k = [], _int_squarefree(rest), 1
+    while len(s) > 1:
+        rest = _exact_quotient(rest, s)
+        nxt = _int_squarefree(rest)
+        factor = _exact_quotient(s, nxt)
+        if len(factor) > 1:
+            out.append(([Fraction(x, factor[-1]) for x in factor], k))
+        s, k = nxt, k + 1
     return out

@@ -165,9 +165,12 @@ def enumerate_packets_adjoint_typeA(n):
             block_sizes = [s for s, _ in jt.block_data]
             eigenvalues = _centered(block_sizes, range(k))
             cell = _cell_of_eigenvalues(n, block_sizes, eigenvalues)
-            assert cell.closure_dim == k - 1
+            if cell.closure_dim != k - 1:
+                raise AssertionError(f"{jt.name}: cell of dimension "
+                                     f"{cell.closure_dim}, not {k - 1}")
             rep = _representative_matrix(jt, eigenvalues)
-            assert sum(rep[i, i] for i in range(n)) == 0
+            if sum(rep[i, i] for i in range(n)):
+                raise AssertionError(f"{jt.name}: trace is not zero")
             out.append(PacketDescriptor(
                 n=n, jordan_type=jt, cell=cell, orbit_dim=orbit,
                 closure_dim=orbit + (k - 1), modality=k - 1,

@@ -120,9 +120,9 @@ class RootSystem:
         # symmetrized form on root coordinates: B[i][j] = (alpha_i, alpha_j)
         self._form = [[Fraction(self.cartan[i][j]) * self._d[j] for j in range(r)]
                       for i in range(r)]
-        for i in range(r):
-            for j in range(r):
-                assert self._form[i][j] == self._form[j][i]
+        if any(self._form[i][j] != self._form[j][i]
+               for i in range(r) for j in range(r)):
+            raise AssertionError(f"{rstype.name}: form is not symmetric")
         # squared lengths of the simple roots, scaled to integers
         self._sq = linalg.clear_denominators(self._d)
         self._lengths = self._generate_positive_roots()
@@ -136,7 +136,9 @@ class RootSystem:
             sum(w[i] for w in self.fundamental_weights) for i in range(r))
         half_sum = tuple(Fraction(sum(b[i] for b in self.positive_roots), 2)
                          for i in range(r))
-        assert self.weyl_vector == half_sum
+        if self.weyl_vector != half_sum:
+            raise AssertionError(f"{rstype.name}: Weyl vector is not half the "
+                                 f"sum of the positive roots")
 
     # -- root generation ---------------------------------------------------
 
@@ -180,7 +182,8 @@ class RootSystem:
         for beta, pairing in pairings.items():
             for j, c in enumerate(pairing):
                 if c > 0 and beta != simples[j]:
-                    assert self._reflect_root(beta, j) in lengths
+                    if self._reflect_root(beta, j) not in lengths:
+                        raise AssertionError(f"roots not closed under s_{j}")
         return lengths
 
     # -- pairings and coordinate changes ------------------------------------
@@ -204,7 +207,8 @@ class RootSystem:
         for beta in self.positive_roots:
             length = self._lengths[beta]
             cor = [divmod(b * q, length) for b, q in zip(beta, self._sq)]
-            assert all(rem == 0 for _, rem in cor)
+            if any(rem for _, rem in cor):
+                raise AssertionError(f"coroot of {beta} is not integral")
             out.append(tuple(c for c, _ in cor))
         return tuple(out)
 

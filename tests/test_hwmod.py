@@ -1,6 +1,9 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -317,3 +320,25 @@ def test_commutation_relations_larger_modules(name, weight):
                 comm = {row: v for row, v in comm.items() if v}
                 assert comm == ({k: mod.weights[k][i]}
                                 if i == j and mod.weights[k][i] else {})
+
+
+def test_weyl_dim_check_survives_python_o():
+    # python -O strips assert statements; a basis that outgrows Weyl's
+    # formula must still raise
+    script = (
+        "from liemod import hwmod\n"
+        "from liemod.rootsys import RootSystemType\n"
+        "weyl_dim = hwmod.weyl_dim\n"
+        "hwmod.weyl_dim = lambda spec: weyl_dim(spec) - 1\n"
+        "spec = hwmod.IrrepSpec(RootSystemType('B', 2), [1, 1])\n"
+        "try:\n"
+        "    print('no error:', hwmod.build_hw_module(spec).dimension)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "B2:1,1: basis outgrew Weyl's formula\n"

@@ -5,7 +5,8 @@ caller, so a rewrite leaves no dead helper behind either, and every exported
 name is read outside the tests, so no public function lives on for its tests
 alone.  Every unbounded cache is keyed by a small, fixed domain, so a sweep
 over modules cannot grow it.  No module imports ``dataclasses``, which would
-cost every command its start-up time."""
+cost every command its start-up time, and no module holds an ``assert``
+statement, which ``python -O`` would strip."""
 
 import ast
 import importlib
@@ -94,6 +95,15 @@ def _definition(tree, name):
                 for t in getattr(node, "targets", ())):
             return node
     return None
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, and with them any check that
+    # guards an answer; each check raises explicitly instead
+    found = sorted(f"{name}.py line {node.lineno}"
+                   for name in MODULES for node in ast.walk(_tree(name))
+                   if isinstance(node, ast.Assert))
+    assert not found, f"assert statements at: {found}"
 
 
 # exported names nothing outside tests/ reads yet, and why each stays

@@ -3,7 +3,9 @@
 The oracle here is an independent plain-list Gaussian elimination over
 Fraction, written without reference to the implementation under test.
 Characteristic polynomials are checked against the Faddeev-LeVerrier
-recurrence, over Fraction and, for large matrices, over the integers.
+recurrence, over Fraction and, for large matrices, over the integers, and
+squarefree parts and decompositions against Fraction long division and
+Yun's loop.
 """
 
 import os
@@ -11,7 +13,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from itertools import zip_longest
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 import numpy as np
@@ -87,6 +90,21 @@ def test_kernel_example():
     assert len(ker) == 1
     v = ker[0]
     assert v[0] == -v[1] and v[0] != 0
+
+
+def test_kernel_of_a_matrix_with_no_rows_is_everything():
+    # the width comes from the shape: no rows, yet three columns
+    units = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert linalg.kernel_basis(linalg.zeros(0, 3)) == units
+    assert linalg.kernel_basis(linalg.zeros(1, 3)) == units
+    assert linalg.rank(linalg.zeros(0, 3)) == 0
+
+
+def test_product_through_an_empty_inner_dimension_is_zero():
+    prod_ = linalg.zeros(2, 0) @ linalg.zeros(0, 3)
+    assert prod_.shape == (2, 3)
+    assert prod_ == linalg.zeros(2, 3)
+    assert (linalg.zeros(0, 2) @ linalg.zeros(2, 3)).shape == (0, 3)
 
 
 def test_rank_matches_oracle_random():
@@ -278,16 +296,182 @@ def test_char_poly_annihilates_matrix():
         assert linalg.is_zero_matrix(poly_eval_dense(p, m))
 
 
-def test_poly_divmod_and_gcd():
-    # (t-1)(t-2) = t^2 - 3t + 2
-    a = [Fraction(2), Fraction(-3), Fraction(1)]
-    b = [Fraction(-1), Fraction(1)]
-    q, r = linalg.poly_divmod(a, b)
-    assert r == [] or all(c == 0 for c in r)
-    assert linalg.poly_normalize(poly_mul(q, b)) == a
-    g = linalg.poly_gcd(a, [Fraction(-2), Fraction(1)])
-    assert linalg.poly_degree(g) == 1
-    assert poly_eval(g, Fraction(2)) == 0
+# The rational polynomial routines linalg used before its squarefree
+# computations moved onto integer polynomials, kept as they were (renamed
+# ref_*) as the reference: Fraction long division, the primitive
+# pseudo-remainder gcd and Yun's loop.
+
+def ref_int_primitive(p):
+    """Clear denominators and divide by coefficient gcd; sign-normalize."""
+    ints = linalg.clear_denominators(p)
+    g = gcd(*ints)
+    if g:
+        ints = [x // g for x in ints]
+    if ints and ints[-1] < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
+def ref_pseudo_rem(a, b):
+    """Pseudo-remainder of integer coefficient lists, deg a >= deg b."""
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    for k in range(da - db, -1, -1):
+        c = r[db + k]
+        r = [lb * x for x in r]
+        for i in range(db + 1):
+            r[k + i] -= c * b[i]
+    return linalg.poly_normalize(r)
+
+
+def ref_poly_add(p, q):
+    return linalg.poly_normalize(
+        [a + b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def ref_poly_scale(p, c):
+    return linalg.poly_normalize([c * x for x in p])
+
+
+def ref_poly_divmod(p, q):
+    """Exact division with remainder over the rationals."""
+    q = linalg.poly_normalize(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(x) for x in linalg.poly_normalize(p)]
+    dq = len(q) - 1
+    lead = Fraction(q[-1])
+    quot = [Fraction(0)] * max(0, len(r) - dq)
+    for k in range(len(r) - dq - 1, -1, -1):
+        c = r[dq + k] / lead
+        if c:
+            quot[k] = c
+            for i in range(dq + 1):
+                r[k + i] -= c * q[i]
+    return linalg.poly_normalize(quot), linalg.poly_normalize(r[:dq])
+
+
+def ref_poly_gcd(p, q):
+    """Monic gcd over the rationals (primitive pseudo-remainder sequence)."""
+    a = ref_int_primitive(linalg.poly_normalize(p))
+    b = ref_int_primitive(linalg.poly_normalize(q))
+    while b:
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        a, b = b, ref_int_primitive(ref_pseudo_rem(a, b))
+    if not a:
+        return []
+    lead = Fraction(a[-1])
+    return [Fraction(x) / lead for x in a]
+
+
+def ref_squarefree_part(p):
+    """Monic product of the distinct irreducible factors of p."""
+    p = linalg.poly_normalize(p)
+    if linalg.poly_degree(p) < 1:
+        return [Fraction(1)] if p else []
+    g = ref_poly_gcd(p, linalg.poly_derivative(p))
+    quot, rem = ref_poly_divmod(p, g)
+    assert not rem
+    lead = Fraction(quot[-1])
+    return [x / lead for x in quot]
+
+
+def ref_squarefree_decomposition(p):
+    """Yun decomposition: list of (monic factor, multiplicity) with
+    pairwise-coprime squarefree factors whose weighted product is p."""
+    p = linalg.poly_normalize(p)
+    if linalg.poly_degree(p) < 1:
+        return []
+    lead = Fraction(p[-1])
+    p = [Fraction(x) / lead for x in p]
+    g = ref_poly_gcd(p, linalg.poly_derivative(p))
+    if linalg.poly_degree(g) == 0:
+        return [(p, 1)]
+    b, _ = ref_poly_divmod(p, g)
+    c, _ = ref_poly_divmod(linalg.poly_derivative(p), g)
+    d = ref_poly_add(c, ref_poly_scale(linalg.poly_derivative(b), -1))
+    out = []
+    i = 1
+    while linalg.poly_degree(b) > 0:
+        a = ref_poly_gcd(b, d)
+        if linalg.poly_degree(a) > 0:
+            out.append((a, i))
+        b, _ = ref_poly_divmod(b, a)
+        c, _ = ref_poly_divmod(d, a)
+        d = ref_poly_add(c, ref_poly_scale(linalg.poly_derivative(b), -1))
+        i += 1
+    return out
+
+
+def _random_rational_poly(rng):
+    """A seeded rational polynomial: the zero polynomial, a constant (with
+    zero leads left on), or a non-monic product of small factors with
+    repeats, shared factors, negative leads and powers of t."""
+    kind = rng.random()
+    if kind < 0.04:
+        return [Fraction(0)] * rng.randint(0, 2)
+    if kind < 0.08:
+        return [Fraction(rng.choice([-7, -1, 1, 3]), rng.randint(1, 5)),
+                *[0] * rng.randint(0, 2)]
+    pool = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for _ in range(rng.randint(2, 3))] for _ in range(3)]
+    pool = [f[:-1] + [f[-1] or Fraction(-1)] for f in pool]
+    p = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))]
+    for _ in range(rng.randint(1, 3)):
+        f = rng.choice(pool)
+        for _ in range(rng.randint(1, 3)):
+            p = poly_mul(p, f)
+    if rng.random() < 0.3:
+        p = [Fraction(0)] * rng.randint(1, 3) + p
+    return p
+
+
+def test_squarefree_matches_rational_reference_random():
+    rng = random.Random(2200)
+    edge = [[], [0], [Fraction(0), 0], [5], [Fraction(-3, 2), 0], [0, 1],
+            [0, 0, -2], [1, 2, 1], [Fraction(1, 2), 0, -4]]
+    for p in edge + [_random_rational_poly(rng) for _ in range(2000)]:
+        for got, want in ((linalg.squarefree_part(p), ref_squarefree_part(p)),
+                          (linalg.squarefree_decomposition(p),
+                           ref_squarefree_decomposition(p))):
+            assert got == want, p
+            # equal values in equal types: Fraction(1) == 1, but the
+            # reprs differ
+            assert repr(got) == repr(want), p
+
+
+def test_exact_quotient_raises_unless_exact():
+    # (t + 1)(2t - 3) over t + 1 and over 2t - 3
+    assert linalg._exact_quotient([-3, -1, 2], [1, 1]) == [-3, 2]
+    assert linalg._exact_quotient([-3, -1, 2], [-3, 2]) == [1, 1]
+    assert linalg._exact_quotient([4], [2]) == [2]
+    for a, b in (([1, 0, 1], [1, 1]),    # remainder 2
+                 ([1, 1], [0, 2]),       # quotient 1/2 in Q[t] only
+                 ([1], [1, 1])):         # divisor of higher degree
+        with pytest.raises(ArithmeticError):
+            linalg._exact_quotient(a, b)
+
+
+def test_inexact_squarefree_division_raises_under_python_o():
+    # python -O strips assert statements; a gcd that does not divide p
+    # must still raise, not return a wrong squarefree part
+    script = (
+        "from liemod import linalg\n"
+        "linalg._pseudo_rem = lambda a, b: []\n"   # gcd(p, p') becomes p'
+        "try:\n"
+        "    print('no error:', linalg.squarefree_part([1, 0, 1]))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "polynomial division is not exact\n"
 
 
 def test_squarefree_decomposition():
@@ -313,7 +497,7 @@ def test_squarefree_properties_random():
             p = poly_mul(p, [Fraction(-r0), Fraction(1)])
         sf = linalg.squarefree_part(p)
         # squarefree part divides p and has the distinct roots
-        _, rem = linalg.poly_divmod(p, sf)
+        _, rem = ref_poly_divmod(p, sf)
         assert rem == [] or all(c == 0 for c in rem)
         assert linalg.poly_degree(sf) == len(set(roots))
         for r0 in set(roots):
