@@ -390,12 +390,13 @@ def _centralizer_slice(sc, s, slice_basis):
 def cartan_subspace(ga, seed=DEFAULT_SEED):
     """A commuting family of semisimple degree-one elements.
 
-    Starts from the Cartan generators that have degree one, then iterates:
-    sample in the current centralizer slice of the degree-one part, keep
-    the semisimple part of the sample when it adds a new direction, cut
-    the slice down to its centralizer, repeat.  Stops when eight samples,
-    from the integer boxes [-(3+2k), 3+2k] for k = 0..7, yield nothing
-    new, or at once when the slice is spanned by the family found.
+    For m = 1 it is the r Cartan unit vectors, in index order.  Otherwise
+    it iterates: sample in the current centralizer slice of the degree-one
+    part, keep the semisimple part of the sample when it adds a new
+    direction, cut the slice down to its centralizer, repeat.  Stops when
+    eight samples, from the integer boxes [-(3+2k), 3+2k] for k = 0..7,
+    yield nothing new, or at once when the slice is spanned by the family
+    found.
     Returns full-basis coordinate vectors.
 
     The second stop is exact.  A semisimple part s of a sample x is a
@@ -408,21 +409,18 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     and since the random generator is local to the call, skipping them
     leaves the returned vectors unchanged.
 
-    The seeds make m = 1 exact.  The Cartan generators lie in degree
-    zero, so they have degree one only when m = 1, where g_1 is the whole
-    algebra; then all r of them are seeds, and for every other grading
-    none is.  They are semisimple and commute, since ad h is diagonal in
-    the root-space basis, and each cuts the slice down to its centralizer
-    by the same step as a sampled element.  A root vector x_beta commutes
+    The early return is exact.  The Cartan generators lie in degree zero
+    and g_1 in degree 1 mod m, so they have degree one only when m = 1,
+    where g_1 is the whole algebra.  They are semisimple and commute,
+    since ad h is diagonal in the root-space basis, and nothing outside
+    their span commutes with all of them: a root vector x_beta commutes
     with every h_i only if <beta, alpha_i^vee> = 0 for all i, which no
-    root satisfies, so after the seeds the slice is the span of the
-    Cartan subalgebra and the second stop ends the loop before any sample
-    is drawn: the family is the r Cartan unit vectors, made with no
-    Jordan decomposition, and its size is the rank.  For every other
-    grading the family's size is a lower bound on the dimension of a
-    Cartan subspace, which a sample that happens to fall on a special
-    element can understate; unlike ``rank_of_grading`` it comes with no
-    stated miss bound.
+    root satisfies.  So they span a Cartan subspace of g_1 = g, found
+    with no centralizer step and no Jordan decomposition, and the
+    family's size is the rank.  For every other grading the family's
+    size is a lower bound on the dimension of a Cartan subspace, which a
+    sample that happens to fall on a special element can understate;
+    unlike ``rank_of_grading`` it comes with no stated miss bound.
 
     The slice is spanned by primitive integer vectors: each kernel vector
     is divided by the gcd of its entries, which keeps the samples and
@@ -432,15 +430,14 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     structure constants with denominators 2 and 4), so the centralizer is
     an integer kernel.
     """
+    cartan = [tuple(int(i == idx) for i in range(ga.dim))
+              for idx in ga.g1_indices if ga.sc.root_of_index[idx] is None]
+    if cartan:
+        return cartan
     rng = random.Random(seed)
     slice_basis = [[int(i == idx) for i in range(ga.dim)]
                    for idx in ga.g1_indices]
     found = []
-    for idx in ga.g1_indices:
-        if ga.sc.root_of_index[idx] is None:
-            h = tuple(int(i == idx) for i in range(ga.dim))
-            found.append(h)
-            slice_basis = _centralizer_slice(ga.sc, h, slice_basis)
     while len(slice_basis) > len(found):
         for attempt in range(8):
             box = 3 + 2 * attempt

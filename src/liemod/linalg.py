@@ -34,18 +34,19 @@ sampling uses it.  It packs each row into one Python int, an entry per
 slot of 2 b + l + 1 bits rounded up to whole bytes (b and l the bit
 lengths of p and of the smaller side), which no slot outgrows before it
 is read, so one big-int multiply-add eliminates a whole row.
-``char_poly_mod_p`` reduces a characteristic polynomial mod p; ``char_poly``
-runs it at a prime large enough to be exact.  When
+``char_poly_mod_p`` reduces an integer matrix's characteristic polynomial
+mod p; ``char_poly`` runs it at a prime large enough to be exact.  When
 ``is_squarefree_mod_p`` finds it squarefree mod p it is squarefree over Q
 too, so the matrix is semisimple; a False answer proves nothing, and
-callers then take the exact path.
+callers then take the exact path.  Its Euclid loop reduces ``_pseudo_rem``,
+the integer pseudo-remainder, mod p: one remainder serves Z and F_p.
 ``char_poly_is_squarefree_mod_p`` runs the two on a rational matrix.
 """
 
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 __all__ = [
     "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
@@ -310,13 +311,10 @@ def _integer_rows(m):
     """Each row scaled by the lcm of its denominators, and the column count.
 
     Row scaling changes neither the rank nor the kernel, and integer rows
-    let the Bareiss elimination below run division-free.  The column count
-    comes from ``m``'s shape when it has one, so a matrix with no rows
-    keeps its width.
+    let the Bareiss elimination below run division-free.
     """
     rows = [clear_denominators(row) for row in _rows(m)]
-    shape = getattr(m, "shape", None)
-    return rows, shape[1] if shape else _width(rows)
+    return rows, _width(m, rows)
 
 
 def _bareiss_echelon(rows, ncols):
@@ -415,8 +413,11 @@ def rank_mod_p(rows, ncols, p):
     return rk
 
 
-def _width(rows):
-    return len(rows[0]) if rows else 0
+def _width(m, rows):
+    """The column count of ``m``, whose rows are ``rows``: from its shape
+    when it has one, so a matrix with no rows keeps its width."""
+    shape = getattr(m, "shape", None)
+    return shape[1] if shape else len(rows[0]) if rows else 0
 
 
 def rank(m):
@@ -472,18 +473,18 @@ def solve_square(a, b):
     a = _rows(a)
     n = len(a)
     column = isinstance(b, Vector)
-    b = [[x] for x in b] if column else _rows(b)
-    if len(b) != n or any(len(r) != n for r in a):
+    rhs = [[x] for x in b] if column else _rows(b)
+    k = 1 if column else _width(b, rhs)
+    if [len(r) for r in a] != [n] * n or [len(r) for r in rhs] != [k] * n:
         raise ValueError("shape mismatch")
-    aug = [clear_denominators(r + s) for r, s in zip(a, b)]
-    width = _width(aug)
-    ech, pivots = _bareiss_echelon(aug, width)
+    aug = [clear_denominators(r + s) for r, s in zip(a, rhs)]
+    ech, pivots = _bareiss_echelon(aug, n + k)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    cols = [_back_substitute(ech, pivots, width, j) for j in range(n, width)]
+    cols = [_back_substitute(ech, pivots, n + k, j) for j in range(n, n + k)]
     x = [[Fraction(-col[i], col[j]) for j, col in enumerate(cols, n)]
          for i in range(n)]
-    return Vector(r[0] for r in x) if column else Matrix(x, width - n)
+    return Vector(r[0] for r in x) if column else Matrix(x, k)
 
 
 def inverse(a):
@@ -544,21 +545,13 @@ def char_poly(m):
             for k, c in enumerate(char_poly_mod_p(a, p))]
 
 
-def _mod_p(v, p):
-    """An int or ``Fraction`` as its residue mod p; ValueError when p
-    divides the denominator."""
-    if type(v) is int:
-        return v % p
-    return v.numerator * pow(v.denominator, -1, p) % p
-
-
 def char_poly_mod_p(rows, p):
     """det(tI - a) mod a prime ``p``, ascending and monic, with coefficients
     in [0, p).
 
-    ``rows`` is a square matrix of ints (or of ``Fraction`` whose
-    denominators p does not divide).  Similarity transforms over F_p take
-    it to upper Hessenberg form h: at column j each row i > j + 1 loses
+    ``rows`` is a square matrix of ints; a ``Fraction`` entry, whose ``%``
+    is not its residue, raises TypeError.  Similarity transforms over F_p
+    take it to upper Hessenberg form h: at column j each row i > j + 1 loses
     u_i times row j + 1, which zeroes its entry in column j, and then
     column j + 1 gains the sum of u_i times column i, the inverse
     transform, in one pass over the rows.  The characteristic polynomials
@@ -566,7 +559,7 @@ def char_poly_mod_p(rows, p):
     p_k = (t - h_kk) p_(k-1) - sum_i h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1)
     (1-based): O(n^3) in all.
     """
-    h = [[_mod_p(v, p) for v in r] for r in rows]
+    h = [[index(v) % p for v in r] for r in rows]
     n = len(h)
     if any(len(r) != n for r in h):
         raise ValueError("need a square matrix")
@@ -610,23 +603,6 @@ def char_poly_mod_p(rows, p):
     return polys[n]
 
 
-def _poly_rem_mod_p(a, b, p):
-    """Remainder of ascending int lists mod p; b's leading coefficient is
-    nonzero mod p."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[k + db] * inv % p
-        if c:
-            for i in range(db + 1):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-    del a[db:]
-    while a and not a[-1] % p:
-        a.pop()
-    return a
-
-
 def is_squarefree_mod_p(poly, p):
     """True when the int polynomial ``poly`` (ascending) is squarefree over
     F_p: gcd(P, P') mod p is a nonzero constant.
@@ -640,15 +616,17 @@ def is_squarefree_mod_p(poly, p):
     False in general proves nothing over Q either: ``[0, -5, 1]``, the
     characteristic polynomial of diag(0, 5), is squarefree over Q but not
     mod 5.
+
+    Euclid's remainders are integer pseudo-remainders reduced mod p.  The
+    divisor's lead l is a unit mod p, so each is l^k times the remainder
+    over F_p: the same degree, and a gcd differing only by a unit.
     """
     a = [v % p for v in poly]
     if not a or not a[-1]:
         return False
-    b = [i * v % p for i, v in enumerate(a)][1:]
-    while b and not b[-1]:
-        b.pop()
+    b = poly_normalize([i * v % p for i, v in enumerate(a)][1:])
     while b:
-        a, b = b, _poly_rem_mod_p(a, b, p)
+        a, b = b, poly_normalize([v % p for v in _pseudo_rem(a, b)])
     return len(a) == 1
 
 

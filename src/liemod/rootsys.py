@@ -3,7 +3,8 @@
 A root system is built from its Cartan matrix, with roots represented as
 integer coordinate vectors in the simple-root basis.  Weights are integer
 vectors in the fundamental-weight basis.  The invariant bilinear form is
-normalized so long roots have squared length 2.
+the Cartan matrix's symmetrization, normalized so long roots have squared
+length 2.
 
 The positive roots are raised from the simple roots by simple reflections,
 each recording its squared length, which a reflection keeps; the coroot of
@@ -93,19 +94,20 @@ def _cartan_matrix(family, rank):
     return a
 
 
-def _half_lengths(family, rank):
-    """Half squared lengths of the simple roots (long root = 1)."""
-    d = [Fraction(1)] * rank
-    if family == "B":
-        d[rank - 1] = Fraction(1, 2)
-    elif family == "C":
-        for i in range(rank - 1):
-            d[i] = Fraction(1, 2)
-    elif family == "F":
-        d[2] = d[3] = Fraction(1, 2)
-    elif family == "G":
-        d[0] = Fraction(1, 3)
-    return d
+def _symmetrizer(a):
+    """Half squared lengths d of the simple roots, long roots 1, read off
+    the Cartan matrix: the form a_ij d_j is symmetric, so d_j = d_i a_ji /
+    a_ij along each bond of the Dynkin tree, walked from node 0."""
+    d = {0: Fraction(1)}
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j, aij in enumerate(a[i]):
+            if aij and j not in d:
+                d[j] = d[i] * a[j][i] / aij
+                todo.append(j)
+    top = max(d.values())
+    return [d[j] / top for j in range(len(a))]
 
 
 class RootSystem:
@@ -116,13 +118,10 @@ class RootSystem:
         r = rstype.rank
         self.rank = r
         self.cartan = _cartan_matrix(rstype.family, r)
-        self._d = _half_lengths(rstype.family, r)
+        self._d = _symmetrizer(self.cartan)
         # symmetrized form on root coordinates: B[i][j] = (alpha_i, alpha_j)
         self._form = [[Fraction(self.cartan[i][j]) * self._d[j] for j in range(r)]
                       for i in range(r)]
-        if any(self._form[i][j] != self._form[j][i]
-               for i in range(r) for j in range(r)):
-            raise AssertionError(f"{rstype.name}: form is not symmetric")
         # squared lengths of the simple roots, scaled to integers
         self._sq = linalg.clear_denominators(self._d)
         self._lengths = self._generate_positive_roots()

@@ -568,6 +568,27 @@ def test_cartan_subspace_of_an_adjoint_grading_is_the_cartan(monkeypatch):
     assert calls[0] == 0
 
 
+def test_cartan_subspace_of_an_adjoint_grading_takes_no_centralizer_step(
+        monkeypatch):
+    calls = [0]
+    centralizer_slice = gr._centralizer_slice
+
+    def counted(sc, s, slice_basis):
+        calls[0] += 1
+        return centralizer_slice(sc, s, slice_basis)
+
+    monkeypatch.setattr(gr, "_centralizer_slice", counted)
+    for name, m, labels in ADJOINT_GRADINGS:
+        rt = RootSystemType.parse(name)
+        ga = gr.build_grading(gr.GradingSpec(rt, m, labels))
+        assert len(gr.cartan_subspace(ga)) == rt.rank, name
+    assert calls[0] == 0
+    # a sampled grading still cuts its slice down
+    gr.cartan_subspace(gr.build_grading(
+        gr.GradingSpec(RootSystemType("A", 1), 2, (1,))))
+    assert calls[0] > 0
+
+
 def _killing_gram(rstype):
     """Trace form of the adjoint representation on the root-space basis."""
     sc = gr.structure_constants(rstype)

@@ -886,17 +886,18 @@ def test_char_poly_mod_p_matches_char_poly_random():
     for n in range(1, 9):
         for p in (MERSENNE_61, 7):
             for _ in range(6):
-                ints = [[rng.choice((0, 0, rng.randint(-9, 9)))
+                rows = [[rng.choice((0, 0, rng.randint(-9, 9)))
                          for _ in range(n)] for _ in range(n)]
-                for rows in (ints, mixed_denominator_matrix(rng, n)):
-                    before = [list(r) for r in rows]
-                    want = [_residue(c, p)
-                            for c in integer_reference_char_poly(rows)]
-                    assert linalg.char_poly_mod_p(rows, p) == want
-                    assert rows == before   # the input is left alone
+                before = [list(r) for r in rows]
+                want = [_residue(c, p)
+                        for c in integer_reference_char_poly(rows)]
+                assert linalg.char_poly_mod_p(rows, p) == want
+                assert rows == before   # the input is left alone
     assert linalg.char_poly_mod_p([], 5) == [1]
-    with pytest.raises(ValueError):
-        linalg.char_poly_mod_p([[Fraction(1, 5)]], 5)
+    # entries are ints only: Fraction(1, 2) % 5 is 1/2, not 3
+    for rows in ([[Fraction(1, 2)]], [[Fraction(2)]]):
+        with pytest.raises(TypeError):
+            linalg.char_poly_mod_p(rows, 5)
 
 
 def test_squarefree_mod_p_certifies_squarefree_over_q():
@@ -938,3 +939,107 @@ def test_squarefree_mod_p_unlucky_prime_and_edge_cases():
     # a leading coefficient that p divides proves nothing
     assert not linalg.is_squarefree_mod_p([-1, 1, 5], 5)
     assert not linalg.is_squarefree_mod_p([], 5)
+
+
+# ``is_squarefree_mod_p`` as it was when its Euclid loop had a remainder
+# routine of its own over F_p, kept verbatim (renamed ref_*) as the
+# reference for the loop on integer pseudo-remainders reduced mod p.
+
+def ref_poly_rem_mod_p(a, b, p):
+    """Remainder of ascending int lists mod p; b's leading coefficient is
+    nonzero mod p."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv % p
+        if c:
+            for i in range(db + 1):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    del a[db:]
+    while a and not a[-1] % p:
+        a.pop()
+    return a
+
+
+def ref_is_squarefree_mod_p(poly, p):
+    a = [v % p for v in poly]
+    if not a or not a[-1]:
+        return False
+    b = [i * v % p for i, v in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, ref_poly_rem_mod_p(a, b, p)
+    return len(a) == 1
+
+
+def _int_poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _random_int_poly_for(rng, p):
+    """An int polynomial, not always normalized, that is often special mod
+    p: a square factor, a lead or all coefficients divisible by p, wide
+    coefficients, or (small p) a polynomial in t^p whose derivative
+    vanishes mod p."""
+    kind = rng.randrange(5)
+    if kind == 0:   # f^2 g, f's lead sometimes divisible by p
+        f = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+        g = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+        f.append(rng.choice((1, -1, 2, p)))
+        g.append(rng.randint(1, 4))
+        return _int_poly_mul(_int_poly_mul(f, f), g)
+    if kind == 1 and p < 10:   # f(t^p) plus multiples of p, lead a unit
+        k = rng.randint(1, 3)
+        poly = [rng.choice((0, p, -2 * p)) for _ in range(k * p + 1)]
+        for i in range(k):
+            poly[i * p] += rng.randint(-9, 9)
+        poly[-1] = rng.randint(1, p - 1)
+        return poly
+    if kind == 2:   # wide coefficients
+        poly = [rng.randint(-2 ** 70, 2 ** 70)
+                for _ in range(rng.randint(0, 10))]
+        return poly + [rng.choice((p, -3 * p, rng.randint(1, 2 ** 70)))]
+    if kind == 3:   # small coefficients, a lead that is a unit mod p
+        return [rng.randint(-9, 9) for _ in range(rng.randint(0, 12))] + [
+            rng.choice([v for v in (1, -1, 2, 3, 4) if v % p])]
+    # many multiples of p, trailing zeros kept
+    return [rng.choice((0, p, -p, rng.randint(-9, 9)))
+            for _ in range(rng.randint(0, 12))]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, MERSENNE_61))
+def test_is_squarefree_mod_p_matches_its_own_remainder_reference(p):
+    rng = random.Random(2029 + p % 1000)
+    answers = []
+    for _ in range(2000):
+        poly = _random_int_poly_for(rng, p)
+        want = ref_is_squarefree_mod_p(poly, p)
+        assert linalg.is_squarefree_mod_p(poly, p) == want, poly
+        answers.append(want)
+    assert 200 < sum(answers) < 1800
+    edges = ([], [0], [p], [1], [-7], [0, 1], [p, 1], [1, p], [0, 0, 1],
+             [1, 0, 1], [-1, 0, 0, 0, 0, 1], [-1, 1, p], [1, 2, 1])
+    for poly in edges:
+        assert (linalg.is_squarefree_mod_p(poly, p)
+                == ref_is_squarefree_mod_p(poly, p)), poly
+    # t^5 - 1: its derivative 5 t^4 vanishes mod 5, and it is (t - 1)^5
+    assert not linalg.is_squarefree_mod_p([-1, 0, 0, 0, 0, 1], 5)
+    assert linalg.is_squarefree_mod_p([-1, 0, 0, 0, 0, 1], 7)
+
+
+def test_solve_square_keeps_an_empty_right_hand_sides_width():
+    # the width comes from b's shape: no rows, yet three columns
+    x = linalg.solve_square(linalg.zeros(0, 0), linalg.zeros(0, 3))
+    assert x.shape == (0, 3) and x == linalg.zeros(0, 3)
+    assert linalg.inverse(linalg.zeros(0, 0)) == linalg.zeros(0, 0)
+    assert linalg.solve_square(linalg.zeros(0, 0), linalg.rvec([])) == []
+    assert linalg.solve_square(linalg.eye(2), linalg.zeros(2, 0)).shape == (
+        2, 0)
+    with pytest.raises(ValueError):
+        linalg.solve_square(linalg.eye(2), [[1], [1, 2]])

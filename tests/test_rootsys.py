@@ -235,6 +235,33 @@ def test_raised_roots_match_the_all_roots_reference(family, rank):
         _reference_coroot(rs, beta) for beta in rs.positive_roots)
 
 
+def _reference_half_lengths(family, rank):
+    """The per-family table of half squared simple-root lengths (long root
+    = 1) that the lengths were taken from before they were read off the
+    Cartan matrix."""
+    d = [Fraction(1)] * rank
+    if family == "B":
+        d[rank - 1] = Fraction(1, 2)
+    elif family == "C":
+        for i in range(rank - 1):
+            d[i] = Fraction(1, 2)
+    elif family == "F":
+        d[2] = d[3] = Fraction(1, 2)
+    elif family == "G":
+        d[0] = Fraction(1, 3)
+    return d
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_simple_root_lengths_match_the_family_table(family, rank):
+    rs = build_root_system(RootSystemType(family, rank))
+    assert rs._d == _reference_half_lengths(family, rank)
+    assert all(type(x) is Fraction for x in rs._d)
+    r = rs.rank
+    assert all(rs._form[i][j] == rs._form[j][i]
+               for i in range(r) for j in range(r))
+
+
 def test_types_sort_by_family_then_rank():
     types = [RootSystemType(f, r) for f, r in REFERENCE_TYPES]
     by_fields = sorted(types, key=lambda t: (t.family, t.rank))
