@@ -7,7 +7,7 @@ Modality of rank-one modules in closed form
 # for the rank-one simple algebra every finite-dimensional module is a sum
 # of irreducibles rho_n of dimension n+1, and the modality of the sum has
 # a closed form depending only on which summands are nontrivial
-from liemod.modality import modality_visible, sl2_action, sl2_modality
+from liemod.modality import generic_orbit_dim, sl2_action, sl2_modality
 
 cases = [
     (0, 0, 0),   # trivial module: everything is a fixed point
@@ -22,7 +22,7 @@ print(f"{'summands':<12} {'dim':>4} {'closed form':>12} {'from matrices':>14}")
 for summands in cases:
     closed = sl2_modality(summands)
     action = sl2_action(summands)
-    computed = modality_visible(action)
+    computed = generic_orbit_dim(action).codimension
     print(f"{str(list(summands)):<12} {action.space_dim:>4} "
           f"{closed:>12} {computed:>14}")
 

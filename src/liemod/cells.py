@@ -48,11 +48,6 @@ class FunctionalSet(namedtuple("FunctionalSet", "ambient_dim functionals")):
         return tuple(tuple(linalg.clear_denominators(f))
                      for f in self.functionals)
 
-    def evaluate(self, index, point):
-        if len(point) != self.ambient_dim:
-            raise ValueError("point has wrong length")
-        return sum(map(mul, self.functionals[index], point), Fraction(0))
-
     def vanishing_set(self, point):
         if len(point) != self.ambient_dim:
             raise ValueError("point has wrong length")

@@ -2,11 +2,11 @@
 
 A matrix is a ``Matrix``: a list of rows whose entries are Python ints or
 ``fractions.Fraction``, plus its shape.  Mixing the two is fine, since
-arithmetic promotes to ``Fraction`` as needed.  A column vector is a
-``Vector``, a list of entries that also reports its shape.  The entry
-points read any matrix through one row helper, so they also accept nested
-lists or a 2-d array of Python numbers.  Polynomials are python lists of
-coefficients in ascending degree order, normalized so the leading
+arithmetic promotes to ``Fraction`` as needed.  A vector is a plain list of
+entries, and a right-hand side is a matrix with one column per system.  The
+entry points read any matrix through one row helper, so they also accept
+nested lists or a 2-d array of Python numbers.  Polynomials are python
+lists of coefficients in ascending degree order, normalized so the leading
 coefficient is nonzero (the zero polynomial is ``[]``).  Modules are built
 and bracketed in sparse columns: ``commutator`` and ``block_diag`` take
 and return ``Matrix`` values and never write out dense rows.  The
@@ -49,7 +49,7 @@ from math import gcd, isqrt, lcm
 from operator import add, index, mul, sub
 
 __all__ = [
-    "Matrix", "Vector", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
+    "Matrix", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
     "commutator", "block_diag",
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
@@ -59,19 +59,11 @@ __all__ = [
 ]
 
 
-class Vector(list):
-    """An exact column vector: a list of entries with a shape."""
-
-    @property
-    def shape(self):
-        return (len(self),)
-
-
 class Matrix:
     """An exact matrix: rows of Python ints and ``Fraction`` plus a shape.
 
-    ``m[i, j]`` reads and writes an entry and ``m[:, j]`` reads a column;
-    iterating yields the rows.  A frozen matrix refuses writes with
+    ``m[i, j]`` reads and writes an entry; iterating yields the rows.  A
+    frozen matrix, as ``from_columns`` makes, refuses writes with
     ValueError.  ``__array__`` hands array code an object array, importing
     the array library only when it is called.
     """
@@ -120,16 +112,6 @@ class Matrix:
         return [(i, j, r[j]) for i, r in enumerate(self._rows)
                 for j in compress(range(self.shape[1]), r)]
 
-    def freeze(self):
-        self.frozen = True
-        return self
-
-    def copy(self):
-        return Matrix([list(r) for r in self.rows], self.shape[1])
-
-    def tolist(self):
-        return [list(r) for r in self.rows]
-
     @property
     def flat(self):
         return [v for r in self.rows for v in r]
@@ -142,8 +124,6 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        if isinstance(i, slice):
-            return Vector(r[j] for r in self.rows[i])
         return self.rows[i][j]
 
     def __setitem__(self, key, value):
@@ -211,9 +191,9 @@ def rmat(rows):
 
 
 def rvec(entries):
-    """Build an exact column vector."""
-    return Vector(x if isinstance(x, (int, Fraction)) else Fraction(x)
-                  for x in entries)
+    """Build an exact vector, a list of ints and ``Fraction``."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x)
+            for x in entries]
 
 
 def zeros(nrows, ncols=None):
@@ -459,22 +439,24 @@ def kernel_basis(m):
     out = []
     for y in integer_kernel(*_integer_rows(m)):
         d = next(v for v in reversed(y) if v)
-        out.append(Vector(Fraction(v, d) for v in y))
+        out.append([Fraction(v, d) for v in y])
     return out
 
 
 def solve_square(a, b):
-    """Solve ``a @ x = b`` for invertible square ``a``; ``b`` may be a matrix.
+    """Solve the matrix equation ``a @ x = b`` for invertible square ``a``.
 
     Column j of x is minus the kernel vector of ``[a | b]`` that is 1 at
-    b's column j.  A ``Vector`` b gives a ``Vector`` x.  Raises ValueError
-    when ``a`` is singular.
+    b's column j; a single system is an n x 1 ``b``.  Raises ValueError
+    when ``a`` is singular or the shapes do not fit, a 1-d ``b`` included.
     """
     a = _rows(a)
     n = len(a)
-    column = isinstance(b, Vector)
-    rhs = [[x] for x in b] if column else _rows(b)
-    k = 1 if column else _width(b, rhs)
+    try:
+        rhs = _rows(b)
+    except TypeError:   # b's rows are numbers, not rows
+        raise ValueError("shape mismatch") from None
+    k = _width(b, rhs)
     if [len(r) for r in a] != [n] * n or [len(r) for r in rhs] != [k] * n:
         raise ValueError("shape mismatch")
     aug = [clear_denominators(r + s) for r, s in zip(a, rhs)]
@@ -484,7 +466,7 @@ def solve_square(a, b):
     cols = [_back_substitute(ech, pivots, n + k, j) for j in range(n, n + k)]
     x = [[Fraction(-col[i], col[j]) for j, col in enumerate(cols, n)]
          for i in range(n)]
-    return Vector(r[0] for r in x) if column else Matrix(x, k)
+    return Matrix(x, k)
 
 
 def inverse(a):

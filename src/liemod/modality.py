@@ -37,7 +37,7 @@ from .rootsys import RootSystemType, build_root_system
 __all__ = [
     "ActionSpec", "OrbitDimReport", "CoverPiece", "TableEntry", "VerifyResult",
     "ExmoReport", "stabilizer_dim_at", "stabilizer_basis", "orbit_dim_at",
-    "generic_orbit_dim", "modality_visible", "sl2_action", "sl2_modality",
+    "generic_orbit_dim", "sl2_action", "sl2_modality",
     "modality_from_cover", "action_from_module", "load_raw_tables",
     "table_entries", "lookup_expected_modality", "verify_table_entry",
     "sum_of_copies_check", "DEFAULT_TRIALS", "DEFAULT_SEED",
@@ -196,15 +196,6 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         action, lambda rng: [rng.randrange(PRIME)
                              for _ in range(action.space_dim)],
         1, trials, seed)
-
-
-def modality_visible(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """space_dim minus generic orbit dimension.
-
-    Valid as the modality when the action is visible (finitely many orbits
-    in each quotient fiber); visibility itself is a trusted premise here.
-    """
-    return generic_orbit_dim(action, trials, seed).codimension
 
 
 def _check_ceiling(what, dim, ceiling):

@@ -2,9 +2,9 @@
 
 A root system is built from its Cartan matrix, with roots represented as
 integer coordinate vectors in the simple-root basis.  Weights are integer
-vectors in the fundamental-weight basis.  The invariant bilinear form is
-the Cartan matrix's symmetrization, normalized so long roots have squared
-length 2.
+vectors in the fundamental-weight basis.  The squared lengths of the simple
+roots come from the Cartan matrix's symmetrizer, normalized so long roots
+have squared length 2.
 
 The positive roots are raised from the simple roots by simple reflections,
 each recording its squared length, which a reflection keeps; the coroot of
@@ -118,12 +118,8 @@ class RootSystem:
         r = rstype.rank
         self.rank = r
         self.cartan = _cartan_matrix(rstype.family, r)
-        self._d = _symmetrizer(self.cartan)
-        # symmetrized form on root coordinates: B[i][j] = (alpha_i, alpha_j)
-        self._form = [[Fraction(self.cartan[i][j]) * self._d[j] for j in range(r)]
-                      for i in range(r)]
         # squared lengths of the simple roots, scaled to integers
-        self._sq = linalg.clear_denominators(self._d)
+        self._sq = linalg.clear_denominators(_symmetrizer(self.cartan))
         self._lengths = self._generate_positive_roots()
         self.positive_roots = tuple(
             sorted(self._lengths, key=lambda b: (sum(b), b)))
@@ -185,12 +181,7 @@ class RootSystem:
                         raise AssertionError(f"roots not closed under s_{j}")
         return lengths
 
-    # -- pairings and coordinate changes ------------------------------------
-
-    def pairing(self, x, y):
-        """Invariant form on vectors given in root coordinates."""
-        return sum(Fraction(x[i]) * self._form[i][j] * Fraction(y[j])
-                   for i in range(self.rank) for j in range(self.rank))
+    # -- coroots and weights ------------------------------------------------
 
     @cached_property
     def positive_coroots(self):
@@ -216,33 +207,10 @@ class RootSystem:
         return tuple(sum(beta[j] * self.cartan[j][i] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def weight_root_coords(self, weight):
-        """Root coordinates (rational) of a weight given in weight coords."""
-        return tuple(sum(Fraction(weight[k]) * self.fundamental_weights[k][i]
-                         for k in range(self.rank)) for i in range(self.rank))
-
     def simple_reflection_weight(self, j, weight):
         """Apply s_j to a vector in fundamental-weight coordinates."""
         c = weight[j]
         return tuple(weight[i] - c * self.cartan[j][i] for i in range(self.rank))
-
-    def is_dominant(self, weight):
-        return all(c >= 0 for c in weight)
-
-    def dominant_representative(self, weight):
-        """The dominant weight in the Weyl orbit of ``weight``."""
-        w = tuple(weight)
-        while True:
-            j = next((i for i, c in enumerate(w) if c < 0), None)
-            if j is None:
-                return w
-            w = self.simple_reflection_weight(j, w)
-
-    def dominant_dual(self, weight):
-        """Highest weight of the dual module: the negated weight made dominant."""
-        if not self.is_dominant(weight):
-            raise ValueError("dominant_dual expects a dominant weight")
-        return self.dominant_representative(tuple(-c for c in weight))
 
     @cached_property
     def diagram_automorphisms(self):

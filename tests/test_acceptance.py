@@ -80,8 +80,8 @@ def test_criterion_04_rank_one_closed_form_sweep():
             summands = tuple(d - 1 for d in dims)
             closed = sl2_modality(summands)
             action = sl2_action(summands)
-            from_matrices = modality.modality_visible(
-                action, trials=5, seed=SEED)
+            from_matrices = modality.generic_orbit_dim(
+                action, trials=5, seed=SEED).codimension
             cases += 1
             if closed != from_matrices:
                 mismatches.append(summands)

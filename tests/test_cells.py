@@ -179,15 +179,12 @@ def test_functional_set_validation():
     with pytest.raises(ValueError):
         cells.FunctionalSet(ambient_dim=2, functionals=((1, 2, 3),))
     fs = cells.FunctionalSet(ambient_dim=2, functionals=((1, 2), (0, 1)))
-    assert fs.evaluate(0, [2, -1]) == 0
     assert fs.vanishing_set([2, -1]) == frozenset({0})
 
 
 def test_point_of_wrong_length_is_an_error():
     fset = cells.root_functionals(build_root_system(RootSystemType("A", 3)))
     for point in ([1], [1, 2, 3, 4]):
-        with pytest.raises(ValueError):
-            fset.evaluate(0, point)
         with pytest.raises(ValueError):
             fset.vanishing_set(point)
 
@@ -242,7 +239,8 @@ def test_closure_of_scaled_functionals():
             assert (cells._closure(fset, frozenset(indices))
                     == reference_closure(fset, indices))
     assert fset.vanishing_set([Fraction(2, 3), -1, Fraction(5, 6)]) == {0, 1, 2, 3}
-    assert fset.evaluate(2, [1, Fraction(1, 5), 1]) == Fraction(7, 6)
+    assert fset.int_rows == ((3, 2, 0), (3, 2, 0), (0, 5, 6), (3, 7, 6),
+                             (1, 0, 0))
 
 
 def dowling_number(n, m=2):

@@ -166,7 +166,7 @@ def test_expand_matrix_rejects_outsiders():
         assert sc.expand_matrix(x) == [int(k == a) for k in range(sc.dim)]
         for i in range(n):
             for j in range(n):
-                bad = x.copy()
+                bad = linalg.rmat(x)
                 bad[i, j] += 1
                 with pytest.raises(ValueError):
                     sc.expand_matrix(bad)
@@ -372,7 +372,7 @@ def _conjugated_block_matrices():
         t = linalg.block_diag(blocks)
         n = t.shape[0]
         for _ in range(2):
-            x = t.copy()
+            x = linalg.rmat(t)
             for _ in range(3):
                 i, j = rng.sample(range(n), 2)
                 c = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))

@@ -15,7 +15,7 @@ from liemod.hwmod import (BuildCeilingExceeded, IrrepSpec, build_hw_module,
                           enumerate_dominant_up_to_dim,
                           extend_to_full_algebra, weyl_dim)
 from liemod.modality import action_from_module
-from liemod.rootsys import RootSystemType, build_root_system
+from liemod.rootsys import RootSystemType, _symmetrizer, build_root_system
 
 A1 = RootSystemType("A", 1)
 A2 = RootSystemType("A", 2)
@@ -213,16 +213,21 @@ def _reference_weyl_dims(rstype, weights):
     """The Weyl product formula on Fractions in root coordinates:
     prod (lambda + delta, beta) / (delta, beta) over the positive roots."""
     rs = build_root_system(rstype)
-    units = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
-    # (alpha_i, beta) for every positive root beta
-    forms = [[rs.pairing(u, beta) for u in units] for beta in rs.positive_roots]
+    r = rs.rank
+    half = _symmetrizer(rs.cartan)
+    # (alpha_i, beta) for every positive root beta: (alpha_i, alpha_j) is
+    # cartan[i][j] times alpha_j's half squared length
+    forms = [[sum(rs.cartan[i][j] * half[j] * beta[j] for j in range(r))
+              for i in range(r)] for beta in rs.positive_roots]
     delta = rs.weyl_vector
     den = Fraction(1)
     for form in forms:
         den *= sum(d * c for d, c in zip(delta, form))
     out = []
     for w in weights:
-        lam = rs.weight_root_coords(w)
+        # root coordinates of lambda, through the fundamental weights
+        lam = [sum(c * fw[i] for c, fw in zip(w, rs.fundamental_weights))
+               for i in range(r)]
         shifted = [a + b for a, b in zip(lam, delta)]
         num = Fraction(1)
         for form in forms:

@@ -2,11 +2,12 @@
 ``__all__``, and every name its ``__all__`` lists exists on the module, so
 a rewrite leaves no stale import behind.  Every private helper has a
 caller, so a rewrite leaves no dead helper behind either, and every exported
-name is read outside the tests, so no public function lives on for its tests
-alone.  Every unbounded cache is keyed by a small, fixed domain, so a sweep
-over modules cannot grow it.  No module imports ``dataclasses``, which would
-cost every command its start-up time, and no module holds an ``assert``
-statement, which ``python -O`` would strip."""
+name and every public method is read outside the tests, so no public
+function or method lives on for its tests alone.  Every unbounded cache is
+keyed by a small, fixed domain, so a sweep over modules cannot grow it.  No
+module imports ``dataclasses``, which would cost every command its start-up
+time, and no module holds an ``assert`` statement, which ``python -O``
+would strip."""
 
 import ast
 import importlib
@@ -135,6 +136,38 @@ def test_every_exported_name_is_read_outside_tests():
     assert not unlisted, f"exported names only tests read: {unlisted}"
     stale = sorted(UNREAD_EXPORTS.keys() - unread)
     assert not stale, f"allowlisted names that are gone or now read: {stale}"
+
+
+# public methods and properties nothing outside tests/ reads yet, and why
+# each stays
+UNREAD_METHODS = {}
+
+
+def _attribute_loads(node):
+    """How often each name is read in ``node`` as an attribute."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_method_is_read_outside_tests():
+    trees = {name: _tree(name) for name in MODULES}
+    loads = sum(map(_attribute_loads, trees.values()), Counter())
+    loads += sum((_attribute_loads(ast.parse(p.read_text(encoding="utf-8")))
+                  for d in ("demos", "perfbench")
+                  for p in (ROOT / d).glob("*.py")), Counter())
+    unread = {
+        f"{cls.name}.{node.name}"
+        for tree in trees.values() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        # a method reading its own name is not a reader
+        and loads[node.name] == _attribute_loads(node)[node.name]}
+    unlisted = sorted(unread - UNREAD_METHODS.keys())
+    assert not unlisted, f"public methods only tests read: {unlisted}"
+    stale = sorted(UNREAD_METHODS.keys() - unread)
+    assert not stale, f"allowlisted methods that are gone or now read: {stale}"
 
 
 # each unbounded cache and the domain of its keys; a cache keyed by modules

@@ -266,7 +266,7 @@ def test_bracket_map_matches_dense_fraction_reference(n):
         for basis, action in ((packets.sl_basis(n), packets._adjoint_action(n)),
                               (cent, inner)):
             got = modality._orbit_rows(action, xm.flat)
-            ref = _dense_bracket_map(x, [b.tolist() for b in basis])
+            ref = _dense_bracket_map(x, [b.rows for b in basis])
             # -1 times one positive scale for the whole map
             scale = next(g / r for gr, rr in zip(got, ref)
                          for g, r in zip(gr, rr) if r)
@@ -281,7 +281,7 @@ def test_bracket_map_matches_dense_fraction_reference(n):
             assert ([list(v) for v in stabilizer_basis(action, [xm.flat])]
                     == [list(v) for v in ref_ker])
         assert adjoint_orbit_dim(xm) == linalg.rank(linalg.rmat(
-            _dense_bracket_map(x, [b.tolist() for b in packets.sl_basis(n)])))
+            _dense_bracket_map(x, [b.rows for b in packets.sl_basis(n)])))
 
 
 # center of the centralizer of each nilpotent sl4 representative, as
@@ -305,7 +305,7 @@ def test_center_of_centralizer_sl4_nilpotents_pinned():
     assert len(nilpotent) == len(_SL4_NILPOTENT_CENTERS)
     for p in nilpotent:
         center = packets._center_of_centralizer(p.representative)
-        assert [m.tolist() for m in center] == \
+        assert [m.rows for m in center] == \
             _SL4_NILPOTENT_CENTERS[p.jordan_type.name]
         assert all(type(v) is Fraction for m in center for v in m.flat)
 
