@@ -59,14 +59,11 @@ def _item(item_id, computed=None, expected=None, match=None, orbit_dim=None,
             "sampling": sampling}
 
 
-def _sampling(reports, quantity=_CODIMENSION):
-    """How sure an item is: the field its points came from, how many were
-    drawn, and the chance that any of the ``OrbitDimReport``s it rests on
-    fell short (their union bound)."""
-    return {"field": reports[0].field,
-            "trials": sum(r.trials_used for r in reports),
-            "miss_bound": sum(r.miss_bound for r in reports),
-            "quantity": quantity}
+def _sampling(report):
+    """How sure an item is: the field the ``OrbitDimReport``'s points came
+    from, how many were drawn, and the chance that it fell short."""
+    return {"field": report.field, "trials": report.trials_used,
+            "miss_bound": report.miss_bound, "quantity": _CODIMENSION}
 
 
 def _bell(n):
@@ -107,7 +104,7 @@ def _cmd_tables_verify(args):
                 entry.entry_id, computed=res.computed,
                 expected=entry.expected_modality, orbit_dim=res.orbit_dim,
                 dims={"module": res.dim_v},
-                sampling=_sampling([res.sampling]))
+                sampling=_sampling(res.sampling))
 
 
 def _cmd_rep_modality(args):
@@ -129,7 +126,7 @@ def _cmd_rep_modality(args):
         dims={"module": action.space_dim, "algebra": action.algebra_dim},
         note="" if expected is not None else
         "weight not in the shipped tables; computed value only",
-        sampling=_sampling([report]))
+        sampling=_sampling(report))
 
 
 def _cmd_sl2_modality(args):
@@ -143,7 +140,7 @@ def _cmd_sl2_modality(args):
         orbit_dim=report.generic_orbit_dim,
         dims={"module": action.space_dim},
         note="closed form checked against explicit matrices",
-        sampling=_sampling([report]))
+        sampling=_sampling(report))
 
 
 def _cmd_cells_count(args):
@@ -186,7 +183,7 @@ def _cmd_grading_rank(args):
               "degree_one": len(ga.g1_indices)},
         note="rank from generic orbits; dimension from an explicit "
              "commuting semisimple family",
-        sampling=_sampling([report]))
+        sampling=_sampling(report))
 
 
 def _cmd_packets_enum(args):
@@ -231,9 +228,6 @@ def _cmd_packets_check(args):
             and check.matched_packet != "<unmatched>")
 
 
-_FAMILY = "generic orbit dimension on the family (v, c_1 v, ...)"
-
-
 def _cmd_exmo(args):
     rep = modality.sum_of_copies_check(
         args.n, args.d, trials=args.trials, seed=args.seed,
@@ -242,18 +236,17 @@ def _cmd_exmo(args):
                 expected=0, orbit_dim=rep.sampling.generic_orbit_dim,
                 dims={"module": rep.space_dim},
                 note=f"open orbit found: {rep.open_orbit_found}",
-                sampling=_sampling([rep.sampling]))
+                sampling=_sampling(rep.sampling))
     yield _item("exmo:family-bound", computed=rep.family_lower_bound,
                 expected=args.d - 1, orbit_dim=rep.family_orbit_dim,
                 dims={"family": rep.family_dim},
-                note="proportional tuples form a positive-dimensional "
-                     "family of equal-dimension orbits",
-                sampling=_sampling([rep.family_sampling], _FAMILY))
+                note="exact: proportional tuples form a family of orbits "
+                     "of dimension n, as SL_n is transitive on nonzero "
+                     "vectors")
     yield _item("exmo:modality-regular", computed=rep.modality_regular,
                 note="false means the family bound exceeds the "
                      "regular-sheet modality",
-                sampling=_sampling([rep.sampling, rep.family_sampling],
-                                   f"{_CODIMENSION}; {_FAMILY}"))
+                sampling=_sampling(rep.sampling))
 
 
 _REQUIRED = {"required": True}

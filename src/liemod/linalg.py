@@ -177,8 +177,12 @@ class Matrix:
 
 
 def _rows(m):
-    """The rows of a matrix, nested lists or 2-d array as fresh lists."""
-    return [list(r) for r in m]
+    """The rows of a matrix, nested lists or 2-d array as fresh lists.
+    Raises ValueError for a 1-d input, whose rows are numbers."""
+    try:
+        return [list(r) for r in m]
+    except TypeError:
+        raise ValueError("shape mismatch") from None
 
 
 def rmat(rows):
@@ -452,10 +456,7 @@ def solve_square(a, b):
     """
     a = _rows(a)
     n = len(a)
-    try:
-        rhs = _rows(b)
-    except TypeError:   # b's rows are numbers, not rows
-        raise ValueError("shape mismatch") from None
+    rhs = _rows(b)
     k = _width(b, rhs)
     if [len(r) for r in a] != [n] * n or [len(r) for r in rhs] != [k] * n:
         raise ValueError("shape mismatch")

@@ -36,7 +36,7 @@ from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
     "ActionSpec", "OrbitDimReport", "CoverPiece", "TableEntry", "VerifyResult",
-    "ExmoReport", "stabilizer_dim_at", "stabilizer_basis", "orbit_dim_at",
+    "ExmoReport", "stabilizer_basis", "orbit_dim_at",
     "generic_orbit_dim", "sl2_action", "sl2_modality",
     "modality_from_cover", "action_from_module", "load_raw_tables",
     "table_entries", "lookup_expected_modality", "verify_table_entry",
@@ -118,25 +118,19 @@ def _orbit_rows(action, v):
     return rows
 
 
-def stabilizer_dim_at(action, v, p=None):
-    """Dimension of the subalgebra annihilating the point v.
+def orbit_dim_at(action, v, p=None):
+    """Dimension of the orbit of the point v: the rank of the orbit matrix,
+    whose column k is ``matrices[k] @ v``.
 
-    That is ``algebra_dim`` minus the rank of the orbit matrix, whose column
-    k is ``matrices[k] @ v``.  Without ``p`` the rank is taken over Q and
-    the answer is exact.  With a prime ``p`` the integer orbit matrix is
-    ranked mod p (``linalg.rank_mod_p``); that rank is at most the one over
-    Q, so the answer can only be too high.
+    Without ``p`` the rank is taken over Q and the answer is exact.  With a
+    prime ``p`` the integer orbit matrix is ranked mod p
+    (``linalg.rank_mod_p``); that rank is at most the one over Q, so the
+    answer can only be too low.
     """
     rows = _orbit_rows(action, v)
     if p is None:
-        rk = linalg.integer_rank(rows, action.algebra_dim)
-    else:
-        rk = linalg.rank_mod_p(rows, action.algebra_dim, p)
-    return action.algebra_dim - rk
-
-
-def orbit_dim_at(action, v, p=None):
-    return action.algebra_dim - stabilizer_dim_at(action, v, p)
+        return linalg.integer_rank(rows, action.algebra_dim)
+    return linalg.rank_mod_p(rows, action.algebra_dim, p)
 
 
 def stabilizer_basis(action, points):
@@ -148,30 +142,6 @@ def stabilizer_basis(action, points):
     if not rows:
         raise ValueError("need one or more points")
     return linalg.kernel_basis(rows)
-
-
-def _miss_bound(degree, trials):
-    """``(degree / PRIME) ** trials`` as a float rounded up."""
-    return math.nextafter(float(Fraction(degree, PRIME) ** trials), math.inf)
-
-
-def _sampled_orbit_dim(action, draw, degree, trials, seed):
-    """Max orbit dimension mod ``PRIME`` over points ``draw(rng)``, whose
-    coordinates are polynomials of degree at most ``degree`` in uniformly
-    drawn parameters; stops once no point can do better."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = random.Random(seed)
-    cap = min(action.space_dim, action.algebra_dim)
-    best = 0
-    for used in range(1, trials + 1):
-        best = max(best, orbit_dim_at(action, draw(rng), PRIME))
-        if best == cap:
-            break
-    return OrbitDimReport(
-        generic_orbit_dim=best, codimension=action.space_dim - best,
-        trials_used=used, seed=seed, field=FIELD,
-        miss_bound=0.0 if best == cap else _miss_bound(degree * cap, used))
 
 
 def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
@@ -186,16 +156,28 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     nonzero mod p (p does not divide all its coefficients), Schwartz-Zippel
     bounds the chance of a miss by rho/p per point drawn uniformly from
     F_p^n.  With c = min(space_dim, algebra_dim) >= rho, ``miss_bound`` is
-    (c/p)^t after t trials, about 1e-16 per trial even for c = 240.
+    (c/p)^t after t trials, about 1e-16 per trial even for c = 240.  It is
+    the one sampler here: every ``OrbitDimReport`` comes from it.
 
     Sampling stops early once the rank reaches c, since no point can do
     better; ``miss_bound`` is then 0 and ``trials_used`` counts the points
     actually drawn.
     """
-    return _sampled_orbit_dim(
-        action, lambda rng: [rng.randrange(PRIME)
-                             for _ in range(action.space_dim)],
-        1, trials, seed)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    rng = random.Random(seed)
+    cap = min(action.space_dim, action.algebra_dim)
+    best = 0
+    for used in range(1, trials + 1):
+        point = [rng.randrange(PRIME) for _ in range(action.space_dim)]
+        best = max(best, orbit_dim_at(action, point, PRIME))
+        if best == cap:
+            break
+    miss = 0.0 if best == cap else math.nextafter(
+        float(Fraction(cap, PRIME) ** used), math.inf)   # rounded up
+    return OrbitDimReport(
+        generic_orbit_dim=best, codimension=action.space_dim - best,
+        trials_used=used, seed=seed, field=FIELD, miss_bound=miss)
 
 
 def _check_ceiling(what, dim, ceiling):
@@ -398,24 +380,23 @@ class ExmoReport(NamedTuple):
     family_lower_bound: int
     modality_regular: bool
     sampling: OrbitDimReport          # of the generic orbit
-    family_sampling: OrbitDimReport   # of the family's generic orbit
 
 
 def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                         ceiling=DEFAULT_BUILD_CEILING):
     """Modality anatomy of d copies of the natural rank n-1 module.
 
-    The generic orbit is open (regular-sheet modality 0), yet the points
-    (v, c_1 v, ..., c_{d-1} v) form an (n+d-1)-parameter family of orbits of
-    dimension n, forcing total modality >= d-1.  For d >= 2 the action is
-    therefore not modality-regular.  The family's orbit dimension is
-    sampled like ``generic_orbit_dim``, at (v, c_1, ..., c_{d-1}) drawn
-    uniformly from F_p; the point has degree 2 in them, so the minors have
-    twice the degree and the miss bound is (2m/p)^t with
-    m = min(space_dim, algebra_dim).  This sampling needs the bound most:
-    an understated family orbit dimension overstates
-    ``family_lower_bound``.  Raises BuildCeilingExceeded before any build
-    when the sum's dimension n * d exceeds ``ceiling``.
+    The generic orbit is open (regular-sheet modality 0), yet the family
+    F = {(v, c_1 v, ..., c_{d-1} v) : v != 0} forces total modality
+    >= d-1, so for d >= 2 the action is not modality-regular.  The family's
+    numbers are proven, not sampled: F is SL_n-stable of dimension n+d-1,
+    since g (v, c v) = (gv, c gv); and SL_n is transitive on nonzero
+    vectors, so the orbit of a point of F is {(w, c w) : w != 0}, of
+    dimension n.  Hence ``family_lower_bound`` is exactly d-1.  Only the
+    regular sheet's codimension is sampled (``generic_orbit_dim``), and it
+    is never below the true one, so ``open_orbit_found`` and a false
+    ``modality_regular`` are exact too.  Raises BuildCeilingExceeded before
+    any build when the sum's dimension n * d exceeds ``ceiling``.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -430,23 +411,11 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                                   for m in full.full_basis])
 
     report = generic_orbit_dim(action, trials=trials, seed=seed)
-
-    def family_point(rng):
-        v = [rng.randrange(PRIME) for _ in range(n)]
-        point = list(v)
-        for _ in range(d - 1):
-            c = rng.randrange(PRIME)
-            point.extend(c * x % PRIME for x in v)
-        return point
-
-    family = _sampled_orbit_dim(action, family_point, 2, trials, seed)
-    family_orbit = family.generic_orbit_dim
-    family_dim = n + d - 1
-    lower = family_dim - family_orbit
+    lower = d - 1
     return ExmoReport(n=n, d=d, space_dim=action.space_dim,
                       regular_sheet_modality=report.codimension,
                       open_orbit_found=report.codimension == 0,
-                      family_dim=family_dim, family_orbit_dim=family_orbit,
+                      family_dim=n + d - 1, family_orbit_dim=n,
                       family_lower_bound=lower,
                       modality_regular=lower <= report.codimension,
-                      sampling=report, family_sampling=family)
+                      sampling=report)

@@ -783,6 +783,12 @@ SHAPE_ERRORS = {
                                          linalg.rmat([[1], [2], [3]])),
     # a 1-d right-hand side has rows that are numbers, not rows
     "solve 1-d": lambda: linalg.solve_square(linalg.eye(2), [1, 2]),
+    # and so has a 1-d matrix argument of any entry point
+    "rank 1-d": lambda: linalg.rank([1, 2]),
+    "kernel 1-d": lambda: linalg.kernel_basis([1, 2]),
+    "char_poly 1-d": lambda: linalg.char_poly([1, 2]),
+    "inverse 1-d": lambda: linalg.inverse([1, 2]),
+    "solve 1-d matrix": lambda: linalg.solve_square([1, 2], linalg.eye(2)),
 }
 
 
@@ -801,7 +807,12 @@ def test_shape_errors_survive_python_o():
         "             lambda: linalg.rmat([[1, 2]]) - linalg.eye(2),\n"
         "             lambda: linalg.solve_square(\n"
         "                 linalg.eye(2), linalg.rmat([[1], [2], [3]])),\n"
-        "             lambda: linalg.solve_square(linalg.eye(2), [1, 2])):\n"
+        "             lambda: linalg.solve_square(linalg.eye(2), [1, 2]),\n"
+        "             lambda: linalg.rank([1, 2]),\n"
+        "             lambda: linalg.kernel_basis([1, 2]),\n"
+        "             lambda: linalg.char_poly([1, 2]),\n"
+        "             lambda: linalg.inverse([1, 2]),\n"
+        "             lambda: linalg.solve_square([1, 2], linalg.eye(2))):\n"
         "    try:\n"
         "        print('no error:', make())\n"
         "    except ValueError as exc:\n"
@@ -812,7 +823,7 @@ def test_shape_errors_survive_python_o():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["ragged rows"] + ["shape mismatch"] * 4
+    assert done.stdout.splitlines() == ["ragged rows"] + ["shape mismatch"] * 9
 
 
 def _dense_and_sparse(rows):

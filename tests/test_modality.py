@@ -9,7 +9,8 @@ import pytest
 
 from liemod import graded, linalg
 from liemod import modality as mo
-from liemod.hwmod import IrrepSpec, enumerate_dominant_up_to_dim
+from liemod.hwmod import (IrrepSpec, enumerate_dominant_up_to_dim,
+                          extend_to_full_algebra)
 from liemod.rootsys import RootSystemType, build_root_system
 
 P = mo.PRIME
@@ -21,13 +22,13 @@ def natural_a1_action():
 
 def test_stabilizer_dim_at_zero_vector():
     a = natural_a1_action()
-    assert mo.stabilizer_dim_at(a, [0, 0]) == a.algebra_dim == 3
+    assert a.algebra_dim - mo.orbit_dim_at(a, [0, 0]) == a.algebra_dim == 3
 
 
 def test_stabilizer_dim_at_examples():
     a = natural_a1_action()
     # the line through (1,0) is fixed by a single nilpotent direction
-    assert mo.stabilizer_dim_at(a, [1, 0]) == 1
+    assert a.algebra_dim - mo.orbit_dim_at(a, [1, 0]) == 1
     adj = mo.action_from_module(IrrepSpec(RootSystemType("A", 2), (1, 1)))
     rep = mo.generic_orbit_dim(adj)
     # generic centralizer is a Cartan
@@ -80,7 +81,7 @@ def test_stabilizer_basis_matches_dense_fraction_kernel(name, weight):
         got = mo.stabilizer_basis(a, points)
         assert [list(v) for v in got] == _fraction_kernel(rows, a.algebra_dim)
         if npoints == 1:
-            assert len(got) == mo.stabilizer_dim_at(a, points[0])
+            assert len(got) == a.algebra_dim - mo.orbit_dim_at(a, points[0])
     with pytest.raises(ValueError):
         mo.stabilizer_basis(a, [])
 
@@ -127,7 +128,7 @@ def test_action_spec_validation():
     a = mo.ActionSpec(matrices=(z,))
     assert (a.algebra_dim, a.space_dim) == (1, 3)
     with pytest.raises(ValueError):
-        mo.stabilizer_dim_at(a, [1, 2])
+        a.algebra_dim - mo.orbit_dim_at(a, [1, 2])
 
 
 def test_sl2_modality_closed_form_cases():
@@ -364,14 +365,29 @@ def test_miss_bound_without_an_open_orbit():
     assert one.miss_bound == pytest.approx(8 / P, rel=1e-12)
 
 
-def test_sum_of_copies_family_sampling():
-    r = mo.sum_of_copies_check(4, 3, trials=2)
-    assert r.sampling.miss_bound == 0 and r.sampling.trials_used == 1
-    fam = r.family_sampling
-    assert fam.generic_orbit_dim == r.family_orbit_dim == 4
-    assert fam.trials_used == 2
-    # the family point has degree 2 in its parameters
-    assert fam.miss_bound == pytest.approx((2 * 12 / P) ** 2, rel=1e-12)
+def test_sum_of_copies_family_orbits_have_dimension_n():
+    # sum_of_copies_check states the family's numbers by its argument:
+    # every point (v, c_1 v, ...) with v != 0 has an orbit of dimension n.
+    # Check that over Q at seeded integer points, and the report against it
+    rng = random.Random(mo.DEFAULT_SEED)
+    for n in range(3, 7):
+        natural = (1,) + (0,) * (n - 2)
+        basis = extend_to_full_algebra(
+            IrrepSpec(RootSystemType("A", n - 1), natural)).full_basis
+        for d in range(2, n):
+            a = mo.ActionSpec([linalg.block_diag([m] * d) for m in basis])
+            for _ in range(3):
+                v = [0] * n
+                while not any(v):
+                    v = [rng.randint(-5, 5) for _ in range(n)]
+                cs = [1] + [rng.randint(-5, 5) for _ in range(d - 1)]
+                point = [c * x for c in cs for x in v]
+                assert mo.orbit_dim_at(a, point) == n, (n, d, point)
+            r = mo.sum_of_copies_check(n, d)
+            assert (r.family_dim, r.family_orbit_dim) == (n + d - 1, n)
+            assert r.family_lower_bound == d - 1
+            assert r.open_orbit_found and r.regular_sheet_modality == 0
+            assert r.modality_regular is False
 
 
 def test_rank_of_grading_uses_the_library_defaults():

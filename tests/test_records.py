@@ -47,8 +47,7 @@ RECORDS = {
     "ExmoReport": (ExmoReport, dict(
         n=3, d=2, space_dim=6, regular_sheet_modality=0,
         open_orbit_found=True, family_dim=4, family_orbit_dim=3,
-        family_lower_bound=1, modality_regular=False, sampling=REPORT,
-        family_sampling=REPORT)),
+        family_lower_bound=1, modality_regular=False, sampling=REPORT)),
     "GradingSpec": (GradingSpec, dict(rstype=A2, m=3, labels=(1, 2))),
     "GradedAlgebra": (GradedAlgebra, dict(
         spec=GradingSpec(A2, None, (1, 0)), sc=None,
