@@ -8,26 +8,27 @@ number of parameters of a generic orbit of that action, equal to the
 dimension of a maximal commuting semisimple subspace of the degree-one part.
 
 Structure constants are computed once per algebra type from a faithful
-matrix construction of the smallest available module and cached.  Each
-bracket is read off root arithmetic first.  Two Cartan generators commute,
-and [h_i, x_beta] is the Cartan integer <beta, alpha_i^vee> times x_beta:
-the weight difference along x_beta's probe entry (below).  When alpha +
-beta is neither a root nor zero, [x_alpha, x_beta] is zero by weight.  Only
-the remaining pairs, those whose roots sum to a root or to zero, get a
-sparse commutator of their basis matrices, and its coordinates are read
-off the root-space structure rather than solved for.  A nonzero entry
-(i, j) of the root vector x_beta joins module basis vectors whose weights
-differ by beta, and no other basis element is nonzero there, so each root
-vector has one fixed probe entry and its coordinate is the ratio of the
-matrix's entry there to the root vector's.  Only the Cartan generators
-reach the diagonal.  The diagonal entries of sum_i c_i h_i at the row and
-the column of the probe entry of a simple root vector x_j differ by
-sum_i c_i <alpha_j, alpha_i^vee>, so c is the inverse Cartan matrix, held
-as an integer matrix over one denominator, times those r differences.
-Every expansion then rebuilds the matrix from its coordinates and
-compares it with the input over every nonzero entry of either, so a
-closure failure or a matrix outside the algebra is an error, never a
-silent wrong answer.
+matrix construction of the smallest available module and cached.  The basis
+is left-normed, x_beta = [e_j, x_gamma] (``hwmod.root_vectors``), and ad is
+a homomorphism, so from the 2r matrices ad e_i and ad f_i that recursion
+builds ad of every root vector; bracket[a][b] is column b of ad of basis
+element a, and the Cartan rows are the negated Cartan columns.  A Cartan
+column of ad e_i or ad f_i is root data, [x_alpha, h_b] = -<alpha,
+alpha_b^vee> x_alpha, and a root column [x_alpha, x_beta] is zero by weight
+unless alpha + beta is a root or zero.  Otherwise it is one sparse
+commutator of module matrices, whose coordinates are read off the
+root-space structure rather than solved for.  A nonzero entry (i, j) of the
+root vector x_beta joins module basis vectors whose weights differ by beta,
+and no other basis element is nonzero there, so each root vector has one
+fixed probe entry and its coordinate is the ratio of the matrix's entry
+there to the root vector's.  Only the Cartan generators reach the diagonal.
+The diagonal entries of sum_i c_i h_i at the row and the column of the
+probe entry of a simple root vector x_j differ by sum_i c_i <alpha_j,
+alpha_i^vee>, so c is the inverse Cartan matrix, held as an integer matrix
+over one denominator, times those r differences.  Every expansion then
+rebuilds the matrix from its coordinates and compares it with the input
+over every nonzero entry of either, so a closure failure or a matrix
+outside the algebra is an error, never a silent wrong answer.
 
 Coordinates are Python ints wherever they are integral and ``Fraction``
 only where they are not: some structure constants of types C and F have
@@ -47,7 +48,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
-from .hwmod import IrrepSpec, extend_to_full_algebra
+from .hwmod import IrrepSpec, extend_to_full_algebra, root_vectors
 from .linalg import exact_ratio, integral
 from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, PRIME, ActionSpec,
                        generic_orbit_dim)
@@ -110,46 +111,46 @@ class StructureConstants:
         # a root vector owns every position where it is nonzero
         self._probes = [None] * r + [
             next(iter(e.items())) for e in self._entries[r:]]
-        index = {root: k for k, root in enumerate(self.root_of_index)}
+        # the root vector a sum of roots names; none for zero
+        hint = {root: (k,) for k, root in enumerate(self.root_of_index) if root}
+        hint[(0,) * r] = ()
+        simple = [hint[tuple(int(i == j) for i in range(r))][0]
+                  for j in range(r)]
         # Cartan coordinates: the inverse Cartan matrix, as ints over den,
         # times the diagonal differences along the simple roots' probes
-        self._diag_rows = [
-            self._probes[index[tuple(int(i == j) for i in range(r))]][0]
-            for j in range(r)]
+        self._diag_rows = [self._probes[a][0] for a in simple]
         *flat, self._diag_den = linalg.clear_denominators(
             [*(c for w in rs.fundamental_weights for c in w), 1])
         self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
-        zero = (0,) * r
-        self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]
-        for b in range(r, self.dim):
-            # [h_a, x_b] = <beta, alpha_a^vee> x_b: beta's a-th coordinate
-            # in the fundamental weights
-            beta = rs.root_weight_coords(self.root_of_index[b])
-            for a, c in enumerate(beta):
-                if c:
-                    self.bracket[a][b] = {b: c}
-                    self.bracket[b][a] = {b: -c}
-        for a in range(r, self.dim):
+        # ad e_i, then ad f_i: Cartan columns from root data, and a module
+        # commutator where the two roots sum to a root or to zero
+        ad = []
+        for a in [*simple, *(k + len(pos) for k in simple)]:
             alpha = self.root_of_index[a]
-            for b in range(a + 1, self.dim):
-                total = tuple(map(add, alpha, self.root_of_index[b]))
-                if total == zero:
-                    roots = ()
-                elif total in index:
-                    roots = (index[total],)
-                else:
-                    continue  # zero by weight
-                comm = linalg.commutator(basis[a], basis[b])
-                entry = self._coords(_entries(comm), roots)
-                self.bracket[a][b] = entry
-                self.bracket[b][a] = {c: -v for c, v in entry.items()}
+            cols = [{a: -c} if c else {} for c in rs.root_weight_coords(alpha)]
+            for beta, m in zip(self.root_of_index[r:], basis[r:]):
+                roots = hint.get(tuple(map(add, alpha, beta)))
+                cols.append({} if roots is None else self._coords(
+                    _entries(linalg.commutator(basis[a], m)), roots))
+            ad.append(linalg.Matrix.from_columns(cols, self.dim))
+        xy = root_vectors(rs, ad[:r], ad[r:])
+        self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]
+        for a, m in enumerate((v[b] for v in xy for b in pos), r):
+            for b, col in enumerate(m.columns()):
+                if col:
+                    entry = {c: integral(col[c]) for c in sorted(col)}
+                    self.bracket[a][b] = entry
+                    if b < r:
+                        self.bracket[b][a] = {c: -v for c, v in entry.items()}
 
     def _coords(self, entries, roots=None):
         """Sparse coordinates of the matrix with nonzero ``entries`` ((i, j)
         -> value): the Cartan part from the diagonal, one probe read for
-        each root vector index in ``roots`` (every one by default), then a
-        residual check over every nonzero entry of the matrix and of its
-        reconstruction.  Values are ints where integral."""
+        each root vector index in ``roots``, then a residual check over
+        every nonzero entry of the matrix and of its reconstruction.  A
+        bracket of a simple root vector with a root vector passes the one
+        index its weight allows, or none when it is [e_i, f_i]; an
+        expansion reads every probe.  Values are ints where integral."""
         coords = {}
         diag = [entries.get((i, i), 0) - entries.get((j, j), 0)
                 for i, j in self._diag_rows]
@@ -390,13 +391,13 @@ def _centralizer_slice(sc, s, slice_basis):
 def cartan_subspace(ga, seed=DEFAULT_SEED):
     """A commuting family of semisimple degree-one elements.
 
-    For m = 1 it is the r Cartan unit vectors, in index order.  Otherwise
-    it iterates: sample in the current centralizer slice of the degree-one
-    part, keep the semisimple part of the sample when it adds a new
-    direction, cut the slice down to its centralizer, repeat.  Stops when
-    eight samples, from the integer boxes [-(3+2k), 3+2k] for k = 0..7,
-    yield nothing new, or at once when the slice is spanned by the family
-    found.
+    For m = 1 it is the r Cartan unit vectors, in index order, and for an
+    integer grading it is empty.  Otherwise it iterates: sample in the
+    current centralizer slice of the degree-one part, keep the semisimple
+    part of the sample when it adds a new direction, cut the slice down to
+    its centralizer, repeat.  Stops when eight samples, from the integer
+    boxes [-(3+2k), 3+2k] for k = 0..7, yield nothing new, or at once when
+    the slice is spanned by the family found.
     Returns full-basis coordinate vectors.
 
     The second stop is exact.  A semisimple part s of a sample x is a
@@ -409,7 +410,7 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     and since the random generator is local to the call, skipping them
     leaves the returned vectors unchanged.
 
-    The early return is exact.  The Cartan generators lie in degree zero
+    The m = 1 return is exact.  The Cartan generators lie in degree zero
     and g_1 in degree 1 mod m, so they have degree one only when m = 1,
     where g_1 is the whole algebra.  They are semisimple and commute,
     since ad h is diagonal in the root-space basis, and nothing outside
@@ -417,10 +418,15 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     with every h_i only if <beta, alpha_i^vee> = 0 for all i, which no
     root satisfies.  So they span a Cartan subspace of g_1 = g, found
     with no centralizer step and no Jordan decomposition, and the
-    family's size is the rank.  For every other grading the family's
-    size is a lower bound on the dimension of a Cartan subspace, which a
-    sample that happens to fall on a special element can understate;
-    unlike ``rank_of_grading`` it comes with no stated miss bound.
+    family's size is the rank.
+
+    The empty answer for an integer grading (m None) is exact too.  The
+    labels are nonnegative, so a root of degree one is positive: g_1 lies
+    in n+, each of its elements is nilpotent, and its semisimple part is 0.
+    For every other grading the family's size is a lower bound on the
+    dimension of a Cartan subspace, which a sample that happens to fall on
+    a special element can understate; unlike ``rank_of_grading`` it comes
+    with no stated miss bound.
 
     The slice is spanned by primitive integer vectors: each kernel vector
     is divided by the gcd of its entries, which keeps the samples and
@@ -430,6 +436,8 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
     structure constants with denominators 2 and 4), so the centralizer is
     an integer kernel.
     """
+    if ga.spec.m is None:
+        return []
     cartan = [tuple(int(i == idx) for i in range(ga.dim))
               for idx in ga.g1_indices if ga.sc.root_of_index[idx] is None]
     if cartan:

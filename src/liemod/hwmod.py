@@ -28,7 +28,7 @@ from .rootsys import build_root_system
 __all__ = [
     "BuildCeilingExceeded", "IrrepSpec", "HWModule", "weyl_dim",
     "enumerate_dominant_up_to_dim", "build_hw_module", "extend_to_full_algebra",
-    "DEFAULT_BUILD_CEILING",
+    "root_vectors", "DEFAULT_BUILD_CEILING",
 ]
 
 DEFAULT_BUILD_CEILING = 256
@@ -65,15 +65,15 @@ class HWModule:
 
     ``e``, ``f``, ``h`` hold the matrices of the simple generators in the
     monomial basis, ``weights`` the weight of each basis vector (weight
-    coordinates) and ``monomials`` its lowering-index sequence.  After
-    ``extend_to_full_algebra`` the field ``full_basis`` holds matrices for a
-    basis of the whole algebra, ordered as the Cartan generators, then one
-    raising vector per positive root (by height), then the matching
-    lowering vectors.
+    coordinates) and ``monomials`` its lowering-index sequence.
+    ``full_basis`` holds matrices for a basis of the whole algebra, ordered
+    as the Cartan generators, then one raising vector per positive root (by
+    height, from ``root_vectors``), then the matching lowering vectors, and
+    ``basis_names`` names them.
     """
 
     def __init__(self, spec, dimension, weights, monomials, e, f, h,
-                 full_basis=None, basis_names=None):
+                 full_basis, basis_names):
         self.spec, self.dimension = spec, dimension
         self.weights, self.monomials = weights, monomials
         self.e, self.f, self.h = e, f, h
@@ -195,18 +195,60 @@ def _build_module(spec):
               for j in range(r)]
     h_mats = [Matrix.from_columns([{b: weights[b][j]} if weights[b][j] else {}
                                    for b in basis], dim) for j in range(r)]
+    xy = root_vectors(rs, e_mats, f_mats)
+    pos = rs.positive_roots
     return HWModule(spec=spec, dimension=dim, weights=tuple(weights),
                     monomials=tuple(order), e=tuple(e_mats), f=tuple(f_mats),
-                    h=tuple(h_mats))
+                    h=tuple(h_mats),
+                    full_basis=(*h_mats, *(v[b] for v in xy for b in pos)),
+                    basis_names=(*(f"h{j + 1}" for j in range(r)), *(
+                        side + str(list(b)) for side in "xy" for b in pos)))
 
 
-# Both caches keep only the most recent module: every caller reuses a
-# module right after building it (an action is built and then extended, a
-# sum repeats a summand) and never after the next one, so a sweep holds the
-# one module it is verifying.
+def root_vectors(rs, e, f):
+    """Matrices of a raising and a lowering vector for every positive root,
+    as two dicts keyed by root, in height order.
+
+    ``e`` and ``f`` are the matrices of the simple root vectors in any
+    representation.  Each non-simple root beta is gamma + alpha_j for the
+    smallest j that leaves a positive root gamma, and its vectors are the
+    left-normed commutators x_beta = [e_j, x_gamma] and
+    y_beta = [f_j, y_gamma]; the lowering side mirrors the raising side.
+    """
+    r = rs.rank
+    pos_set = set(rs.positive_roots)
+    faithful = any(any(m.columns()) for m in e)
+    x, y = {}, {}
+    for beta in rs.positive_roots:  # height order, so summands exist already
+        if sum(beta) == 1:
+            j = beta.index(1)
+            x[beta], y[beta] = e[j], f[j]
+            continue
+        for j in range(r):
+            gamma = tuple(b - (1 if i == j else 0) for i, b in enumerate(beta))
+            if gamma in pos_set:
+                break
+        else:
+            raise AssertionError(f"no simple summand below root {beta}")
+        x[beta] = commutator(e[j], x[gamma])
+        y[beta] = commutator(f[j], y[gamma])
+        # every nonzero irreducible of a simple algebra is faithful; only
+        # the trivial line, where every e_i is zero, sends them to zero
+        if faithful and not all(any(v[beta].columns()) for v in (x, y)):
+            raise AssertionError(
+                f"root vector for {beta} vanished in a faithful module")
+    return x, y
+
+
+# Only the most recent module is kept: every caller reuses a module right
+# after building it (a sum repeats a summand, a table reads its module) and
+# never after the next one, so a sweep holds the one module it is verifying.
 @lru_cache(maxsize=1)
 def _build_module_cached(spec):
     return _build_module(spec)
+
+
+_extend_cached = _build_module_cached  # one cache, under both names
 
 
 def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
@@ -224,59 +266,8 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     return _build_module_cached(spec)
 
 
-# ---------------------------------------------------------------------------
-# full algebra action: one matrix per Cartan generator and per root
-
-@lru_cache(maxsize=1)
-def _extend_cached(spec):
-    mod = _build_module_cached(spec)
-    rs = build_root_system(spec.rstype)
-    r = rs.rank
-    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    pos_set = set(rs.positive_roots)
-
-    x, y = {}, {}
-    for beta in rs.positive_roots:  # height order, so summands exist already
-        if sum(beta) == 1:
-            j = units.index(beta)
-            x[beta], y[beta] = mod.e[j], mod.f[j]
-            continue
-        for j in range(r):
-            gamma = tuple(b - (1 if i == j else 0) for i, b in enumerate(beta))
-            if gamma in pos_set:
-                break
-        else:
-            raise AssertionError(f"no simple summand below root {beta}")
-        alpha = units[j]
-        x[beta] = commutator(x[alpha], x[gamma])
-        y[beta] = commutator(y[alpha], y[gamma])
-        # every nonzero irreducible of a simple algebra is faithful; only
-        # the trivial line (zero weight) sends root vectors to zero
-        if any(spec.highest_weight) and not (
-                any(x[beta].columns()) and any(y[beta].columns())):
-            raise AssertionError(
-                f"root vector for {beta} vanished in a faithful module")
-
-    full = [*mod.h, *(x[b] for b in rs.positive_roots),
-            *(y[b] for b in rs.positive_roots)]
-    names = [f"h{j + 1}" for j in range(r)]
-    names += ["x" + str(list(b)) for b in rs.positive_roots]
-    names += ["y" + str(list(b)) for b in rs.positive_roots]
-    return HWModule(spec=mod.spec, dimension=mod.dimension, weights=mod.weights,
-                    monomials=mod.monomials, e=mod.e, f=mod.f, h=mod.h,
-                    full_basis=tuple(full), basis_names=tuple(names))
-
-
 def extend_to_full_algebra(spec):
-    """Return the module of ``spec`` with matrices for a full algebra basis
-    attached.
-
-    Root vectors for non-simple positive roots are left-normed iterated
-    commutators along the smallest-index decomposition of each root; the
-    lowering side mirrors the raising side, so the count is rank + #roots.
-    On the zero weight every matrix is the 1x1 zero.
-
-    Only the most recently extended module is kept, and it shares ``e``,
-    ``f`` and ``h`` with the built module of its spec.
-    """
+    """The module of ``spec`` with its ``full_basis``: the cached object
+    ``build_hw_module`` returns, here with no ceiling.  On the zero weight
+    every matrix of the full basis is the 1x1 zero."""
     return _extend_cached(spec)

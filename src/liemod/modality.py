@@ -254,8 +254,7 @@ def action_from_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     The zero weight gives the trivial line, on which every basis element
     acts by zero.
     """
-    build_hw_module(spec, ceiling=ceiling)  # ceiling enforcement
-    return ActionSpec(matrices=extend_to_full_algebra(spec).full_basis)
+    return ActionSpec(build_hw_module(spec, ceiling).full_basis)
 
 
 class TableEntry(NamedTuple):

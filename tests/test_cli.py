@@ -243,7 +243,12 @@ def test_bad_flags():
      "--summands: expected comma-separated integers, got '1,x'"),
     ("grading rank --type A1 --m x --labels 1",
      "--m: expected an integer or 'inf', got 'x'"),
-], ids=["weight", "labels", "summands", "m"])
+    # common options that parse but are out of range
+    ("cells count --type A2 --seed -1", "seed must be nonnegative"),
+    ("cells count --type A2 --rank-cutoff 0", "cutoffs must be positive"),
+    ("cells count --type A2 --build-ceiling 0", "cutoffs must be positive"),
+], ids=["weight", "labels", "summands", "m", "seed", "rank-cutoff",
+        "build-ceiling"])
 def test_unparsable_option_names_the_option(argv, message, capsys,
                                              monkeypatch):
     monkeypatch.delenv("MODALITY_SEED", raising=False)
@@ -423,6 +428,16 @@ def test_items_that_do_not_sample_have_null_sampling(capsys):
         capsys, ["rep", "modality", "--type", "A3", "--weight", "2,2,2",
                  "--build-ceiling", "10"])
     assert report["items"][0]["sampling"] is None   # skipped, not sampled
+    code, report = run_json(capsys, ["tables", "verify", "--list", "m1",
+                                     "--build-ceiling", "3"])
+    assert code == 0
+    skipped = {it["id"]: it for it in report["items"]
+               if it["note"] and it["note"].startswith("skipped")}
+    assert skipped["m1:A3:1,0,0"]["note"] == (
+        "skipped: dimension 4 exceeds ceiling 3")
+    for it in skipped.values():
+        assert (it["computed"], it["match"], it["sampling"]) == (
+            None, None, None), it["id"]
     code, report = run_json(capsys, ["exmo", "--n", "3", "--d", "2"])
     by_id = {it["id"]: it for it in report["items"]}
     assert by_id["exmo:family-bound"]["sampling"] is None   # proven

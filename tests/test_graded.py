@@ -56,7 +56,7 @@ def test_structure_constants_jacobi_random():
             assert not any(total)
 
 
-@pytest.mark.parametrize("name", ["F4", "E6"])
+@pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
 def test_structure_constants_exceptional(name):
     rt = RootSystemType.parse(name)
     sc = gr.structure_constants(rt)
@@ -70,7 +70,9 @@ def test_structure_constants_exceptional(name):
             assert sc.bracket[e_i][f_j] == ({i: 1} if i == j else {})
     rng = random.Random(23)
     for _ in range(3):
-        u, v, w = ([Fraction(rng.randint(-3, 3)) for _ in range(sc.dim)]
+        # ints, not Fraction: the same values, and E8's 248-dimensional
+        # triples bracket about ten times faster
+        u, v, w = ([rng.randint(-3, 3) for _ in range(sc.dim)]
                    for _ in range(3))
         uvw = sc.bracket_coords(sc.bracket_coords(u, v), w)
         vwu = sc.bracket_coords(sc.bracket_coords(v, w), u)
@@ -97,6 +99,8 @@ BRACKET_TABLE_SHA256 = {
     "G2": "5c63429334da79a2568cb0e92d28a366a3b65702d91b072e51739fdcd1a277b5",
     "F4": "57a4f03a180917ff285b1accd49ba070cd9e6a7ffd035a5e612b30e2b1642159",
     "E6": "4c6d9d1f147a420afd44c93d4d4ff978136615f0921fd83121af346dabffbf50",
+    "E7": "e9ee8af6559cbb49fb3e1d73cb79072619dab5e00d2fd9c597ee079fff865cca",
+    "E8": "ed492b4d2fde3c58fb3fbce5e6c6177d7f0a7f92280c13aabea76a2c367dcc08",
 }
 
 
@@ -565,6 +569,18 @@ def test_cartan_subspace_of_an_adjoint_grading_is_the_cartan(monkeypatch):
         cartan = [tuple(int(i == k) for i in range(ga.dim))
                   for k in range(rt.rank)]
         assert gr.cartan_subspace(ga) == cartan, name
+    assert calls[0] == 0
+
+
+def test_cartan_subspace_of_an_integer_grading_is_empty(monkeypatch):
+    # nonnegative labels put every degree-one root in n+, so g_1 is
+    # nilpotent and no sample is needed to find no semisimple element
+    calls, _ = _counted_decompositions(monkeypatch)
+    for name, labels in [("A2", (1, 0)), ("B3", (0, 1, 0)),
+                         ("E6", (0, 1, 0, 0, 0, 0))]:
+        ga = gr.build_grading(
+            gr.GradingSpec(RootSystemType.parse(name), None, labels))
+        assert ga.g1_indices and gr.cartan_subspace(ga) == [], name
     assert calls[0] == 0
 
 

@@ -789,6 +789,11 @@ SHAPE_ERRORS = {
     "char_poly 1-d": lambda: linalg.char_poly([1, 2]),
     "inverse 1-d": lambda: linalg.inverse([1, 2]),
     "solve 1-d matrix": lambda: linalg.solve_square([1, 2], linalg.eye(2)),
+    # a matrix that is not square
+    "char_poly 1x2": lambda: linalg.char_poly(linalg.rmat([[1, 2]])),
+    "poly_eval_matrix 1x2": lambda: linalg.poly_eval_matrix(
+        [1, 1], linalg.rmat([[1, 2]])),
+    "char_poly_mod_p 1x2": lambda: linalg.char_poly_mod_p([[1, 2]], 7),
 }
 
 

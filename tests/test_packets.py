@@ -150,6 +150,8 @@ def test_classify_validates_input():
     x[0, 0] = 1  # trace 1
     with pytest.raises(ValueError):
         classify_adjoint_typeA(x)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        classify_adjoint_typeA(linalg.rmat([[1, 2]]))
 
 
 def test_classify_zero_and_nilpotent():

@@ -71,7 +71,7 @@ RECORDS = {
         max_modality=1, aggregator_ok=True, identity_ok=True,
         sheet_checks=(), sheets_ok=True, regular_center_ok=True)),
 }
-# HWModule is built once and extended into a new object; GradedAlgebra
+# HWModule is a plain class, built once with its full basis; GradedAlgebra
 # holds a dict.  Neither is frozen or hashed.
 FROZEN = sorted(set(RECORDS) - {"HWModule", "GradedAlgebra"})
 # Matrix values have no hash
