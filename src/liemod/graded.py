@@ -123,15 +123,24 @@ class StructureConstants:
             [*(c for w in rs.fundamental_weights for c in w), 1])
         self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
         # ad e_i, then ad f_i: Cartan columns from root data, and a module
-        # commutator where the two roots sum to a root or to zero
-        ad = []
+        # commutator where the two roots sum to a root or to zero, taken
+        # once per pair of simple root vectors: [x_a, x_b] = -[x_b, x_a]
+        ad, seen = [], {}
         for a in [*simple, *(k + len(pos) for k in simple)]:
             alpha = self.root_of_index[a]
             cols = [{a: -c} if c else {} for c in rs.root_weight_coords(alpha)]
-            for beta, m in zip(self.root_of_index[r:], basis[r:]):
+            for b, (beta, m) in enumerate(
+                    zip(self.root_of_index[r:], basis[r:]), r):
                 roots = hint.get(tuple(map(add, alpha, beta)))
-                cols.append({} if roots is None else self._coords(
-                    _entries(linalg.commutator(basis[a], m)), roots))
+                if roots is None:
+                    col = {}
+                elif (b, a) in seen:
+                    col = {c: -v for c, v in seen[b, a].items()}
+                else:
+                    col = self._coords(
+                        _entries(linalg.commutator(basis[a], m)), roots)
+                seen[a, b] = col
+                cols.append(col)
             ad.append(linalg.Matrix.from_columns(cols, self.dim))
         xy = root_vectors(rs, ad[:r], ad[r:])
         self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]

@@ -35,7 +35,12 @@ DEFAULT_BUILD_CEILING = 256
 
 
 class BuildCeilingExceeded(ValueError):
-    """Requested module dimension exceeds the configured build ceiling."""
+    """Requested module dimension exceeds the configured build ceiling;
+    ``dimension`` is the dimension that was asked for."""
+
+    def __init__(self, message, dimension):
+        super().__init__(message)
+        self.dimension = dimension
 
 
 class IrrepSpec(namedtuple("IrrepSpec", "rstype highest_weight")):
@@ -126,11 +131,12 @@ def enumerate_dominant_up_to_dim(rstype, max_dim):
     return sorted(found)
 
 
-def _build_module(spec):
+def _build_module(spec, dim):
+    """The module of ``spec``, whose dimension by Weyl's formula is
+    ``dim``; a basis that outgrows it or falls short raises."""
     rs = build_root_system(spec.rstype)
     r = rs.rank
     cartan = rs.cartan
-    dim = weyl_dim(spec)
     order = [()]                       # lowering monomial of each basis vector
     weights = [spec.highest_weight]
     e_cols = [[{} for _ in range(r)]]  # e_cols[b][i]: e_i x_b, sparse column
@@ -243,9 +249,10 @@ def root_vectors(rs, e, f):
 # Only the most recent module is kept: every caller reuses a module right
 # after building it (a sum repeats a summand, a table reads its module) and
 # never after the next one, so a sweep holds the one module it is verifying.
+# The dimension is part of the key, but it is a function of the spec.
 @lru_cache(maxsize=1)
-def _build_module_cached(spec):
-    return _build_module(spec)
+def _build_module_cached(spec, dim):
+    return _build_module(spec, dim)
 
 
 _extend_cached = _build_module_cached  # one cache, under both names
@@ -257,17 +264,18 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     Raises BuildCeilingExceeded when the Weyl dimension formula already
     shows the module would be larger than ``ceiling``.  Only the most
     recently built module is kept: asking for it again returns the same
-    object, and building another one releases it.
+    object, and building another one releases it.  Weyl's formula runs
+    once per call, and the build checks its basis against that dimension.
     """
     d = weyl_dim(spec)
     if d > ceiling:
         raise BuildCeilingExceeded(
-            f"module {spec.name} has dimension {d} > ceiling {ceiling}")
-    return _build_module_cached(spec)
+            f"module {spec.name} has dimension {d} > ceiling {ceiling}", d)
+    return _build_module_cached(spec, d)
 
 
 def extend_to_full_algebra(spec):
     """The module of ``spec`` with its ``full_basis``: the cached object
     ``build_hw_module`` returns, here with no ceiling.  On the zero weight
     every matrix of the full basis is the 1x1 zero."""
-    return _extend_cached(spec)
+    return _extend_cached(spec, weyl_dim(spec))

@@ -30,10 +30,13 @@ No floating point is used anywhere, so every answer is exact.
 
 Three kernels work over a finite field F_p and certify a fact over Q.
 ``rank_mod_p`` is exact over F_p and a lower bound over Q; orbit-dimension
-sampling uses it.  It packs each row into one Python int, an entry per
-slot of 2 b + l + 1 bits rounded up to whole bytes (b and l the bit
-lengths of p and of the smaller side), which no slot outgrows before it
-is read, so one big-int multiply-add eliminates a whole row.
+sampling uses it.  It packs the matrix along its longer side, each row
+into one Python int with an entry per slot of 2 b + l + 1 bits rounded
+up to whole bytes (b and l the bit lengths of p and of the shorter side),
+so one big-int multiply-add eliminates a whole row and each pivot retires
+one.  The pivot row is reduced in packed form too, by folding each slot's
+bits from b up onto its low ones times 2^b - p, which works at every
+prime; no slot outgrows its width before it is read.
 ``char_poly_mod_p`` reduces an integer matrix's characteristic polynomial
 mod p; ``char_poly`` runs it at a prime large enough to be exact.  When
 ``is_squarefree_mod_p`` finds it squarefree mod p it is squarefree over Q
@@ -107,7 +110,7 @@ class Matrix:
     def nonzeros(self):
         """The nonzero entries as ``(row, col, value)`` triples."""
         if self._cols is not None:
-            return [(i, j, v) for j, col in enumerate(self._cols)
+            return [(i, j, v) for j, col in enumerate(self._cols) if col
                     for i, v in col.items()]
         return [(i, j, r[j]) for i, r in enumerate(self._rows)
                 for j in compress(range(self.shape[1]), r)]
@@ -268,13 +271,18 @@ def int_nonzeros(mats):
 
     A matrix built linearly from these entries comes out times that integer,
     which changes neither its kernel nor its rank over Q, nor its rank mod a
-    prime that divides none of the denominators.
+    prime that divides none of the denominators.  Each matrix's nonzeros
+    are read once, and the multiplier is computed only when some entry is
+    a ``Fraction``: otherwise it is 1 and the triples are the entries.
     """
     entries = [m.nonzeros() for m in mats]
-    vals = iter(clear_denominators(
-        [v for nonzeros in entries for _, _, v in nonzeros]))
-    return tuple(tuple((i, j, next(vals)) for i, j, _ in nonzeros)
-                 for nonzeros in entries)
+    dens = {v.denominator for nonzeros in entries for _, _, v in nonzeros
+            if type(v) is Fraction}
+    if not dens:
+        return tuple(map(tuple, entries))
+    mult = lcm(*dens)
+    return tuple(tuple((i, j, v.numerator * (mult // v.denominator))
+                       for i, j, v in nonzeros) for nonzeros in entries)
 
 
 def integral(q):
@@ -350,49 +358,95 @@ def rank_mod_p(rows, ncols, p):
     integer matrix is at most its rank r over Q.  It is lower exactly when p
     divides every r x r minor, as in ``[[p, 0], [0, 1]]``.
 
-    Gaussian elimination on packed rows.  Each row is one nonnegative
-    Python int holding its entries in slots of ``w`` bits, column ``j`` in
-    bits ``[j w, (j + 1) w)``, so one big-int multiply-add updates a whole
-    row.  Entries are reduced mod p once, when packed.  At each column
-    every row drops its low slot (``row >> w``) after that slot is read mod
-    p; the pivot row's tail alone is unpacked, scaled by the pivot's
-    inverse, reduced and packed again, and every other row adds
-    ``(-f % p) * tail``, ``f`` its low slot.  Each update adds at most
-    ``(p - 1)**2`` to a slot and a row is updated at most
-    ``L = min(rows, cols)`` times, so every slot stays nonnegative and
-    below ``p + L (p - 1)**2 < 2**(2 b + l + 1)``, with ``b`` and ``l``
-    the bit lengths of p and L: at ``w = 2 b + l + 1`` rounded up to whole
-    bytes no carry ever crosses a slot.  Rows are packed along the shorter
-    side: a wide matrix is ranked as its transpose, which has the same rank.
+    Gaussian elimination on packed rows.  Rows are packed along the longer
+    side, so there are ``L = min(rows, cols)`` of them (a tall matrix is
+    ranked as its transpose, which has the same rank) and each pivot
+    retires one.  A row is one nonnegative Python int holding its entries
+    in slots of ``w`` bits, column ``j`` in bits ``[j w, (j + 1) w)``, so
+    one big-int multiply-add updates a whole row.  Nonzero entries are
+    reduced mod p once, when packed.  At each column every row drops its
+    low slot (``row >> w``) after that slot is read mod p; the pivot row's
+    tail is folded, scaled by the pivot's inverse and folded again, all in
+    packed form, and every other row adds ``(p - f) * tail``, ``f`` its
+    low slot mod p.
+
+    The fold.  Let ``e`` be p's bit length and ``c = 2**e - p``, so
+    ``1 <= c <= 2**(e - 1)``, with equality only at p = 2 (an odd prime is
+    above ``2**(e - 1)``).  A slot ``x = h 2**e + u`` with ``u < 2**e`` is
+    congruent to ``h c + u`` mod p, since ``2**e = c`` mod p, and the fold
+    ``(t & lo) + ((t >> e) & hi) * c``, with ``lo`` and ``hi`` the masks of
+    each slot's low ``e`` and high ``w - e`` bits, computes that in every
+    slot at once.  If every slot is at most M, the folded ones are at most
+    ``F(M) = 2**e - 1 + (M >> e) c <= 2**e - 1 + M / 2``, below ``2**w``,
+    so no slot carries into the next.  ``M = k 2**e`` gives
+    ``F(M) < (1 + k / 2) 2**e``, so k about halves at each fold until it
+    is below 3, and then ``M >> e <= 2`` and ``F(M) <= 2**e - 1 + 2 c <
+    2**(e + 1)``: iterating F takes any bound below ``2**(e + 1)`` in a
+    fixed number of folds, about ``log2(M) - e``.  That is the most at
+    p = 2, where ``c = 2**(e - 1)`` and a fold only halves the bound, and
+    nearly so at a prime just above a power of two; at p = 2**61 - 1,
+    where c = 1, it is two folds.  The counts are F's: ``pre`` from
+    ``M = 2**w - 1``, any slot, and ``post`` from
+    ``(2**(e + 1) - 1) (p - 1)``, a folded slot times the inverse, which is
+    below ``2**(2 e + 1) <= 2**w`` too.
+
+    The width.  A folded tail's slots are below ``2**(e + 1)``, so an update
+    adds less than ``2**(2 e + 1)`` to a slot, and a row is updated at most
+    ``L - 1`` times, once per pivot of another row.  Every slot then stays
+    below ``p + (L - 1) 2**(2 e + 1) < 2**(2 e + l + 1)``, with ``l`` the
+    bit length of L: at ``w = 2 e + l + 1`` rounded up to whole bytes no
+    carry ever crosses a slot (17 bytes at p = 2**61 - 1 for L < 256).
     """
-    if ncols > len(rows):
+    if ncols < len(rows):
         rows, ncols = list(zip(*rows)), len(rows)
-    nbytes = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 8) // 8
+    e = p.bit_length()
+    c = (1 << e) - p
+    nbytes = (2 * e + len(rows).bit_length() + 8) // 8
     w = 8 * nbytes
     low = (1 << w) - 1
 
-    def pack(values):
-        return int.from_bytes(
-            b"".join([v.to_bytes(nbytes, "little") for v in values]), "little")
+    def repeat(slot):
+        return int.from_bytes(slot.to_bytes(nbytes, "little") * ncols,
+                              "little")
 
-    active = [r for r in (pack([v % p for v in row]) for row in rows) if r]
+    lo, hi = repeat((1 << e) - 1), repeat((1 << (w - e)) - 1)
+
+    def folds(m):
+        n = 0
+        while m >> (e + 1):
+            m = (1 << e) - 1 + (m >> e) * c
+            n += 1
+        return range(n)
+
+    pre, post = folds(low), folds(((1 << (e + 1)) - 1) * (p - 1))
+    zero = bytes(nbytes)
+    active = [r for r in (int.from_bytes(b"".join(
+        [(v % p).to_bytes(nbytes, "little") if v else zero for v in row]),
+        "little") for row in rows) if r]
     rk = 0
-    for rest in range(ncols - 1, -1, -1):
-        if not active:
-            break
-        for i, r in enumerate(active):
-            if (r & low) % p:
+    for _ in range(ncols):
+        for i, top in enumerate(active):
+            f = (top & low) % p
+            if f:
                 break
         else:
+            if not active:
+                break
             active = [r >> w for r in active]
             continue
-        top = active.pop(i)
-        inv = pow(top & low, -1, p)
-        digits = (top >> w).to_bytes(nbytes * rest, "little")
-        tail = pack([int.from_bytes(digits[j:j + nbytes], "little") * inv % p
-                     for j in range(0, len(digits), nbytes)])
-        active = [r for r in [(r >> w) + (-(r & low) % p) * tail
-                              for r in active] if r]
+        tail = top >> w
+        for _ in pre:
+            tail = (tail & lo) + ((tail >> e) & hi) * c
+        tail *= pow(f, -1, p)
+        for _ in post:
+            tail = (tail & lo) + ((tail >> e) & hi) * c
+        rest = [r >> w for r in active[:i]]   # low slots 0 mod p
+        for r in active[i + 1:]:
+            f = (r & low) % p
+            r = (r >> w) + (p - f) * tail if f else r >> w
+            if r:
+                rest.append(r)
+        active = rest
         rk += 1
     return rk
 

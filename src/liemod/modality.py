@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import linalg
 from .hwmod import (
     DEFAULT_BUILD_CEILING, BuildCeilingExceeded, IrrepSpec, build_hw_module,
-    extend_to_full_algebra, weyl_dim,
+    extend_to_full_algebra,
 )
 from .rootsys import RootSystemType, build_root_system
 
@@ -183,7 +183,7 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 def _check_ceiling(what, dim, ceiling):
     if dim > ceiling:
         raise BuildCeilingExceeded(
-            f"{what} has dimension {dim} > ceiling {ceiling}")
+            f"{what} has dimension {dim} > ceiling {ceiling}", dim)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +351,22 @@ class VerifyResult(NamedTuple):
 
 def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                        ceiling=DEFAULT_BUILD_CEILING):
-    """Build the entry's module, compute its modality, compare to the table."""
+    """Build the entry's module, compute its modality, compare to the table.
+
+    The module's dimension comes from the build, or from the ceiling's
+    refusal, so Weyl's formula runs once per entry.
+    """
     spec = IrrepSpec(entry.rstype, entry.weight)
-    dim_v = weyl_dim(spec)
-    if dim_v > ceiling:
-        return VerifyResult(entry=entry, dim_v=dim_v, computed=None,
+    try:
+        action = action_from_module(spec, ceiling=ceiling)
+    except BuildCeilingExceeded as exc:
+        return VerifyResult(entry=entry, dim_v=exc.dimension, computed=None,
                             orbit_dim=None, skipped=True,
-                            reason=f"dimension {dim_v} exceeds ceiling {ceiling}")
-    action = action_from_module(spec, ceiling=ceiling)
+                            reason=f"dimension {exc.dimension} exceeds "
+                                   f"ceiling {ceiling}")
     report = generic_orbit_dim(action, trials=trials, seed=seed)
-    return VerifyResult(entry=entry, dim_v=dim_v, computed=report.codimension,
+    return VerifyResult(entry=entry, dim_v=action.space_dim,
+                        computed=report.codimension,
                         orbit_dim=report.generic_orbit_dim, skipped=False,
                         reason="", sampling=report)
 

@@ -284,20 +284,20 @@ def classify_adjoint_typeA(x):
 def random_packet_point(descriptor, rng):
     """A random member of the packet: fresh distinct eigenvalues with the
     same multiplicities and partitions, conjugated by four unimodular
-    shears."""
+    shears.  The conjugate (1 + c E_ij) x (1 - c E_ij) is formed in place:
+    row i gains c times row j, then column j loses c times column i."""
     jt = descriptor.jordan_type
     sizes = [s for s, _ in jt.block_data]
     n = descriptor.n
     lams = _centered(sizes, rng.sample(range(-9, 10), len(sizes)))
     x = _representative_matrix(jt, lams)
+    rows = x.rows
     for _ in range(4):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-3, 3)
-        shear = linalg.eye(n)
-        shear[i, j] = c
-        inv = linalg.eye(n)
-        inv[i, j] = -c
-        x = shear @ x @ inv
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] -= c * r[i]
     return x
 
 

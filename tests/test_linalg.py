@@ -219,6 +219,48 @@ def test_packed_rank_mod_p_at_the_slot_bound(p, short):
         cols, nr, p)
 
 
+# 2 and every prime just above a power of two fold slowest: there
+# c = 2**e - p is 2**(e - 1) or close to it, and a fold about halves a slot
+FOLD_PRIMES = [2, 3, 5, 37, 8209, MERSENNE_61, 2**61 + 15]
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+@pytest.mark.parametrize("shape", [(140, 70), (70, 140)])
+def test_folded_tail_at_the_slot_bound(p, shape):
+    # L U with unit pivots, p - 1 right of each pivot and every multiplier
+    # p - 1: every row is updated at every pivot above it, so each pivot
+    # row's tail is folded after the most updates a row can take.  One
+    # pivot short of min(rows, cols), a carry across slots or a fold that
+    # left a slot too large would leave nonzero residues.
+    nr, nc = shape
+    for short in (0, 1):
+        r = min(nr, nc) - short
+        lower = [[int(i >= k) for k in range(r)] for i in range(nr)]
+        upper = [[(j == k) - (j > k) for j in range(nc)] for k in range(r)]
+        rows = _product(lower, upper, nc)
+        assert linalg.rank_mod_p(rows, nc, p) == r == _row_list_rank_mod_p(
+            rows, nc, p)
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+def test_folded_rank_mod_p_matches_row_list_reference(p):
+    # low-rank products, tall and wide, with entries past p**2 and zeros
+    rng = random.Random(p)
+    shapes = [(60, 25), (25, 60)] + [
+        (rng.randint(1, 30), rng.randint(1, 30)) for _ in range(8)]
+    for nr, nc in shapes:
+        k = rng.randint(0, min(nr, nc))
+        a = [[rng.choice([0, rng.randint(-p, p)]) for _ in range(k)]
+             for _ in range(nr)]
+        b = [[rng.randint(-p * p, p * p) for _ in range(nc)]
+             for _ in range(k)]
+        rows = _product(a, b, nc)
+        before = [list(r) for r in rows]
+        got = linalg.rank_mod_p(rows, nc, p)
+        assert got == _row_list_rank_mod_p(rows, nc, p), (nr, nc, k)
+        assert rows == before
+
+
 @pytest.mark.parametrize("name,weight", [
     ("E7", (0, 0, 0, 0, 0, 0, 1)),
     ("D7", (0, 0, 0, 0, 0, 0, 1)),
@@ -753,6 +795,35 @@ def test_int_nonzeros_shares_one_multiplier():
                    ((1, 0, 60), (0, 1, 3)))
     assert all(type(v) is int for entries in got for _, _, v in entries)
     assert linalg.int_nonzeros([linalg.eye(2)]) == (((0, 0, 1), (1, 1, 1)),)
+
+
+def _two_pass_int_nonzeros(mats):
+    """``linalg.int_nonzeros`` as two passes: every nonzero value cleared
+    of denominators in one list, then the triples rebuilt from it."""
+    entries = [m.nonzeros() for m in mats]
+    vals = iter(linalg.clear_denominators(
+        [v for nonzeros in entries for _, _, v in nonzeros]))
+    return tuple(tuple((i, j, next(vals)) for i, j, _ in nonzeros)
+                 for nonzeros in entries)
+
+
+def test_int_nonzeros_matches_the_two_pass_reference():
+    rng = random.Random(265)
+    values = [0, 0, 0, 1, -4, 7, Fraction(3, 1), Fraction(-5, 6),
+              Fraction(2, 9), Fraction(7, 4)]
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        pool = values if trial % 2 else values[:6]   # half all-int
+        mats = []
+        for _ in range(rng.randint(1, 4)):
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            mats.append(linalg.Matrix(rows) if rng.random() < 0.5 else
+                        linalg.Matrix.from_columns(
+                            [{i: r[j] for i, r in enumerate(rows) if r[j]}
+                             for j in range(n)], n))
+        got = linalg.int_nonzeros(mats)
+        assert got == _two_pass_int_nonzeros(mats)
+        assert all(type(v) is int for t in got for _, _, v in t)
 
 
 def test_exact_ratio_and_integral():

@@ -203,6 +203,29 @@ def test_verify_table_entry_ceiling_skip():
     assert "ceiling" in res.reason
 
 
+@pytest.mark.parametrize("weight,ceiling", [((0, 0, 1), 256), ((0, 0, 2), 5)])
+def test_verify_table_entry_runs_weyl_dim_once(monkeypatch, weight, ceiling):
+    # a fresh build, then a skip: the entry's dimension comes from one
+    # Weyl formula either way
+    from liemod import hwmod
+    mo.verify_table_entry(mo.TableEntry(RootSystemType("A", 1), (1,), 0, "x"))
+    calls = []
+    weyl_dim = hwmod.weyl_dim
+
+    def counting(spec):
+        calls.append(spec)
+        return weyl_dim(spec)
+
+    for module in (hwmod, mo):
+        if hasattr(module, "weyl_dim"):
+            monkeypatch.setattr(module, "weyl_dim", counting)
+    entry = mo.TableEntry(RootSystemType("B", 3), weight, 0, "x")
+    res = mo.verify_table_entry(entry, ceiling=ceiling)
+    assert len(calls) == 1
+    assert res.dim_v == weyl_dim(IrrepSpec(entry.rstype, weight))
+    assert res.skipped == (res.dim_v > ceiling)
+
+
 def test_lookup_normalizes_through_dual():
     assert mo.lookup_expected_modality(RootSystemType("A", 2), (3, 0)).table == "m3"
     assert mo.lookup_expected_modality(RootSystemType("A", 2), (0, 3)).table == "m3"

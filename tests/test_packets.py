@@ -173,6 +173,33 @@ def test_classify_conjugation_invariant():
             assert adjoint_orbit_dim(y) == p.orbit_dim
 
 
+def _product_packet_point(descriptor, rng):
+    """``random_packet_point`` with each shear as two dense products,
+    ``shear @ x @ inverse``."""
+    jt = descriptor.jordan_type
+    sizes = [s for s, _ in jt.block_data]
+    n = descriptor.n
+    lams = packets._centered(sizes, rng.sample(range(-9, 10), len(sizes)))
+    x = packets._representative_matrix(jt, lams)
+    for _ in range(4):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        shear = linalg.eye(n)
+        shear[i, j] = c
+        inv = linalg.eye(n)
+        inv[i, j] = -c
+        x = shear @ x @ inv
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_packet_point_shears_match_the_product_form(n):
+    for seed in range(5):
+        for p in enumerate_packets_adjoint_typeA(n):
+            got = random_packet_point(p, random.Random(seed))
+            assert got == _product_packet_point(p, random.Random(seed))
+
+
 def test_cells_attached_to_packets():
     # k eigenvalue groups -> cell of closure dimension k-1
     for n in (2, 3, 4):
