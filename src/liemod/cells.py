@@ -161,13 +161,12 @@ class CentralizerData(NamedTuple):
     """Centralizer stratification data of a cell in the Cartan.
 
     The centralizer of a point of the cell is the Cartan plus the root
-    spaces of all roots vanishing there, so its dimension is
-    rank + 2 * (number of vanishing positive roots); its center is the
-    cell's closure and the complement is the derived part.
+    spaces of all roots vanishing there, so its dimension is rank + 2 *
+    (size of the flat, the positive roots vanishing there); its center is
+    the cell's closure and the complement is the derived part.
     """
 
     cell: Cell
-    roots_vanishing: tuple
     dim_centralizer: int
     dim_center: int
     dim_derived: int
@@ -184,10 +183,8 @@ def centralizer_data(rs, cell):
     if closed.closure_dim != cell.closure_dim:
         raise ValueError("cell closure_dim inconsistent with this root system")
 
-    vanishing = tuple(rs.positive_roots[i] for i in sorted(cell.flat))
-    dim_centralizer = rs.rank + 2 * len(vanishing)
+    dim_centralizer = rs.rank + 2 * len(cell.flat)
     dim_center = cell.closure_dim
-    return CentralizerData(cell=cell, roots_vanishing=vanishing,
-                           dim_centralizer=dim_centralizer,
+    return CentralizerData(cell=cell, dim_centralizer=dim_centralizer,
                            dim_center=dim_center,
                            dim_derived=dim_centralizer - dim_center)

@@ -55,7 +55,7 @@ from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, PRIME, ActionSpec,
 from .rootsys import build_root_system
 
 __all__ = [
-    "GradingSpec", "GradedAlgebra", "JordanPair", "StructureConstants",
+    "GradingSpec", "GradedAlgebra", "StructureConstants",
     "structure_constants", "build_grading", "rank_of_grading",
     "jordan_chevalley", "decompose_graded_element", "cartan_subspace",
     "random_homogeneous_element",
@@ -251,9 +251,7 @@ class GradingSpec(namedtuple("GradingSpec", "rstype m labels")):
 class GradedAlgebra(NamedTuple):
     spec: GradingSpec
     sc: StructureConstants
-    degree_of_basis: tuple
     components: dict
-    g0_indices: tuple
     g1_indices: tuple
     g0_on_g1: ActionSpec
 
@@ -296,9 +294,8 @@ def build_grading(spec):
         [{pos_of[c]: s for c, s in sc.bracket[a][b].items()} for b in g1],
         len(g1)) for a in g0]
     action = ActionSpec(matrices=mats)
-    return GradedAlgebra(spec=spec, sc=sc, degree_of_basis=degs,
-                         components=components, g0_indices=tuple(g0),
-                         g1_indices=tuple(g1), g0_on_g1=action)
+    return GradedAlgebra(spec=spec, sc=sc, components=components,
+                         g1_indices=g1, g0_on_g1=action)
 
 
 def rank_of_grading(ga, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
@@ -309,21 +306,16 @@ def rank_of_grading(ga, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # Jordan decomposition
 
-class JordanPair(NamedTuple):
-    semisimple_part: object
-    nilpotent_part: object
-
-
 def jordan_chevalley(x):
-    """Split a square rational matrix into commuting semisimple plus
-    nilpotent parts by Newton iteration against the squarefree part of the
-    characteristic polynomial; exact.
+    """The semisimple part s of a square rational matrix x, by Newton
+    iteration against the squarefree part of the characteristic
+    polynomial; exact.  The nilpotent part is x - s, and commutes with s.
 
     The common case is settled mod ``PRIME`` first: a characteristic
     polynomial that is squarefree mod p is squarefree over Q
-    (``linalg.char_poly_is_squarefree_mod_p``), so x is semisimple.  Any
-    other outcome, an unlucky p included, takes the exact path, so the
-    answer never depends on p.
+    (``linalg.char_poly_is_squarefree_mod_p``), so x is its own
+    semisimple part.  Any other outcome, an unlucky p included, takes the
+    exact path, so the answer never depends on p.
 
     The exact path computes sf = p / gcd(p, p'), the squarefree part of the
     characteristic polynomial p, and iterates y <- y - sf'(y)^-1 sf(y) from
@@ -335,16 +327,16 @@ def jordan_chevalley(x):
     at least two more than it needs, and raises ``AssertionError`` if they
     do not settle it.
     """
-    n = x.shape[0]
     if linalg.char_poly_is_squarefree_mod_p(x, PRIME):
-        return JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
+        return x
+    n = x.shape[0]
     sf = linalg.squarefree_part(linalg.char_poly(x))
     dsf = linalg.poly_derivative(sf)
     y = x
     for _ in range((n - linalg.poly_degree(sf) + 1).bit_length() + 3):
         val = linalg.poly_eval_matrix(sf, y)
         if linalg.is_zero_matrix(val):
-            return JordanPair(semisimple_part=y, nilpotent_part=x - y)
+            return y
         y = y - linalg.solve_square(linalg.poly_eval_matrix(dsf, y), val)
     raise AssertionError("Newton iteration failed to settle")
 
@@ -360,8 +352,7 @@ def decompose_graded_element(ga, coords):
     # Fraction arithmetic on integral Fraction inputs
     coords = [integral(c) for c in coords]
     mat = ga.sc.element_matrix(coords)
-    pair = jordan_chevalley(mat)
-    s_coords = ga.sc.expand_matrix(pair.semisimple_part)
+    s_coords = ga.sc.expand_matrix(jordan_chevalley(mat))
     n_coords = [integral(c - s) for c, s in zip(coords, s_coords)]
     return s_coords, n_coords
 

@@ -97,7 +97,6 @@ class OrbitDimReport(NamedTuple):
     generic_orbit_dim: int
     codimension: int
     trials_used: int
-    seed: int
     field: str
     miss_bound: float
 
@@ -177,7 +176,7 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         float(Fraction(cap, PRIME) ** used), math.inf)   # rounded up
     return OrbitDimReport(
         generic_orbit_dim=best, codimension=action.space_dim - best,
-        trials_used=used, seed=seed, field=FIELD, miss_bound=miss)
+        trials_used=used, field=FIELD, miss_bound=miss)
 
 
 def _check_ceiling(what, dim, ceiling):
@@ -322,25 +321,19 @@ def lookup_expected_modality(rstype, weight):
 
     The tables list one member of each orbit of diagram automorphisms (the
     dual, the two half-spin weights of D_n, the triality images in D4), so
-    lookups are normalized over the whole orbit.  The raw records of the
-    type's family are matched in table order, with no expansion.
+    lookups are normalized over the whole orbit.  The match is the first
+    of ``table_entries`` up to the type's rank, the entries verification
+    reads, with the weight as given.
     """
     weight = tuple(int(c) for c in weight)
     candidates = build_root_system(rstype).diagram_orbit(weight)
-    raw = load_raw_tables()
-    for name in ("m1", "m2", "m3"):
-        for record in raw[name]:
-            if (record["family"] == rstype.family
-                    and rstype.rank in _record_ranks(record, rstype.rank)
-                    and _record_weight(record, rstype.rank) in candidates):
-                return TableEntry(rstype=rstype, weight=weight,
-                                  expected_modality=record["modality"],
-                                  table=name)
-    return None
+    return next((entry._replace(weight=weight)
+                 for entry in table_entries(rank_cutoff=rstype.rank)
+                 if entry.rstype == rstype and entry.weight in candidates),
+                None)
 
 
 class VerifyResult(NamedTuple):
-    entry: TableEntry
     dim_v: int
     computed: int | None       # None when skipped
     orbit_dim: int | None      # None when skipped
@@ -360,13 +353,12 @@ def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     try:
         action = action_from_module(spec, ceiling=ceiling)
     except BuildCeilingExceeded as exc:
-        return VerifyResult(entry=entry, dim_v=exc.dimension, computed=None,
+        return VerifyResult(dim_v=exc.dimension, computed=None,
                             orbit_dim=None, skipped=True,
                             reason=f"dimension {exc.dimension} exceeds "
                                    f"ceiling {ceiling}")
     report = generic_orbit_dim(action, trials=trials, seed=seed)
-    return VerifyResult(entry=entry, dim_v=action.space_dim,
-                        computed=report.codimension,
+    return VerifyResult(dim_v=action.space_dim, computed=report.codimension,
                         orbit_dim=report.generic_orbit_dim, skipped=False,
                         reason="", sampling=report)
 
@@ -375,8 +367,6 @@ def verify_table_entry(entry, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
 # copies of the natural module: the standard counterexample family
 
 class ExmoReport(NamedTuple):
-    n: int
-    d: int
     space_dim: int
     regular_sheet_modality: int
     open_orbit_found: bool
@@ -417,7 +407,7 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
 
     report = generic_orbit_dim(action, trials=trials, seed=seed)
     lower = d - 1
-    return ExmoReport(n=n, d=d, space_dim=action.space_dim,
+    return ExmoReport(space_dim=action.space_dim,
                       regular_sheet_modality=report.codimension,
                       open_orbit_found=report.codimension == 0,
                       family_dim=n + d - 1, family_orbit_dim=n,

@@ -339,8 +339,6 @@ class SheetCheck(NamedTuple):
 class SanityReport(NamedTuple):
     n: int
     samples: int
-    seed: int
-    packet_count: int
     coverage_ok: bool
     max_modality: int
     aggregator_ok: bool
@@ -367,8 +365,9 @@ def packet_sanity_suite(n, samples=200, seed=2024):
     """
     if not 2 <= n <= 4:
         raise ValueError("supported range is 2 <= n <= 4")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if samples < 2:
+        raise ValueError("samples must be at least 2: the identity check "
+                         "compares them in pairs")
     rng = random.Random(seed)
     packets = enumerate_packets_adjoint_typeA(n)
     by_type = {p.jordan_type: p for p in packets}
@@ -433,8 +432,7 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         if best != x_orbit:
             regular_center_ok = False
 
-    return SanityReport(n=n, samples=samples, seed=seed,
-                        packet_count=len(packets), coverage_ok=coverage_ok,
+    return SanityReport(n=n, samples=samples, coverage_ok=coverage_ok,
                         max_modality=max_modality, aggregator_ok=aggregator_ok,
                         identity_ok=identity_ok,
                         sheet_checks=tuple(sheet_checks), sheets_ok=sheets_ok,

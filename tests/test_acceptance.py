@@ -51,8 +51,8 @@ def test_criterion_02_modality_one_table():
 def test_criterion_03_modality_two_table():
     results, skipped, wrong = _verify_table("m3", 2)
     named = {("A", 1, (4,)), ("G", 2, (0, 1)), ("F", 4, (0, 0, 0, 1))}
-    seen = {(r.entry.rstype.family, r.entry.rstype.rank, r.entry.weight)
-            for r in results}
+    seen = {(e.rstype.family, e.rstype.rank, e.weight)
+            for e, _ in zip(table_entries("m3"), results)}
     ok = (len(results) == 8 and not skipped and not wrong
           and named <= seen)
     _report(3, ok, f"all {len(results)} entries computed modality 2, "

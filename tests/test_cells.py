@@ -129,7 +129,6 @@ def test_e8_open_cell_is_sampled():
         assert fset.vanishing_set(v) == frozenset()
     d = cells.centralizer_data(rs, open_cell)
     assert (d.dim_centralizer, d.dim_center, d.dim_derived) == (8, 8, 0)
-    assert d.roots_vanishing == ()
 
 def test_centralizer_data_a2_cases():
     rs = build_root_system(RootSystemType("A", 2))
@@ -146,7 +145,8 @@ def test_centralizer_data_a2_cases():
     for c in by_size[1]:
         d = cells.centralizer_data(rs, c)
         assert (d.dim_centralizer, d.dim_center, d.dim_derived) == (4, 1, 3)
-        assert len(d.roots_vanishing) == 1
+        v = cells.sample_point_in_cell(fset, c, random.Random(0))
+        assert len(fset.vanishing_set(v)) == 1
 
 
 def test_centralizer_data_counts_sum():

@@ -282,7 +282,7 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
 def test_packets_check_needs_samples(samples, capsys):
     code = cli.main(["packets", "check", "--sln", "3", "--samples", samples])
     assert code == 2

@@ -179,11 +179,11 @@ def test_expand_matrix_rejects_outsiders():
 def test_build_grading_components():
     a2 = RootSystemType("A", 2)
     whole = gr.build_grading(gr.GradingSpec(a2, 1, (0, 0)))
-    assert len(whole.g0_indices) == 8 and len(whole.g1_indices) == 8
+    assert len(whole.components[0]) == 8 and len(whole.g1_indices) == 8
     assert list(whole.components) == [0]
 
     half = gr.build_grading(gr.GradingSpec(RootSystemType("A", 1), 2, (1,)))
-    assert len(half.g0_indices) == 1  # the Cartan alone
+    assert len(half.components[0]) == 1  # the Cartan alone
     assert len(half.g1_indices) == 2  # both root vectors
 
     zg = a2_z_grading()
@@ -193,7 +193,7 @@ def test_build_grading_components():
     assert zg.spec.degree_of_root((1, 1)) == 1
     assert zg.spec.degree_of_root((-1, -1)) == -1
     # Cartan sits in degree zero
-    assert all(zg.degree_of_basis[i] == 0 for i in range(2))
+    assert {0, 1} <= set(zg.components[0])
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -244,19 +244,19 @@ def test_empty_degree_one_part_has_rank_zero(name, m):
 
 
 def test_jordan_chevalley_basic_cases():
+    # jordan_chevalley returns the semisimple part s; the nilpotent part
+    # is x - s
     x = linalg.rmat([[0, 2, 5], [0, 0, 1], [0, 0, 0]])
-    p = gr.jordan_chevalley(x)
-    assert linalg.is_zero_matrix(p.semisimple_part)
+    assert linalg.is_zero_matrix(gr.jordan_chevalley(x))
     d = linalg.rmat([[3, 0], [0, -1]])
-    p = gr.jordan_chevalley(d)
-    assert linalg.is_zero_matrix(p.nilpotent_part)
+    assert linalg.is_zero_matrix(d - gr.jordan_chevalley(d))
     m = linalg.rmat([[1, 1], [0, 0]])
-    p = gr.jordan_chevalley(m)
-    assert linalg.is_zero_matrix(p.nilpotent_part)  # distinct eigenvalues
+    # distinct eigenvalues
+    assert linalg.is_zero_matrix(m - gr.jordan_chevalley(m))
     j = linalg.rmat([[4, 1], [0, 4]])
-    p = gr.jordan_chevalley(j)
-    assert [p.semisimple_part[i, i] for i in range(2)] == [4, 4]
-    assert p.nilpotent_part[0, 1] == 1
+    s = gr.jordan_chevalley(j)
+    assert [s[i, i] for i in range(2)] == [4, 4]
+    assert (j - s)[0, 1] == 1
 
 
 def test_jordan_chevalley_invariants_random():
@@ -278,9 +278,8 @@ def test_jordan_chevalley_invariants_random():
             shear[i, j] = rng.randint(-2, 2)
             g = np.dot(g, shear)
         x = np.dot(np.dot(g, t), linalg.inverse(g))
-        p = gr.jordan_chevalley(x)
-        s, nn = p.semisimple_part, p.nilpotent_part
-        assert linalg.is_zero_matrix(x - s - nn)
+        s = gr.jordan_chevalley(x)
+        nn = x - s
         assert linalg.is_zero_matrix(np.dot(s, nn) - np.dot(nn, s))
         assert all(c == 0 for c in linalg.char_poly(nn)[:-1])  # nilpotent
         sf = linalg.squarefree_part(linalg.char_poly(s))
@@ -293,16 +292,16 @@ def test_jordan_chevalley_falls_back_to_the_exact_path(monkeypatch):
     j = linalg.rmat([[4, 1], [0, 4]])
     for x in (d, j):
         assert not linalg.char_poly_is_squarefree_mod_p(x, gr.PRIME)
-    p = gr.jordan_chevalley(d)
-    assert p.semisimple_part == d and linalg.is_zero_matrix(p.nilpotent_part)
-    p = gr.jordan_chevalley(j)
-    assert p.semisimple_part == linalg.rmat([[4, 0], [0, 4]])
-    assert p.nilpotent_part == linalg.rmat([[0, 1], [0, 0]])
+    s = gr.jordan_chevalley(d)
+    assert s == d
+    s = gr.jordan_chevalley(j)
+    assert s == linalg.rmat([[4, 0], [0, 4]])
+    assert j - s == linalg.rmat([[0, 1], [0, 0]])
     # an unlucky prime costs only the fallback: diag(0, 5) mod 5
     monkeypatch.setattr(gr, "PRIME", 5)
     x = linalg.rmat([[0, 0], [0, 5]])
-    p = gr.jordan_chevalley(x)
-    assert p.semisimple_part == x and linalg.is_zero_matrix(p.nilpotent_part)
+    s = gr.jordan_chevalley(x)
+    assert s == x
 
 
 def _yun_jordan_chevalley(x):
@@ -310,9 +309,8 @@ def _yun_jordan_chevalley(x):
     squarefree part alone: Yun's factors multiplied back into it, a second
     exit for a squarefree characteristic polynomial, and a loop bounded
     only by an assertion on the largest multiplicity."""
-    n = x.shape[0]
     if linalg.char_poly_is_squarefree_mod_p(x, gr.PRIME):
-        return gr.JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
+        return x
     dec = linalg.squarefree_decomposition(linalg.char_poly(x))
     e_max = max((e for _, e in dec), default=1)
     sf = [Fraction(1)]
@@ -323,7 +321,7 @@ def _yun_jordan_chevalley(x):
                 prod[i + j] += a * b
         sf = prod
     if e_max == 1:
-        return gr.JordanPair(semisimple_part=x, nilpotent_part=linalg.zeros(n))
+        return x
     dsf = linalg.poly_derivative(sf)
     y = x
     steps = 0
@@ -334,7 +332,7 @@ def _yun_jordan_chevalley(x):
         y = y - linalg.solve_square(linalg.poly_eval_matrix(dsf, y), val)
         steps += 1
         assert steps <= e_max.bit_length() + 2, "iteration failed to settle"
-    return gr.JordanPair(semisimple_part=y, nilpotent_part=x - y)
+    return y
 
 
 def _jordan_block(ev, k):
@@ -418,8 +416,7 @@ def test_jordan_chevalley_matches_the_yun_reference():
     for x in cases:
         assert not linalg.char_poly_is_squarefree_mod_p(x, gr.PRIME)
         got, want = gr.jordan_chevalley(x), _yun_jordan_chevalley(x)
-        assert got.semisimple_part == want.semisimple_part
-        assert got.nilpotent_part == want.nilpotent_part
+        assert got == want
 
 
 def test_jordan_chevalley_newton_steps_stay_within_the_yun_bound(monkeypatch):
@@ -439,9 +436,17 @@ def test_jordan_chevalley_newton_steps_stay_within_the_yun_bound(monkeypatch):
         assert steps[0] <= max(e for _, e in dec).bit_length() + 2
 
 
+def _degree_of_basis(ga):
+    """The degree of each basis element: its root's, and 0 on the
+    Cartan."""
+    return [0 if root is None else ga.spec.degree_of_root(root)
+            for root in ga.sc.root_of_index]
+
+
 def test_decompose_graded_element_homogeneous():
     rng = random.Random(7)
     ga = gr.build_grading(gr.GradingSpec(RootSystemType("B", 2), 2, (1, 0)))
+    degs = _degree_of_basis(ga)
     for d in sorted(ga.components):
         for _ in range(5):
             x = gr.random_homogeneous_element(ga, d, rng)
@@ -450,7 +455,7 @@ def test_decompose_graded_element_homogeneous():
             s, n = gr.decompose_graded_element(ga, x)
             assert [a + b for a, b in zip(s, n)] == [Fraction(c) for c in x]
             for coords in (s, n):
-                support = {ga.degree_of_basis[i] for i, c in enumerate(coords) if c}
+                support = {degs[i] for i, c in enumerate(coords) if c}
                 assert support <= {d}
             assert not any(ga.sc.bracket_coords(s, n))
 
@@ -483,7 +488,8 @@ def test_cartan_subspace_examples():
         cs = gr.cartan_subspace(ga)
         assert len(cs) == rt.rank == gr.rank_of_grading(ga)
         for i, u in enumerate(cs):
-            assert {ga.degree_of_basis[k] for k, c in enumerate(u) if c} <= {0}
+            assert {_degree_of_basis(ga)[k]
+                    for k, c in enumerate(u) if c} <= {0}
             for v in cs[i + 1:]:
                 assert not any(ga.sc.bracket_coords(list(u), list(v)))
         stacked = linalg.rmat([list(u) for u in cs])
@@ -584,6 +590,17 @@ def test_cartan_subspace_of_an_integer_grading_is_empty(monkeypatch):
     assert calls[0] == 0
 
 
+def test_cartan_subspace_skips_a_zero_sample(monkeypatch):
+    # at seed 63 the first draw on A1 with m = 2 is (0, 0); it is skipped
+    # undecomposed, and the next draw spans the one-dimensional answer
+    calls, _ = _counted_decompositions(monkeypatch)
+    ga = gr.build_grading(gr.GradingSpec(RootSystemType("A", 1), 2, (1,)))
+    rng = random.Random(63)
+    assert [rng.randint(-3, 3) for _ in ga.g1_indices] == [0, 0]
+    assert len(gr.cartan_subspace(ga, seed=63)) == 1
+    assert calls[0] == 1
+
+
 def test_cartan_subspace_of_an_adjoint_grading_takes_no_centralizer_step(
         monkeypatch):
     calls = [0]
@@ -647,7 +664,7 @@ def test_killing_gram_degree_orthogonality():
         rt = RootSystemType.parse(name)
         ga = gr.build_grading(gr.GradingSpec(rt, m, labels))
         gram = _killing_gram(rt)
-        degs = ga.degree_of_basis
+        degs = _degree_of_basis(ga)
         mm = ga.spec.m
         for i in range(ga.dim):
             for j in range(ga.dim):

@@ -2,12 +2,12 @@
 ``__all__``, and every name its ``__all__`` lists exists on the module, so
 a rewrite leaves no stale import behind.  Every private helper has a
 caller, so a rewrite leaves no dead helper behind either, and every exported
-name and every public method is read outside the tests, so no public
-function or method lives on for its tests alone.  Every unbounded cache is
-keyed by a small, fixed domain, so a sweep over modules cannot grow it.  No
-module imports ``dataclasses``, which would cost every command its start-up
-time, and no module holds an ``assert`` statement, which ``python -O``
-would strip."""
+name, every public method and every field of a named-tuple record is read
+outside the tests, so no public function, method or record field lives on
+for its tests alone.  Every unbounded cache is keyed by a small, fixed
+domain, so a sweep over modules cannot grow it.  No module imports
+``dataclasses``, which would cost every command its start-up time, and no
+module holds an ``assert`` statement, which ``python -O`` would strip."""
 
 import ast
 import importlib
@@ -168,6 +168,51 @@ def test_every_public_method_is_read_outside_tests():
     assert not unlisted, f"public methods only tests read: {unlisted}"
     stale = sorted(UNREAD_METHODS.keys() - unread)
     assert not stale, f"allowlisted methods that are gone or now read: {stale}"
+
+
+# record fields nothing outside tests/ reads yet, and why each stays
+UNREAD_FIELDS = {}
+
+
+def _record_fields(cls):
+    """The fields of a class whose bases include ``NamedTuple`` or a
+    ``namedtuple(...)`` call; none for any other class."""
+    for base in cls.bases:
+        if _name(base) == "NamedTuple":
+            return [n.target.id for n in cls.body
+                    if isinstance(n, ast.AnnAssign)
+                    and isinstance(n.target, ast.Name)]
+        if isinstance(base, ast.Call) and _name(base.func) == "namedtuple":
+            names = ast.literal_eval(base.args[1])
+            return names.replace(",", " ").split() \
+                if isinstance(names, str) else list(names)
+    return []
+
+
+def _field_reads(node):
+    """How often each name is read in ``node`` as an attribute or named by
+    a string constant, as ``getattr`` and report keys name a field."""
+    return _attribute_loads(node) + Counter(
+        n.value for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_every_record_field_is_read_outside_tests():
+    trees = [_tree(name) for name in MODULES]
+    reads = sum(map(_field_reads, trees), Counter())
+    reads += sum((_field_reads(ast.parse(p.read_text(encoding="utf-8")))
+                  for d in ("demos", "perfbench")
+                  for p in (ROOT / d).glob("*.py")), Counter())
+    # reads inside the record's own class count: a property reading a
+    # field is a reader
+    unread = {f"{cls.name}.{field}"
+              for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              for field in _record_fields(cls) if not reads[field]}
+    unlisted = sorted(unread - UNREAD_FIELDS.keys())
+    assert not unlisted, f"record fields only tests read: {unlisted}"
+    stale = sorted(UNREAD_FIELDS.keys() - unread)
+    assert not stale, f"allowlisted fields that are gone or now read: {stale}"
 
 
 # each unbounded cache and the domain of its keys; a cache keyed by modules

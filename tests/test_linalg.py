@@ -752,6 +752,8 @@ def test_matrix_contract():
     assert arr.dtype == object and arr.shape == (2, 2) and arr[1, 0] == 5
     assert (np.dot(m, m) == m @ m).all()
     assert (m + m == 2 * m) and (m - m == linalg.zeros(2))
+    with pytest.raises(TypeError):   # exact scalars only
+        m * 1.5
     frozen = linalg.Matrix.from_columns(m.columns(), 2)
     with pytest.raises(ValueError):
         frozen[0, 0] = 2

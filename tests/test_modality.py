@@ -253,13 +253,18 @@ def test_lookup_respects_diagram_automorphisms():
     assert mo.lookup_expected_modality(d4, (0, 1, 0, 0)) is None
 
 
-def _expanded_lookup(rstype, weight):
-    """The lookup as it read the fully expanded tables."""
+def _record_lookup(rstype, weight):
+    """The lookup as it matched the raw records of the type's family in
+    table order, with no expansion."""
     weight = tuple(int(c) for c in weight)
     candidates = build_root_system(rstype).diagram_orbit(weight)
-    for entry in mo.table_entries("all", rank_cutoff=rstype.rank):
-        if entry.rstype == rstype and entry.weight in candidates:
-            return entry._replace(weight=weight)
+    raw = mo.load_raw_tables()
+    for name in ("m1", "m2", "m3"):
+        for record in raw[name]:
+            if (record["family"] == rstype.family
+                    and rstype.rank in mo._record_ranks(record, rstype.rank)
+                    and mo._record_weight(record, rstype.rank) in candidates):
+                return mo.TableEntry(rstype, weight, record["modality"], name)
     return None
 
 
@@ -275,8 +280,29 @@ def test_lookup_matches_the_expanded_tables(name):
     for w in enumerate_dominant_up_to_dim(rstype, dim_g + 2):
         weights |= rs.diagram_orbit(w)
     found = {w: mo.lookup_expected_modality(rstype, w) for w in weights}
-    assert found == {w: _expanded_lookup(rstype, w) for w in weights}
+    assert found == {w: _record_lookup(rstype, w) for w in weights}
     assert any(found.values())  # the natural module is tabled for each
+
+
+def test_lookup_matches_the_record_matcher():
+    tabled = {}
+    for entry in mo.table_entries(rank_cutoff=8):
+        tabled.setdefault(entry.rstype, set()).add(entry.weight)
+    types = [RootSystemType(f, r) for f, lo, hi in (
+        ("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 4, 8), ("E", 6, 8),
+        ("F", 4, 4), ("G", 2, 2)) for r in range(lo, hi + 1)]
+    misses = 0
+    for rstype in types:
+        rs = build_root_system(rstype)
+        # every tabled weight, its diagram images, and two untabled ones
+        weights = {(3,) * rstype.rank, (0,) * (rstype.rank - 1) + (9,)}
+        for w in tabled.get(rstype, ()):
+            weights |= rs.diagram_orbit(w)
+        for w in weights:
+            got = mo.lookup_expected_modality(rstype, w)
+            assert got == _record_lookup(rstype, w), (rstype, w)
+            misses += got is None
+    assert tabled.keys() <= set(types) and misses >= len(types)
 
 
 def test_lookup_respects_family_patterns():

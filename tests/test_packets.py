@@ -222,7 +222,7 @@ def test_orbit_dim_semisimple_vs_formula():
 def test_sanity_suite(n):
     rep = packet_sanity_suite(n, samples=120, seed=7)
     assert rep.passed
-    assert rep.packet_count == count_packets(n)
+    assert len(enumerate_packets_adjoint_typeA(n)) == count_packets(n)
     assert rep.max_modality == n - 1
     if n in (2, 3):
         assert rep.sheet_checks
@@ -249,9 +249,10 @@ def test_kernel_profile_uniqueness_up_to_n5():
                 seen[profile] = multiset
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [1, 0, -5])
 def test_sanity_suite_needs_samples(samples):
-    with pytest.raises(ValueError):
+    # the identity check compares samples in pairs; one sample makes none
+    with pytest.raises(ValueError, match="in pairs"):
         packet_sanity_suite(3, samples=samples)
 
 
