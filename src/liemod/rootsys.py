@@ -1,14 +1,12 @@
 """Finite crystallographic root systems in Bourbaki numbering.
 
 A root system is built from its Cartan matrix, with roots represented as
-integer coordinate vectors in the simple-root basis.  Weights are integer
-vectors in the fundamental-weight basis.  The squared lengths of the simple
-roots come from the Cartan matrix's symmetrizer, normalized so long roots
-have squared length 2.
+integer coordinate vectors in the simple-root basis, and coroots as integer
+vectors in the simple-coroot basis.  Weights are integer vectors in the
+fundamental-weight basis.
 
 The positive roots are raised from the simple roots by simple reflections,
-each recording its squared length, which a reflection keeps; the coroot of
-a root is read off those lengths.
+and each root's coroot is raised alongside it by the same reflection.
 
 Conventions: ``cartan[i][j]`` is the pairing of the i-th simple root with
 the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
@@ -18,6 +16,7 @@ the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import linalg
 
@@ -94,22 +93,6 @@ def _cartan_matrix(family, rank):
     return a
 
 
-def _symmetrizer(a):
-    """Half squared lengths d of the simple roots, long roots 1, read off
-    the Cartan matrix: the form a_ij d_j is symmetric, so d_j = d_i a_ji /
-    a_ij along each bond of the Dynkin tree, walked from node 0."""
-    d = {0: Fraction(1)}
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j, aij in enumerate(a[i]):
-            if aij and j not in d:
-                d[j] = d[i] * a[j][i] / aij
-                todo.append(j)
-    top = max(d.values())
-    return [d[j] / top for j in range(len(a))]
-
-
 class RootSystem:
     """Root data for one simple type; construct via build_root_system."""
 
@@ -118,11 +101,11 @@ class RootSystem:
         r = rstype.rank
         self.rank = r
         self.cartan = _cartan_matrix(rstype.family, r)
-        # squared lengths of the simple roots, scaled to integers
-        self._sq = linalg.clear_denominators(_symmetrizer(self.cartan))
-        self._lengths = self._generate_positive_roots()
-        self.positive_roots = tuple(
-            sorted(self._lengths, key=lambda b: (sum(b), b)))
+        coroots = self._generate_positive_roots()
+        self.positive_roots = tuple(sorted(coroots, key=lambda b: (sum(b), b)))
+        # integer coordinates of each positive coroot in the simple coroots,
+        # in the order of positive_roots
+        self.positive_coroots = tuple(coroots[b] for b in self.positive_roots)
         at = linalg.rmat([[self.cartan[j][i] for j in range(r)] for i in range(r)])
         fw = linalg.inverse(at)  # columns are fundamental weights in root coords
         self.fundamental_weights = tuple(
@@ -144,20 +127,26 @@ class RootSystem:
         return tuple(out)
 
     def _generate_positive_roots(self):
-        """Each positive root with its squared length, on the integer scale
-        of ``_sq``.
+        """Each positive root with its coroot, in simple-coroot coordinates.
 
         A positive root beta that is not simple has some simple alpha_j with
         ``<beta, alpha_j^vee> > 0``, and then ``s_j beta`` is a lower positive
         root (Humphreys, section 10.2).  So raising the simple roots by every
         ``s_j`` whose pairing is negative reaches every positive root and no
-        other vector.  A reflection keeps lengths, so each root inherits the
-        length of the root it was raised from, and its pairings, read in
-        fundamental-weight coordinates, are those of that root reflected.
+        other vector.  A raised root's pairings, read in fundamental-weight
+        coordinates, are those of the root it was raised from, reflected.
+
+        A simple root's coroot is its own unit vector.  A Weyl group element
+        w keeps lengths, so ``(w beta)^vee = 2 w beta / (beta, beta) =
+        w (beta^vee)``, and the coroot of ``s_j beta`` is ``s_j (beta^vee) =
+        beta^vee - <alpha_j, beta^vee> alpha_j^vee``, where ``<alpha_j,
+        alpha_i^vee> = cartan[j][i]``.  Each step subtracts an integer
+        multiple of a simple coroot, so every coroot is integral by
+        construction.
         """
         simples = [tuple(1 if i == j else 0 for i in range(self.rank))
                    for j in range(self.rank)]
-        lengths = dict(zip(simples, self._sq))
+        coroots = {a: a for a in simples}
         pairings = {a: tuple(row) for a, row in zip(simples, self.cartan)}
         frontier = simples
         while frontier:
@@ -166,8 +155,10 @@ class RootSystem:
                 for j, c in enumerate(pairings[beta]):
                     if c < 0:
                         g = self._reflect_root(beta, j)
-                        if g not in lengths:
-                            lengths[g] = lengths[beta]
+                        if g not in coroots:
+                            cor = list(coroots[beta])
+                            cor[j] -= sum(map(mul, cor, self.cartan[j]))
+                            coroots[g] = tuple(cor)
                             pairings[g] = self.simple_reflection_weight(
                                 j, pairings[beta])
                             new.append(g)
@@ -177,30 +168,11 @@ class RootSystem:
         for beta, pairing in pairings.items():
             for j, c in enumerate(pairing):
                 if c > 0 and beta != simples[j]:
-                    if self._reflect_root(beta, j) not in lengths:
+                    if self._reflect_root(beta, j) not in coroots:
                         raise AssertionError(f"roots not closed under s_{j}")
-        return lengths
+        return coroots
 
-    # -- coroots and weights ------------------------------------------------
-
-    @cached_property
-    def positive_coroots(self):
-        """Integer coordinates of each positive coroot in the simple coroots,
-        in the order of ``positive_roots``.
-
-        ``beta^vee = 2 beta / (beta, beta)``, so the coefficient of
-        ``alpha_i^vee`` is ``b_i (alpha_i, alpha_i) / (beta, beta)``: the
-        ratio ``b_i q_i / q(beta)`` of the squared lengths recorded when the
-        roots were raised.
-        """
-        out = []
-        for beta in self.positive_roots:
-            length = self._lengths[beta]
-            cor = [divmod(b * q, length) for b, q in zip(beta, self._sq)]
-            if any(rem for _, rem in cor):
-                raise AssertionError(f"coroot of {beta} is not integral")
-            out.append(tuple(c for c, _ in cor))
-        return tuple(out)
+    # -- weights ------------------------------------------------------------
 
     def root_weight_coords(self, beta):
         """Fundamental-weight coordinates of a root-coordinate vector."""

@@ -15,7 +15,8 @@ from liemod.hwmod import (BuildCeilingExceeded, IrrepSpec, build_hw_module,
                           enumerate_dominant_up_to_dim,
                           extend_to_full_algebra, weyl_dim)
 from liemod.modality import action_from_module
-from liemod.rootsys import RootSystemType, _symmetrizer, build_root_system
+from liemod.rootsys import RootSystemType, build_root_system
+from test_rootsys import _reference_half_lengths
 
 A1 = RootSystemType("A", 1)
 A2 = RootSystemType("A", 2)
@@ -214,7 +215,7 @@ def _reference_weyl_dims(rstype, weights):
     prod (lambda + delta, beta) / (delta, beta) over the positive roots."""
     rs = build_root_system(rstype)
     r = rs.rank
-    half = _symmetrizer(rs.cartan)
+    half = _reference_half_lengths(rstype.family, rstype.rank)
     # (alpha_i, beta) for every positive root beta: (alpha_i, alpha_j) is
     # cartan[i][j] times alpha_j's half squared length
     forms = [[sum(rs.cartan[i][j] * half[j] * beta[j] for j in range(r))

@@ -1,17 +1,18 @@
 """Root system construction against closed-form counts and known matrices."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from liemod import linalg
-from liemod.rootsys import RootSystemType, _symmetrizer, build_root_system
+from liemod.rootsys import RootSystemType, build_root_system
 
 
 def _pairing(rs, x, y):
     """The invariant form on root coordinates: ``(alpha_i, alpha_j)`` is
     ``cartan[i][j]`` times the half squared length of ``alpha_j``."""
-    d = _symmetrizer(rs.cartan)
+    d = _reference_half_lengths(rs.rstype.family, rs.rank)
     return sum(x[i] * rs.cartan[i][j] * d[j] * y[j]
                for i in range(rs.rank) for j in range(rs.rank))
 
@@ -234,10 +235,11 @@ def _reference_positive_roots(rs):
 
 
 def _reference_coroot(rs, beta):
-    """``b_i (alpha_i, alpha_i) / (beta, beta)`` as it was computed before the
-    lengths were recorded: ``(beta, beta)`` summed from the weight
+    """``b_i (alpha_i, alpha_i) / (beta, beta)`` with the simple-root lengths
+    of the family table and ``(beta, beta)`` summed from the weight
     coordinates of beta, O(r^2) per root."""
-    sq = linalg.clear_denominators(_symmetrizer(rs.cartan))
+    sq = linalg.clear_denominators(
+        _reference_half_lengths(rs.rstype.family, rs.rank))
     norm = sum(b * q * c for b, q, c in
                zip(beta, sq, rs.root_weight_coords(beta)))
     cor = [divmod(2 * b * q, norm) for b, q in zip(beta, sq)]
@@ -263,9 +265,8 @@ def test_raised_roots_match_the_all_roots_reference(family, rank):
 
 
 def _reference_half_lengths(family, rank):
-    """The per-family table of half squared simple-root lengths (long root
-    = 1) that the lengths were taken from before they were read off the
-    Cartan matrix."""
+    """The per-family table of half squared simple-root lengths, long roots
+    1, the only source of lengths the references here use."""
     d = [Fraction(1)] * rank
     if family == "B":
         d[rank - 1] = Fraction(1, 2)
@@ -281,13 +282,29 @@ def _reference_half_lengths(family, rank):
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
 def test_simple_root_lengths_match_the_family_table(family, rank):
+    # the table symmetrizes the Cartan matrix: (alpha_i, alpha_j) is
+    # cartan[i][j] d[j], so cartan[i][j] d[j] == cartan[j][i] d[i]
     rs = build_root_system(RootSystemType(family, rank))
-    d = _symmetrizer(rs.cartan)
-    assert d == _reference_half_lengths(family, rank)
-    assert all(type(x) is Fraction for x in d)
+    d = _reference_half_lengths(family, rank)
     r = rs.rank
     assert all(rs.cartan[i][j] * d[j] == rs.cartan[j][i] * d[i]
                for i in range(r) for j in range(r))
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_coroots_satisfy_the_coroot_axiom(family, rank):
+    # <beta, beta^vee> = 2, and s_beta gamma = gamma - <gamma, beta^vee> beta
+    # is a root for every root gamma: the property that defines beta^vee,
+    # checked with no root lengths
+    rs = build_root_system(RootSystemType(family, rank))
+    roots = set(rs.positive_roots)
+    weights = {g: rs.root_weight_coords(g) for g in rs.positive_roots}
+    for beta, cor in zip(rs.positive_roots, rs.positive_coroots):
+        assert sum(map(mul, cor, weights[beta])) == 2
+        for gamma, w in weights.items():
+            c = sum(map(mul, cor, w))
+            image = tuple(g - c * b for g, b in zip(gamma, beta))
+            assert image in roots or tuple(-x for x in image) in roots
 
 
 def test_types_sort_by_family_then_rank():
