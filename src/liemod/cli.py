@@ -170,7 +170,7 @@ def _cmd_grading_rank(args):
         raise ValueError("--m: expected a positive integer or 'inf', "
                          f"got {args.m!r}")
     spec = graded.GradingSpec(rstype, m, _parse_ints("--labels", args.labels))
-    ga = graded.build_grading(spec)
+    ga = graded.build_grading(spec, ceiling=args.build_ceiling)
     report = modality.generic_orbit_dim(
         ga.g0_on_g1, trials=args.trials, seed=args.seed)
     rank = report.codimension

@@ -48,7 +48,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
-from .hwmod import IrrepSpec, extend_to_full_algebra, root_vectors
+from .hwmod import (DEFAULT_BUILD_CEILING, IrrepSpec, check_ceiling,
+                    extend_to_full_algebra, root_vectors, weyl_dim)
 from .linalg import exact_ratio, integral
 from .modality import (DEFAULT_SEED, DEFAULT_TRIALS, PRIME, ActionSpec,
                        generic_orbit_dim)
@@ -61,10 +62,13 @@ __all__ = [
     "random_homogeneous_element",
 ]
 
-# node of the fundamental weight of the smallest convenient faithful module,
-# the first node unless listed; the last exceptional type only has its own
-# algebra, so its structure constants are the costliest
-_FAITHFUL_NODE = {("F", 4): 3, ("E", 7): 6, ("E", 8): 7}
+def _structure_module(rstype):
+    """The module a type's structure constants are read in: the smallest
+    convenient faithful one, fundamental at the first node unless listed.
+    E8 only has its own algebra, so its table is the costliest."""
+    node = {("F", 4): 3, ("E", 7): 6, ("E", 8): 7}.get(
+        (rstype.family, rstype.rank), 0)
+    return IrrepSpec(rstype, [int(i == node) for i in range(rstype.rank)])
 
 
 # the bracket of a pair whose roots sum to neither a root nor zero: one
@@ -91,9 +95,7 @@ class StructureConstants:
     def __init__(self, rstype):
         self.rstype = rstype
         rs = build_root_system(rstype)
-        node = _FAITHFUL_NODE.get((rstype.family, rstype.rank), 0)
-        spec = IrrepSpec(rstype, [int(i == node) for i in range(rstype.rank)])
-        mod = extend_to_full_algebra(spec)
+        mod = extend_to_full_algebra(_structure_module(rstype))
         self.module = mod
         self.dim = len(mod.full_basis)
         if self.dim != rs.dimension:
@@ -260,13 +262,16 @@ class GradedAlgebra(NamedTuple):
         return self.sc.dim
 
 
-def build_grading(spec):
+def build_grading(spec, ceiling=DEFAULT_BUILD_CEILING):
     """Assemble the graded algebra for a label vector.
 
-    Verifies bracket degree additivity on every pair of basis elements, so a
-    wrong degree map cannot survive construction: it raises
-    ``AssertionError``, under ``python -O`` too.
+    Raises BuildCeilingExceeded, before any build, when the structure
+    module is larger than ``ceiling``.  Verifies bracket degree additivity
+    on every pair of basis elements, so a wrong degree map cannot survive
+    construction: it raises ``AssertionError``, under ``python -O`` too.
     """
+    module = _structure_module(spec.rstype)
+    check_ceiling(f"structure module {module.name}", weyl_dim(module), ceiling)
     sc = structure_constants(spec.rstype)
     degs = tuple(0 if root is None else spec.degree_of_root(root)
                  for root in sc.root_of_index)
@@ -314,8 +319,9 @@ def jordan_chevalley(x):
     The common case is settled mod ``PRIME`` first: a characteristic
     polynomial that is squarefree mod p is squarefree over Q
     (``linalg.char_poly_is_squarefree_mod_p``), so x is its own
-    semisimple part.  Any other outcome, an unlucky p included, takes the
-    exact path, so the answer never depends on p.
+    semisimple part, and x itself is returned.  Any other outcome, an
+    unlucky p included, takes the exact path, so the answer never depends
+    on p.
 
     The exact path computes sf = p / gcd(p, p'), the squarefree part of the
     characteristic polynomial p, and iterates y <- y - sf'(y)^-1 sf(y) from
@@ -346,15 +352,18 @@ def decompose_graded_element(ga, coords):
 
     Computed on the element's matrix in the structure module and pulled back
     through the verified expansion; faithful representations preserve the
-    decomposition, so the pullback always succeeds.
+    decomposition, so the pullback always succeeds.  A matrix certified
+    semisimple comes back as itself, and its coordinates are the input's.
     """
-    # ints where integral, so neither the matrix nor c - s below does
+    # ints where integral, so neither the matrix nor c - d below does
     # Fraction arithmetic on integral Fraction inputs
     coords = [integral(c) for c in coords]
     mat = ga.sc.element_matrix(coords)
-    s_coords = ga.sc.expand_matrix(jordan_chevalley(mat))
-    n_coords = [integral(c - s) for c, s in zip(coords, s_coords)]
-    return s_coords, n_coords
+    s = jordan_chevalley(mat)
+    if s is mat:
+        return coords, [0] * len(coords)
+    s = ga.sc.expand_matrix(s)
+    return s, [integral(c - d) for c, d in zip(coords, s)]
 
 
 def random_homogeneous_element(ga, degree, rng):

@@ -28,7 +28,7 @@ from .rootsys import build_root_system
 __all__ = [
     "BuildCeilingExceeded", "IrrepSpec", "HWModule", "weyl_dim",
     "enumerate_dominant_up_to_dim", "build_hw_module", "extend_to_full_algebra",
-    "root_vectors", "DEFAULT_BUILD_CEILING",
+    "root_vectors", "check_ceiling", "DEFAULT_BUILD_CEILING",
 ]
 
 DEFAULT_BUILD_CEILING = 256
@@ -41,6 +41,13 @@ class BuildCeilingExceeded(ValueError):
     def __init__(self, message, dimension):
         super().__init__(message)
         self.dimension = dimension
+
+
+def check_ceiling(what, dim, ceiling):
+    """Refuse ``what``, of dimension ``dim``, if it exceeds ``ceiling``."""
+    if dim > ceiling:
+        raise BuildCeilingExceeded(
+            f"{what} has dimension {dim} > ceiling {ceiling}", dim)
 
 
 class IrrepSpec(namedtuple("IrrepSpec", "rstype highest_weight")):
@@ -268,9 +275,7 @@ def build_hw_module(spec, ceiling=DEFAULT_BUILD_CEILING):
     once per call, and the build checks its basis against that dimension.
     """
     d = weyl_dim(spec)
-    if d > ceiling:
-        raise BuildCeilingExceeded(
-            f"module {spec.name} has dimension {d} > ceiling {ceiling}", d)
+    check_ceiling(f"module {spec.name}", d, ceiling)
     return _build_module_cached(spec, d)
 
 

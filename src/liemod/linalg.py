@@ -5,7 +5,7 @@ A matrix is a ``Matrix``: a list of rows whose entries are Python ints or
 arithmetic promotes to ``Fraction`` as needed.  A vector is a plain list of
 entries, and a right-hand side is a matrix with one column per system.  The
 entry points read any matrix through one row helper, so they also accept
-nested lists or a 2-d array of Python numbers.  Polynomials are python
+nested lists or any other iterable of rows.  Polynomials are python
 lists of coefficients in ascending degree order, normalized so the leading
 coefficient is nonzero (the zero polynomial is ``[]``).  Modules are built
 and bracketed in sparse columns: ``commutator`` and ``block_diag`` take
@@ -67,8 +67,7 @@ class Matrix:
 
     ``m[i, j]`` reads and writes an entry; iterating yields the rows.  A
     frozen matrix, as ``from_columns`` makes, refuses writes with
-    ValueError.  ``__array__`` hands array code an object array, importing
-    the array library only when it is called.
+    ValueError.
     """
 
     __slots__ = ("_rows", "_cols", "shape", "frozen")
@@ -168,19 +167,12 @@ class Matrix:
             return zeros(self.shape[0], other.shape[1])
         return Matrix(_int_matmul(self.rows, other.rows), other.shape[1])
 
-    def __array__(self, dtype=None, copy=None):
-        import numpy
-        out = numpy.empty(self.shape, dtype=object)
-        for i, r in enumerate(self.rows):
-            out[i] = r
-        return out if dtype is None else out.astype(dtype)
-
     def __repr__(self):
         return f"Matrix({self.rows!r})"
 
 
 def _rows(m):
-    """The rows of a matrix, nested lists or 2-d array as fresh lists.
+    """The rows of a matrix or any iterable of rows as fresh lists.
     Raises ValueError for a 1-d input, whose rows are numbers."""
     try:
         return [list(r) for r in m]

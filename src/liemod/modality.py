@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import linalg
 from .hwmod import (
     DEFAULT_BUILD_CEILING, BuildCeilingExceeded, IrrepSpec, build_hw_module,
-    extend_to_full_algebra,
+    check_ceiling, extend_to_full_algebra,
 )
 from .rootsys import RootSystemType, build_root_system
 
@@ -179,12 +179,6 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         trials_used=used, field=FIELD, miss_bound=miss)
 
 
-def _check_ceiling(what, dim, ceiling):
-    if dim > ceiling:
-        raise BuildCeilingExceeded(
-            f"{what} has dimension {dim} > ceiling {ceiling}", dim)
-
-
 # ---------------------------------------------------------------------------
 # rank-1 special linear group: explicit sums and the closed form
 
@@ -197,7 +191,7 @@ def sl2_action(summands, ceiling=DEFAULT_BUILD_CEILING):
     """
     a1 = RootSystemType("A", 1)
     total = sum(n + 1 for n in summands)
-    _check_ceiling(f"sl2 module sum {list(summands)}", total, ceiling)
+    check_ceiling(f"sl2 module sum {list(summands)}", total, ceiling)
     mods = [build_hw_module(IrrepSpec(a1, (n,)), ceiling=ceiling)
             for n in summands]
     return ActionSpec(matrices=[
@@ -397,8 +391,8 @@ def sum_of_copies_check(n, d, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
         raise ValueError("need n >= 3")
     if not 2 <= d <= n - 1:
         raise ValueError("need 2 <= d <= n-1")
-    _check_ceiling(f"sum of {d} copies of the natural A{n - 1} module",
-                   n * d, ceiling)
+    check_ceiling(f"sum of {d} copies of the natural A{n - 1} module",
+                  n * d, ceiling)
     rstype = RootSystemType("A", n - 1)
     natural = tuple(1 if i == 0 else 0 for i in range(n - 1))
     full = extend_to_full_algebra(IrrepSpec(rstype, natural))

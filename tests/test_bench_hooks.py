@@ -2,7 +2,8 @@
 lists must still exist, so that removing one fails here rather than
 inside a benchmark run."""
 
-import importlib.util
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,15 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return [t[:3] for t in tracer.TARGETS]
+    """Module, function and cache name of each of the tracer's ``TARGETS``,
+    read from its source: running it would import the benchmark's own
+    dependencies, which the tests do not need."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    return [tuple(map(ast.literal_eval, t.elts[:3])) for t in targets.elts]
 
 
 @pytest.mark.parametrize("module,function,cache", _targets())

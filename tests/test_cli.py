@@ -462,6 +462,26 @@ def test_build_ceiling_binds_on_module_sums(argv, dim, capsys, monkeypatch):
     assert err.endswith(f"has dimension {dim} > ceiling {ceiling}\n")
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this tree's
+    liemod."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_grading_rank_refuses_a_structure_module_over_the_ceiling():
+    # E8's structure module is its 248-dimensional adjoint module: the
+    # command must refuse it from Weyl's formula, before building anything
+    done = subprocess.run(
+        [sys.executable, "-m", "liemod", "grading", "rank", "--type", "E8",
+         "--m", "1", "--labels", "0,0,0,0,0,0,0,0", "--build-ceiling", "3"],
+        env=_child_env(), capture_output=True, text=True, timeout=5)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: structure module E8:0,0,0,0,0,0,0,1 has "
+                           "dimension 248 > ceiling 3\n")
+
+
 # one small command of every subcommand
 _SMALL_COMMANDS = [
     "tables verify --list m3",
@@ -482,10 +502,7 @@ def test_commands_do_not_load_numpy():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(command.split()) == 0, command\n"
         "    assert 'numpy' not in sys.modules, command\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

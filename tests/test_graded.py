@@ -6,8 +6,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add, mul, sub
 
-import numpy as np
 import pytest
 
 from liemod import graded as gr
@@ -128,6 +128,53 @@ def test_cartan_brackets_are_cartan_integers(name):
             assert sc.bracket[i][b] == ({b: c} if c else {})
             assert sc.bracket[b][i] == ({b: -c} if c else {})
             assert all(type(v) is int for v in sc.bracket[i][b].values())
+
+
+# every simple type up to rank 8
+ALL_TYPES = [f"{family}{n}" for family, low in (("A", 1), ("B", 2), ("C", 2),
+                                                ("D", 4))
+             for n in range(low, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_bracket_tables_obey_chevalley(name):
+    # Chevalley's theorem (Chevalley 1955; Humphreys, Introduction to Lie
+    # Algebras and Representation Theory, 25.2): in a Chevalley basis,
+    # N_{a,b} N_{-a,-b} = -(p + 1)^2, with p the largest k such that
+    # b - k a is a root.  The table's root vectors are not rescaled to one:
+    # [x_a, x_{-a}] = t_a h_a, h_a the coroot, and rescaling x_{+-a} turns
+    # the theorem into N_{a,b} N_{-a,-b} t_{a+b} / (t_a t_b) = -(p + 1)^2.
+    rt = RootSystemType.parse(name)
+    rs = build_root_system(rt)
+    sc = gr.structure_constants(rt)
+    index = {root: k for k, root in enumerate(sc.root_of_index) if root}
+    neg = {a: tuple(-c for c in a) for a in index}
+    coroot = {}
+    for a, c in zip(rs.positive_roots, rs.positive_coroots):
+        coroot[a], coroot[neg[a]] = c, tuple(-x for x in c)
+    t = {}
+    for a, k in index.items():
+        h = sc.bracket[k][index[neg[a]]]
+        j = next(j for j, c in enumerate(coroot[a]) if c)
+        # an int where integral: Fraction products would double the time
+        q, rem = divmod(h[j], coroot[a][j])
+        t[a] = Fraction(h[j], coroot[a][j]) if rem else q
+        assert t[a] and h == {i: t[a] * c for i, c in enumerate(coroot[a])
+                              if c}
+    for a, ka in index.items():
+        row, row_neg = sc.bracket[ka], sc.bracket[index[neg[a]]]
+        for b, kb in index.items():
+            ab = tuple(map(add, a, b))
+            if ab not in index:
+                # a sum that is neither a root nor zero brackets to zero
+                assert not (any(ab) and row[kb])
+                continue
+            p, below = 0, tuple(map(sub, b, a))
+            while below in index:
+                p, below = p + 1, tuple(map(sub, below, a))
+            n_ab = row[kb][index[ab]]
+            n_neg = row_neg[index[neg[b]]][index[neg[ab]]]
+            assert n_ab * n_neg * t[ab] == -(p + 1) ** 2 * t[a] * t[b], (a, b)
 
 
 @pytest.mark.parametrize("name", ["B3", "G2", "F4"])
@@ -259,6 +306,13 @@ def test_jordan_chevalley_basic_cases():
     assert (j - s)[0, 1] == 1
 
 
+def _mul(a, b):
+    """The product of two matrices as an exact matrix, by the textbook
+    sum."""
+    cols = list(zip(*b))
+    return linalg.rmat([[sum(map(mul, r, c)) for c in cols] for r in a])
+
+
 def test_jordan_chevalley_invariants_random():
     rng = random.Random(55)
     for _ in range(12):
@@ -276,11 +330,11 @@ def test_jordan_chevalley_invariants_random():
             i, j = rng.sample(range(n), 2)
             shear = linalg.eye(n)
             shear[i, j] = rng.randint(-2, 2)
-            g = np.dot(g, shear)
-        x = np.dot(np.dot(g, t), linalg.inverse(g))
+            g = _mul(g, shear)
+        x = _mul(_mul(g, t), linalg.inverse(g))
         s = gr.jordan_chevalley(x)
         nn = x - s
-        assert linalg.is_zero_matrix(np.dot(s, nn) - np.dot(nn, s))
+        assert _mul(s, nn) == _mul(nn, s)
         assert all(c == 0 for c in linalg.char_poly(nn)[:-1])  # nilpotent
         sf = linalg.squarefree_part(linalg.char_poly(s))
         assert linalg.is_zero_matrix(linalg.poly_eval_matrix(sf, s))
@@ -678,10 +732,7 @@ def test_killing_gram_degree_orthogonality():
             opp = (-d) % mm if mm is not None else -d
             jdxs = ga.components.get(opp, ())
             assert len(jdxs) == len(idxs)
-            block = np.empty((len(idxs), len(jdxs)), dtype=object)
-            for a, i in enumerate(idxs):
-                for b, j in enumerate(jdxs):
-                    block[a, b] = gram[i, j]
+            block = [[gram[i, j] for j in jdxs] for i in idxs]
             assert linalg.rank(block) == len(idxs)
 
 

@@ -6,8 +6,8 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from operator import mul
 
-import numpy as np
 import pytest
 
 from liemod import hwmod
@@ -76,19 +76,27 @@ def test_build_ceiling():
     # explicit larger ceiling allows it in principle; don't build it here
 
 
+def _bracket(a, b):
+    """``a b - b a`` of two square matrices as nested lists, by the
+    textbook product."""
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    return [[sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
+             for cb, ca in zip(cols_b, cols_a)] for ra, rb in zip(a, b)]
+
+
 def test_commutation_relations():
     rs = build_root_system(A2)
     mod = build_hw_module(IrrepSpec(A2, (1, 1)))
     r = 2
     for i in range(r):
         for j in range(r):
-            comm = np.dot(mod.e[i], mod.f[j]) - np.dot(mod.f[j], mod.e[i])
-            target = mod.h[i] if i == j else np.zeros_like(comm)
-            assert (comm == target).all()
-            he = (np.dot(mod.h[i], mod.e[j]) - np.dot(mod.e[j], mod.h[i]))
-            assert (he == rs.cartan[j][i] * mod.e[j]).all()
-            hf = (np.dot(mod.h[i], mod.f[j]) - np.dot(mod.f[j], mod.h[i]))
-            assert (hf == -rs.cartan[j][i] * mod.f[j]).all()
+            comm = _bracket(mod.e[i], mod.f[j])
+            target = mod.h[i] * int(i == j)
+            assert comm == target.rows
+            he = _bracket(mod.h[i], mod.e[j])
+            assert he == (rs.cartan[j][i] * mod.e[j]).rows
+            hf = _bracket(mod.h[i], mod.f[j])
+            assert hf == (-rs.cartan[j][i] * mod.f[j]).rows
 
 
 def test_weights_start_at_highest():
@@ -137,12 +145,9 @@ def test_extension_full_algebra_a2():
     assert mod.full_basis is not None
     assert len(mod.full_basis) == rs.dimension == 8
     assert mod.basis_names[0] == "h1"
-    # full basis acts faithfully: flattened matrices linearly independent
-    flat = np.empty((9, 8), dtype=object)
-    for k, m in enumerate(mod.full_basis):
-        for i in range(3):
-            for j in range(3):
-                flat[i * 3 + j, k] = m[i, j]
+    # full basis acts faithfully: flattened matrices, one row each, are
+    # linearly independent
+    flat = [m.flat for m in mod.full_basis]
     from liemod.linalg import rank
     assert rank(flat) == 8
 
@@ -153,24 +158,16 @@ def test_extension_closure_under_bracket_g2():
     mod = extend_to_full_algebra(IrrepSpec(G2, (1, 0)))
     basis = mod.full_basis
     n = mod.dimension
-    flat = np.empty((n * n, len(basis)), dtype=object)
-    for k, m in enumerate(basis):
-        for i in range(n):
-            for j in range(n):
-                flat[i * n + j, k] = m[i, j]
+    flat = [m.flat for m in basis]
+    assert all(len(row) == n * n for row in flat)
     from liemod.linalg import rank
     base_rank = rank(flat)
     assert base_rank == rs.dimension == 14
     rng = random.Random(3)
     for _ in range(6):
         a, b = rng.randrange(len(basis)), rng.randrange(len(basis))
-        comm = np.dot(basis[a], basis[b]) - np.dot(basis[b], basis[a])
-        aug = np.empty((n * n, len(basis) + 1), dtype=object)
-        aug[:, :len(basis)] = flat
-        for i in range(n):
-            for j in range(n):
-                aug[i * n + j, len(basis)] = comm[i, j]
-        assert rank(aug) == base_rank
+        comm = _bracket(basis[a], basis[b])
+        assert rank(flat + [[v for r in comm for v in r]]) == base_rank
 
 
 def test_module_caching():
@@ -290,8 +287,10 @@ def test_build_reproduces_pinned_modules(rstype, weight, digest):
 
 def _columns(m):
     cols = [{} for _ in range(m.shape[1])]
-    for i, j in zip(*np.nonzero(m)):
-        cols[j][i] = m[i, j]
+    for i, r in enumerate(m):
+        for j, v in enumerate(r):
+            if v:
+                cols[j][i] = v
     return cols
 
 

@@ -8,11 +8,13 @@ for its tests alone; re-exporting a name from the package does not count as
 reading it.  Every unbounded cache is keyed by a small, fixed
 domain, so a sweep over modules cannot grow it.  No module imports
 ``dataclasses``, which would cost every command its start-up time, and no
-module holds an ``assert`` statement, which ``python -O`` would strip."""
+module holds an ``assert`` statement, which ``python -O`` would strip.  No
+test imports numpy, and the ``test`` extra does not list it."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -254,15 +256,37 @@ def test_unbounded_caches_are_allowlisted():
     assert not stale, f"allowlisted caches that are gone or bounded: {stale}"
 
 
+def _imports(tree, package):
+    """Line numbers of the import statements in ``tree`` that import
+    ``package`` or one of its submodules; a string naming it is no import."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(
+                    a.name.partition(".")[0] == package for a in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and (node.module or "").partition(".")[0] == package)]
+
+
 def test_no_module_imports_dataclasses():
-    found = sorted(
-        f"{name}.py line {node.lineno}"
-        for name in MODULES for node in ast.walk(_tree(name))
-        if (isinstance(node, ast.Import) and any(
-                a.name.partition(".")[0] == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom)
-            and (node.module or "").partition(".")[0] == "dataclasses"))
+    found = sorted(f"{name}.py line {line}" for name in MODULES
+                   for line in _imports(_tree(name), "dataclasses"))
     assert not found, f"dataclasses imported at: {found}"
+
+
+def test_tests_need_no_numpy():
+    # the tests check liemod against their own pure-Python products, so
+    # neither the suite nor its install extra needs numpy
+    found = sorted(
+        f"{path.relative_to(ROOT)} line {line}"
+        for path in (ROOT / "tests").rglob("*.py")
+        for line in _imports(ast.parse(path.read_text(encoding="utf-8")),
+                             "numpy"))
+    assert not found, f"numpy imported at: {found}"
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    listed = [d for d in extra
+              if re.split(r"[^\w.-]", d, maxsplit=1)[0].lower() == "numpy"]
+    assert not listed, f"the test extra lists numpy: {listed}"
 
 
 def test_commands_start_without_dataclasses_or_inspect():

@@ -3,8 +3,8 @@
 import inspect
 import random
 from fractions import Fraction
+from operator import mul
 
-import numpy as np
 import pytest
 
 from liemod import graded, linalg
@@ -359,10 +359,8 @@ def test_orbit_dim_invariant_under_scaling():
             scaled = mo.ActionSpec(matrices=tuple(mats))
             for v in points:
                 half = [Fraction(x, 2) for x in v]
-                vec = linalg.rvec(half)
-                dense = np.zeros((a.space_dim, a.algebra_dim), dtype=object)
-                for c, m in enumerate(mats):
-                    dense[:, c] = np.dot(m, vec)
+                # one row per algebra element: its image m v of v
+                dense = [[sum(map(mul, r, half)) for r in m] for m in mats]
                 od = mo.orbit_dim_at(a, v)
                 assert mo.orbit_dim_at(scaled, half) == od == linalg.rank(dense)
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-import numpy as np
 import pytest
 
 from liemod import linalg, modality, packets
