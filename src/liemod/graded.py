@@ -59,7 +59,7 @@ __all__ = [
     "GradingSpec", "GradedAlgebra", "StructureConstants",
     "structure_constants", "build_grading", "rank_of_grading",
     "jordan_chevalley", "decompose_graded_element", "cartan_subspace",
-    "random_homogeneous_element",
+    "centralizer_slice", "random_homogeneous_element",
 ]
 
 def _structure_module(rstype):
@@ -386,7 +386,7 @@ def _combine(coeffs, vectors):
     return [x // g for x in out] if g > 1 else out
 
 
-def _centralizer_slice(sc, s, slice_basis):
+def centralizer_slice(sc, s, slice_basis):
     """A basis of the elements of the slice's span that commute with s:
     primitive integer combinations of the slice basis."""
     s = linalg.clear_denominators(s)
@@ -466,7 +466,7 @@ def cartan_subspace(ga, seed=DEFAULT_SEED):
             if not any(s) or _in_span(found, s):
                 continue
             found.append(tuple(s))
-            slice_basis = _centralizer_slice(ga.sc, s, slice_basis)
+            slice_basis = centralizer_slice(ga.sc, s, slice_basis)
             break
         else:
             break

@@ -114,10 +114,6 @@ class Matrix:
         return [(i, j, r[j]) for i, r in enumerate(self._rows)
                 for j in compress(range(self.shape[1]), r)]
 
-    @property
-    def flat(self):
-        return [v for r in self.rows for v in r]
-
     def __iter__(self):
         return iter(self.rows)
 

@@ -36,7 +36,7 @@ from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
     "ActionSpec", "OrbitDimReport", "CoverPiece", "TableEntry", "VerifyResult",
-    "ExmoReport", "stabilizer_basis", "orbit_dim_at",
+    "ExmoReport", "orbit_dim_at",
     "generic_orbit_dim", "sl2_action", "sl2_modality",
     "modality_from_cover", "action_from_module", "load_raw_tables",
     "table_entries", "lookup_expected_modality", "verify_table_entry",
@@ -130,17 +130,6 @@ def orbit_dim_at(action, v, p=None):
     if p is None:
         return linalg.integer_rank(rows, action.algebra_dim)
     return linalg.rank_mod_p(rows, action.algebra_dim, p)
-
-
-def stabilizer_basis(action, points):
-    """Exact basis of the subalgebra annihilating each of the points, as
-    coefficient vectors: the kernel over Q of their orbit matrices stacked,
-    in ``linalg.kernel_basis``'s reduced form, which no nonzero scale of
-    one orbit matrix, or of every matrix of the action at once, changes."""
-    rows = [row for v in points for row in _orbit_rows(action, v)]
-    if not rows:
-        raise ValueError("need one or more points")
-    return linalg.kernel_basis(rows)
 
 
 def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):

@@ -10,7 +10,9 @@ parameters of modality on top of its constant orbit dimension.
 
 Everything concrete here is partition combinatorics: packets are
 enumerated and classified for n up to 5 without any polynomial factoring,
-using only squarefree decomposition and exact rank profiles.
+using only squarefree decomposition and exact rank profiles.  Orbit
+dimensions and centralizers are taken in ``graded``'s structure constants
+of type A_{n-1}, whose m = 1 grading is this algebra.
 """
 
 import random
@@ -23,10 +25,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import cells, linalg
-from .modality import (
-    ActionSpec, CoverPiece, modality_from_cover, orbit_dim_at,
-    stabilizer_basis,
-)
+from .graded import centralizer_slice, structure_constants
+from .modality import ActionSpec, CoverPiece, modality_from_cover, orbit_dim_at
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "partitions_of", "conjugate_partition", "gl_centralizer_dim",
     "count_packets", "enumerate_packets_adjoint_typeA", "packet_dims",
     "classify_adjoint_typeA", "random_packet_point", "packet_sanity_suite",
-    "sl_basis", "adjoint_orbit_dim",
+    "adjoint_orbit_dim",
 ]
 
 
@@ -179,49 +179,31 @@ def enumerate_packets_adjoint_typeA(n):
     return out
 
 
-def sl_basis(n):
-    """Standard basis of the traceless matrices: off-diagonal units and
-    differences of consecutive diagonal units."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = linalg.zeros(n)
-                m[i, j] = 1
-                basis.append(m)
-    for k in range(n - 1):
-        m = linalg.zeros(n)
-        m[k, k] = 1
-        m[k + 1, k + 1] = -1
-        basis.append(m)
-    return basis
-
-
-def _ad(u):
-    """The matrix of ``b -> [u, b]`` on n x n matrices flattened row by
-    row: column i n + j is the bracket with the matrix unit at (i, j)."""
-    n = u.shape[0]
-    u = linalg.Matrix.from_columns(u.columns(), n)  # read u's columns once
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            unit = linalg.Matrix.from_columns(
-                [{i: 1} if c == j else {} for c in range(n)], n)
-            cols.append({r * n + c: v for r, c, v in
-                         linalg.commutator(u, unit).nonzeros()})
-    return linalg.Matrix.from_columns(cols, n * n)
-
-
 @lru_cache(maxsize=None)
 def _adjoint_action(n):
-    """``sl_basis(n)`` acting on flattened n x n matrices by brackets; its
-    orbit matrix at x has column ``[b_k, x]``."""
-    return ActionSpec(tuple(_ad(b) for b in sl_basis(n)))
+    """The traceless n x n matrices acting on themselves by brackets, in
+    the root-space basis of type A_{n-1}'s structure constants: matrix a
+    has column b ``[x_a, x_b]``, so the orbit matrix at x has column
+    ``[x_a, x]``."""
+    sc = structure_constants(RootSystemType("A", n - 1))
+    return ActionSpec(linalg.Matrix.from_columns(row, sc.dim)
+                      for row in sc.bracket)
+
+
+def _coords(x):
+    """Coordinates of x minus its trace part, (tr x / n) times the
+    identity, which brackets like x: the traceless part lies in the image
+    of the structure module, the n-dimensional one of type A_{n-1}."""
+    n = x.shape[0]
+    trace = sum(x[i, i] for i in range(n))
+    if trace:
+        x = x - Fraction(trace, n) * linalg.eye(n)
+    return structure_constants(RootSystemType("A", n - 1)).expand_matrix(x)
 
 
 def adjoint_orbit_dim(x):
-    """Exact orbit dimension of a traceless matrix under conjugation."""
-    return orbit_dim_at(_adjoint_action(x.shape[0]), x.flat)
+    """Exact orbit dimension of a square matrix under conjugation."""
+    return orbit_dim_at(_adjoint_action(x.shape[0]), _coords(x))
 
 
 def packet_dims(p):
@@ -302,25 +284,15 @@ def random_packet_point(descriptor, rng):
 
 
 def _center_of_centralizer(x):
-    """Basis (as matrices) of the center of the centralizer of x in the
-    traceless algebra."""
-    n = x.shape[0]
-    cent = [_combination(v, sl_basis(n), n) for v in
-            stabilizer_basis(_adjoint_action(n), [x.flat])]
-    # u is central when [b, u] = 0 for every b in the centralizer: the
-    # stabilizer of the centralizer's elements under its own brackets
-    inner = ActionSpec(tuple(_ad(b) for b in cent))
-    return [_combination(v, cent, n) for v in
-            stabilizer_basis(inner, [b.flat for b in cent])]
-
-
-def _combination(coeffs, mats, n):
-    """The n x n matrix sum of ``c * m`` over coefficients and matrices."""
-    out = linalg.zeros(n)
-    for c, m in zip(coeffs, mats):
-        if c:
-            out = out + c * m
-    return out
+    """Coordinates of a basis of the center of the centralizer of x in the
+    traceless algebra: the centralizer of x, cut down to what commutes
+    with each of its own basis elements."""
+    sc = structure_constants(RootSystemType("A", x.shape[0] - 1))
+    units = [[int(i == k) for i in range(sc.dim)] for k in range(sc.dim)]
+    center = cent = centralizer_slice(sc, _coords(x), units)
+    for b in cent:
+        center = centralizer_slice(sc, b, center)
+    return center
 
 
 _HAND_SHEETS = {
@@ -416,6 +388,7 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         sheet_checks.append(SheetCheck(sheet, p.jordan_type.name, dims_constant))
 
     regular_center_ok = True
+    action = _adjoint_action(n)
     for p in packets:
         if p.jordan_type.num_blocks != 1:
             continue  # nilpotent packets only (single eigenvalue zero)
@@ -424,8 +397,9 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         center = _center_of_centralizer(x)
         best = 0
         for _ in range(12):
-            y = _combination([rng.randint(-5, 5) for _ in center], center, n)
-            od = adjoint_orbit_dim(y)
+            coeffs = [rng.randint(-5, 5) for _ in center]
+            y = [sum(map(mul, coeffs, col)) for col in zip(*center)]
+            od = orbit_dim_at(action, y) if center else 0  # x = 0 only
             if od > x_orbit:
                 regular_center_ok = False
             best = max(best, od)

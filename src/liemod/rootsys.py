@@ -14,7 +14,6 @@ the j-th simple coroot, so the reflection ``s_j`` sends ``alpha_i`` to
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
@@ -98,43 +97,32 @@ class RootSystem:
 
     def __init__(self, rstype):
         self.rstype = rstype
-        r = rstype.rank
-        self.rank = r
+        self.rank = r = rstype.rank
         self.cartan = _cartan_matrix(rstype.family, r)
-        coroots = self._generate_positive_roots()
+        coroots, pairings = self._generate_positive_roots()
         self.positive_roots = tuple(sorted(coroots, key=lambda b: (sum(b), b)))
         # integer coordinates of each positive coroot in the simple coroots,
         # in the order of positive_roots
         self.positive_coroots = tuple(coroots[b] for b in self.positive_roots)
-        at = linalg.rmat([[self.cartan[j][i] for j in range(r)] for i in range(r)])
-        fw = linalg.inverse(at)  # columns are fundamental weights in root coords
-        self.fundamental_weights = tuple(
-            tuple(fw[i, k] for i in range(r)) for k in range(r))
-        self.weyl_vector = tuple(
-            sum(w[i] for w in self.fundamental_weights) for i in range(r))
-        half_sum = tuple(Fraction(sum(b[i] for b in self.positive_roots), 2)
-                         for i in range(r))
-        if self.weyl_vector != half_sum:
-            raise AssertionError(f"{rstype.name}: Weyl vector is not half the "
-                                 f"sum of the positive roots")
+        # 2 rho, the sum of the positive roots, pairs to 2 with every simple
+        # coroot; the Cartan matrix is invertible, so no other vector does
+        if any(sum(p[j] for p in pairings.values()) != 2 for j in range(r)):
+            raise AssertionError(f"{rstype.name}: the positive roots do not "
+                                 f"sum to twice the Weyl vector")
 
     # -- root generation ---------------------------------------------------
 
-    def _reflect_root(self, beta, j):
-        c = sum(beta[i] * self.cartan[i][j] for i in range(self.rank))
-        out = list(beta)
-        out[j] -= c
-        return tuple(out)
-
     def _generate_positive_roots(self):
-        """Each positive root with its coroot, in simple-coroot coordinates.
+        """Each positive root's coroot, in simple-coroot coordinates, and
+        pairings with the simple coroots.
 
         A positive root beta that is not simple has some simple alpha_j with
         ``<beta, alpha_j^vee> > 0``, and then ``s_j beta`` is a lower positive
         root (Humphreys, section 10.2).  So raising the simple roots by every
         ``s_j`` whose pairing is negative reaches every positive root and no
-        other vector.  A raised root's pairings, read in fundamental-weight
-        coordinates, are those of the root it was raised from, reflected.
+        other vector; ``s_j`` moves one coordinate, by the pairing held.  A
+        raised root's pairings, read in fundamental-weight coordinates, are
+        those of the root it was raised from, reflected.
 
         A simple root's coroot is its own unit vector.  A Weyl group element
         w keeps lengths, so ``(w beta)^vee = 2 w beta / (beta, beta) =
@@ -154,7 +142,7 @@ class RootSystem:
             for beta in frontier:
                 for j, c in enumerate(pairings[beta]):
                     if c < 0:
-                        g = self._reflect_root(beta, j)
+                        g = (*beta[:j], beta[j] - c, *beta[j + 1:])
                         if g not in coroots:
                             cor = list(coroots[beta])
                             cor[j] -= sum(map(mul, cor, self.cartan[j]))
@@ -168,9 +156,9 @@ class RootSystem:
         for beta, pairing in pairings.items():
             for j, c in enumerate(pairing):
                 if c > 0 and beta != simples[j]:
-                    if self._reflect_root(beta, j) not in coroots:
+                    if (*beta[:j], beta[j] - c, *beta[j + 1:]) not in coroots:
                         raise AssertionError(f"roots not closed under s_{j}")
-        return coroots
+        return coroots, pairings
 
     # -- weights ------------------------------------------------------------
 
@@ -183,6 +171,15 @@ class RootSystem:
         """Apply s_j to a vector in fundamental-weight coordinates."""
         c = weight[j]
         return tuple(weight[i] - c * self.cartan[j][i] for i in range(self.rank))
+
+    @cached_property
+    def fundamental_weights(self):
+        """The fundamental weights in root coordinates: the columns of the
+        inverse of the transposed Cartan matrix, ``Fraction`` entries."""
+        r = self.rank
+        fw = linalg.inverse([[self.cartan[j][i] for j in range(r)]
+                             for i in range(r)])
+        return tuple(tuple(fw[i, k] for i in range(r)) for k in range(r))
 
     @cached_property
     def diagram_automorphisms(self):

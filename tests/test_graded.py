@@ -213,7 +213,7 @@ def test_expand_matrix_rejects_outsiders():
     n = sc.module.dimension
     for a in range(2, sc.dim):
         x = sc.module.full_basis[a]
-        assert sum(1 for v in x.flat if v) == 2
+        assert sum(1 for r in x.rows for v in r if v) == 2
         assert sc.expand_matrix(x) == [int(k == a) for k in range(sc.dim)]
         for i in range(n):
             for j in range(n):
@@ -658,13 +658,13 @@ def test_cartan_subspace_skips_a_zero_sample(monkeypatch):
 def test_cartan_subspace_of_an_adjoint_grading_takes_no_centralizer_step(
         monkeypatch):
     calls = [0]
-    centralizer_slice = gr._centralizer_slice
+    centralizer_slice = gr.centralizer_slice
 
     def counted(sc, s, slice_basis):
         calls[0] += 1
         return centralizer_slice(sc, s, slice_basis)
 
-    monkeypatch.setattr(gr, "_centralizer_slice", counted)
+    monkeypatch.setattr(gr, "centralizer_slice", counted)
     for name, m, labels in ADJOINT_GRADINGS:
         rt = RootSystemType.parse(name)
         ga = gr.build_grading(gr.GradingSpec(rt, m, labels))

@@ -147,7 +147,7 @@ def test_extension_full_algebra_a2():
     assert mod.basis_names[0] == "h1"
     # full basis acts faithfully: flattened matrices, one row each, are
     # linearly independent
-    flat = [m.flat for m in mod.full_basis]
+    flat = [[v for r in m.rows for v in r] for m in mod.full_basis]
     from liemod.linalg import rank
     assert rank(flat) == 8
 
@@ -158,7 +158,7 @@ def test_extension_closure_under_bracket_g2():
     mod = extend_to_full_algebra(IrrepSpec(G2, (1, 0)))
     basis = mod.full_basis
     n = mod.dimension
-    flat = [m.flat for m in basis]
+    flat = [[v for r in m.rows for v in r] for m in basis]
     assert all(len(row) == n * n for row in flat)
     from liemod.linalg import rank
     base_rank = rank(flat)
@@ -217,7 +217,9 @@ def _reference_weyl_dims(rstype, weights):
     # cartan[i][j] times alpha_j's half squared length
     forms = [[sum(rs.cartan[i][j] * half[j] * beta[j] for j in range(r))
               for i in range(r)] for beta in rs.positive_roots]
-    delta = rs.weyl_vector
+    # the Weyl vector: half the sum of the positive roots
+    delta = [Fraction(sum(beta[i] for beta in rs.positive_roots), 2)
+             for i in range(r)]
     den = Fraction(1)
     for form in forms:
         den *= sum(d * c for d, c in zip(delta, form))

@@ -116,6 +116,9 @@ UNREAD_EXPORTS = {
     "hwmod.enumerate_dominant_up_to_dim": "ROADMAP item 3 enumerates its "
     "completeness candidates with it; test_lookup_matches_the_expanded_tables "
     "sweeps it",
+    "linalg.kernel_basis": "the package exports it and the benchmark's "
+    "tracer wraps it by name; packets' centralizers moved to "
+    "graded.centralizer_slice, an integer kernel",
 }
 
 

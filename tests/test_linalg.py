@@ -752,7 +752,6 @@ def test_matrix_contract():
     m = linalg.rmat([[1, Fraction(1, 2)], [0, 3]])
     assert m.shape == (2, 2) and len(m) == 2 and m[0, 1] == Fraction(1, 2)
     assert [list(r) for r in m] == [[1, Fraction(1, 2)], [0, 3]]
-    assert m.flat == [1, Fraction(1, 2), 0, 3]
     m[1, 0] = 5
     assert m.rows == [[1, Fraction(1, 2)], [5, 3]]
     assert (m @ m).rows == _mul(m, m)

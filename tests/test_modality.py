@@ -36,56 +36,6 @@ def test_stabilizer_dim_at_examples():
     assert rep.generic_orbit_dim == 6
 
 
-def _fraction_kernel(rows, ncols):
-    """Kernel by plain Fraction Gauss-Jordan elimination, independent of
-    linalg: one vector per free column, 1 there and 0 at the other free
-    columns."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]),
-                 None)
-        if r is None:
-            continue
-        k = len(pivots)
-        rows[k], rows[r] = rows[r], rows[k]
-        rows[k] = [x / rows[k][c] for x in rows[k]]
-        for i in range(len(rows)):
-            if i != k and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-        pivots.append(c)
-    out = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -rows[k][fc]
-        out.append(v)
-    return out
-
-
-@pytest.mark.parametrize("name,weight", [
-    ("A2", (1, 0)), ("A2", (1, 1)), ("B2", (1, 0)), ("G2", (1, 0))])
-def test_stabilizer_basis_matches_dense_fraction_kernel(name, weight):
-    a = mo.action_from_module(IrrepSpec(RootSystemType.parse(name), weight))
-    mats = [m.rows for m in a.matrices]
-    n = a.space_dim
-    rng = random.Random(sum(weight) + len(name) * n)
-    for npoints in (1, 2):
-        points = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-                   for _ in range(n)] for _ in range(npoints)]
-        # column k of a point's orbit matrix is matrices[k] @ point
-        rows = [[sum(m[i][j] * v[j] for j in range(n)) for m in mats]
-                for v in points for i in range(n)]
-        got = mo.stabilizer_basis(a, points)
-        assert [list(v) for v in got] == _fraction_kernel(rows, a.algebra_dim)
-        if npoints == 1:
-            assert len(got) == a.algebra_dim - mo.orbit_dim_at(a, points[0])
-    with pytest.raises(ValueError):
-        mo.stabilizer_basis(a, [])
-
-
 def test_generic_orbit_dim_trivial_action():
     z = linalg.zeros(4)
     a = mo.ActionSpec(matrices=(z, z))

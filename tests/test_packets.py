@@ -1,4 +1,3 @@
-import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -6,14 +5,14 @@ from math import comb
 
 import pytest
 
-from liemod import linalg, modality, packets
-from liemod.modality import ActionSpec, stabilizer_basis
+from liemod import graded, linalg, modality, packets
 from liemod.packets import (JordanTypeA, adjoint_orbit_dim,
                             classify_adjoint_typeA, conjugate_partition,
                             count_packets, enumerate_packets_adjoint_typeA,
                             gl_centralizer_dim, packet_dims,
                             packet_sanity_suite, partitions_of,
                             random_packet_point)
+from liemod.rootsys import RootSystemType
 
 
 def oracle_count(n):
@@ -275,42 +274,130 @@ def _dense_bracket_map(x, basis):
     return [list(row) for row in zip(*cols)]
 
 
+def _sl_basis(n):
+    """Off-diagonal matrix units, then differences of consecutive diagonal
+    units, as nested lists."""
+    def unit(*entries):
+        m = [[0] * n for _ in range(n)]
+        for i, j, v in entries:
+            m[i][j] = v
+        return m
+
+    return ([unit((i, j, 1)) for i in range(n) for j in range(n) if i != j]
+            + [unit((k, k, 1), (k + 1, k + 1, -1)) for k in range(n - 1)])
+
+
+def _fraction_kernel(rows, ncols):
+    """Kernel by plain Fraction Gauss-Jordan elimination, independent of
+    linalg: one vector per free column, 1 there and 0 at the other free
+    columns."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]),
+                 None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        rows[k] = [x / rows[k][c] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+        pivots.append(c)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -rows[k][fc]
+        out.append(v)
+    return out
+
+
+def _combine(coeffs, mats):
+    """The nested-list matrix sum of c * m over coefficients and matrices."""
+    n = len(mats[0])
+    return [[sum(c * m[i][j] for c, m in zip(coeffs, mats))
+             for j in range(n)] for i in range(n)]
+
+
+def _dense_centralizer(x):
+    """Basis of x's centralizer in sl_n: the Fraction kernel of the dense
+    bracket map on the test-local basis, as nested-list matrices."""
+    basis = _sl_basis(len(x))
+    return [_combine(v, basis) for v in
+            _fraction_kernel(_dense_bracket_map(x, basis), len(basis))]
+
+
+def _dense_center(x):
+    """Basis of the center of x's centralizer: the combinations u of the
+    centralizer's basis with [c, u] = 0 for every c in it."""
+    cent = _dense_centralizer(x)
+    rows = [row for c in cent for row in _dense_bracket_map(c, cent)]
+    return [_combine(v, cent) for v in _fraction_kernel(rows, len(cent))]
+
+
+def _as_matrices(n, coord_vectors):
+    """Nested-list matrices of coordinate vectors in the root-space basis
+    of type A_{n-1}."""
+    sc = graded.structure_constants(RootSystemType("A", n - 1))
+    return [sc.element_matrix(v).rows for v in coord_vectors]
+
+
+def _rank(vectors):
+    return linalg.rank(linalg.rmat(vectors)) if vectors else 0
+
+
+def _same_basis_span(mats, refs):
+    """Whether two lists of independent matrices span one space."""
+    a = [[v for row in m for v in row] for m in mats]
+    b = [[v for row in m for v in row] for m in refs]
+    return _rank(a) == len(a) == len(b) == _rank(b) == _rank(a + b)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bracket_map_matches_dense_fraction_reference(n):
-    # the orbit matrix at x of sl_n's adjoint action, and of a centralizer's
-    # inner action, has columns [b, x]: -1 times the dense [x, b]
+    # the orbit matrix at x of the shared adjoint action has columns
+    # [x_a, x] in root-space coordinates; the dense map has columns [x, b]
+    # in flattened matrix entries, over the test-local basis.  Rank, the
+    # centralizer they cut out and its center agree, trace part or not.
     rng = random.Random(100 + n)
+    action = packets._adjoint_action(n)
     for trial in range(6):
         x = _random_fraction_matrix(rng, n)
         if trial == 0:  # a rank-deficient map with a larger kernel
             x = [[Fraction(int(i == j) * (i % 2), 2) for j in range(n)]
                  for i in range(n)]
         xm = linalg.rmat(x)
-        xx = [[sum(x[i][k] * x[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        # the cent case: a Fraction basis holding elements that commute with x
-        cent = [xm, linalg.rmat(xx)] + [
-            linalg.rmat(_random_fraction_matrix(rng, n)) for _ in range(2)]
-        inner = ActionSpec(tuple(packets._ad(b) for b in cent))
-        for basis, action in ((packets.sl_basis(n), packets._adjoint_action(n)),
-                              (cent, inner)):
-            got = modality._orbit_rows(action, xm.flat)
-            ref = _dense_bracket_map(x, [b.rows for b in basis])
-            # -1 times one positive scale for the whole map
-            scale = next(g / r for gr, rr in zip(got, ref)
-                         for g, r in zip(gr, rr) if r)
-            assert scale < 0
-            assert got == [[scale * r for r in row] for row in ref]
-            assert all(type(v) is int for row in got for v in row)
-            assert (linalg.rank(linalg.rmat(got))
-                    == linalg.rank(linalg.rmat(ref)))
-            got_ker = linalg.kernel_basis(linalg.rmat(got))
-            ref_ker = linalg.kernel_basis(linalg.rmat(ref))
-            assert [list(v) for v in got_ker] == [list(v) for v in ref_ker]
-            assert ([list(v) for v in stabilizer_basis(action, [xm.flat])]
-                    == [list(v) for v in ref_ker])
-        assert adjoint_orbit_dim(xm) == linalg.rank(linalg.rmat(
-            _dense_bracket_map(x, [b.rows for b in packets.sl_basis(n)])))
+        got = modality._orbit_rows(action, packets._coords(xm))
+        ref = _dense_bracket_map(x, _sl_basis(n))
+        assert all(type(v) is int for row in got for v in row)
+        assert _rank(got) == _rank(ref) == adjoint_orbit_dim(xm)
+        kernel = linalg.integer_kernel(got, action.algebra_dim)
+        assert _same_basis_span(_as_matrices(n, kernel), _dense_centralizer(x))
+        assert _same_basis_span(
+            _as_matrices(n, packets._center_of_centralizer(xm)),
+            _dense_center(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_dim_ignores_the_trace(n):
+    # x and x + c I have the same brackets, so the same orbit dimension
+    rng = random.Random(200 + n)
+    for trial in range(4):
+        x = _random_fraction_matrix(rng, n)
+        if trial == 0:  # a scalar plus one nilpotent block of size 2
+            x = [[Fraction(int(i == j), 3) + int(j == i + 1 == 1)
+                  for j in range(n)] for i in range(n)]
+        xm = linalg.rmat(x)
+        c = Fraction(rng.randint(1, 9), rng.choice([1, 2, 7]))
+        dim = _rank(_dense_bracket_map(x, _sl_basis(n)))
+        assert adjoint_orbit_dim(xm) == dim
+        assert adjoint_orbit_dim(xm + c * linalg.eye(n)) == dim
+        assert adjoint_orbit_dim(xm - c * linalg.eye(n)) == dim
+    assert adjoint_orbit_dim(linalg.eye(n)) == 0
 
 
 # center of the centralizer of each nilpotent sl4 representative, as
@@ -334,22 +421,17 @@ def test_center_of_centralizer_sl4_nilpotents_pinned():
     assert len(nilpotent) == len(_SL4_NILPOTENT_CENTERS)
     for p in nilpotent:
         center = packets._center_of_centralizer(p.representative)
-        assert [m.rows for m in center] == \
-            _SL4_NILPOTENT_CENTERS[p.jordan_type.name]
-        assert all(type(v) is Fraction for m in center for v in m.flat)
+        assert _same_basis_span(_as_matrices(4, center),
+                                _SL4_NILPOTENT_CENTERS[p.jordan_type.name])
 
 
 def test_center_of_centralizer_sheared_points_pinned():
-    # sha256 of str() of every entry, for one random point of each sl3 and
-    # sl4 packet (eigenvalues with denominators, sheared), taken from the
-    # dense object-array bracket map
-    out = []
+    # one random point of each sl3 and sl4 packet (eigenvalues with
+    # denominators, sheared)
     for n in (3, 4):
         rng = random.Random(5)
         for p in enumerate_packets_adjoint_typeA(n):
             x = random_packet_point(p, rng)
-            out.append([[str(v) for v in m.flat]
-                        for m in packets._center_of_centralizer(x)])
-            out.append([str(v) for v in x.flat])
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "d3f5e3a36443579afa83ddc4cc50ca97446fdfe43de1aec707234c9f1682b0c8")
+            assert _same_basis_span(
+                _as_matrices(n, packets._center_of_centralizer(x)),
+                _dense_center(x.rows))

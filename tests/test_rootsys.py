@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from liemod import linalg
-from liemod.rootsys import RootSystemType, build_root_system
+from liemod.rootsys import RootSystem, RootSystemType, build_root_system
 
 
 def _pairing(rs, x, y):
@@ -87,8 +87,29 @@ def test_simple_reflections_permute_roots(family, rank):
     allroots = set(rs.positive_roots) | {
         tuple(-c for c in b) for b in rs.positive_roots}
     for j in range(rank):
-        image = {rs._reflect_root(b, j) for b in allroots}
+        image = set()
+        for b in allroots:
+            c = sum(b[i] * rs.cartan[i][j] for i in range(rank))
+            image.add(b[:j] + (b[j] - c,) + b[j + 1:])
         assert image == allroots
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("B", 3), ("C", 3),
+                                         ("D", 4), ("F", 4), ("G", 2)])
+def test_weyl_vector_check_trips_on_a_missing_root(family, rank, monkeypatch):
+    # every positive root pairs nonzero with some simple coroot, so the sum
+    # of the positive roots with any one dropped misses 2 rho
+    rstype = RootSystemType(family, rank)
+    generate = RootSystem._generate_positive_roots
+    for dropped in build_root_system(rstype).positive_roots:
+        def short(self):
+            coroots, pairings = generate(self)
+            del coroots[dropped], pairings[dropped]
+            return coroots, pairings
+
+        monkeypatch.setattr(RootSystem, "_generate_positive_roots", short)
+        with pytest.raises(AssertionError, match="twice the Weyl vector"):
+            RootSystem(rstype)
 
 
 def test_weight_coord_roundtrip():
