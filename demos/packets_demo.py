@@ -34,8 +34,8 @@ print(f"random point of packet {p.jordan_type.name} classifies as "
       f"{classify_adjoint_typeA(y).name}")
 
 # the full sampling suite checks coverage, the maximal modality, the
-# packet identity criterion, hand-listed sheets, and regular elements in
-# centralizer centers
+# packet identity criterion, one sheet per partition of n against the
+# packet closures, and regular elements in centralizer centers
 report = packet_sanity_suite(3, samples=150, seed=5)
 print(f"\nsanity suite for sl3: coverage {report.coverage_ok}, "
       f"max modality {report.max_modality} (rank {report.n - 1}), "

@@ -166,7 +166,6 @@ class CentralizerData(NamedTuple):
     the cell's closure and the complement is the derived part.
     """
 
-    cell: Cell
     dim_centralizer: int
     dim_center: int
     dim_derived: int
@@ -185,6 +184,6 @@ def centralizer_data(rs, cell):
 
     dim_centralizer = rs.rank + 2 * len(cell.flat)
     dim_center = cell.closure_dim
-    return CentralizerData(cell=cell, dim_centralizer=dim_centralizer,
+    return CentralizerData(dim_centralizer=dim_centralizer,
                            dim_center=dim_center,
                            dim_derived=dim_centralizer - dim_center)

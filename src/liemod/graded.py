@@ -93,7 +93,6 @@ class StructureConstants:
     """
 
     def __init__(self, rstype):
-        self.rstype = rstype
         rs = build_root_system(rstype)
         mod = extend_to_full_algebra(_structure_module(rstype))
         self.module = mod

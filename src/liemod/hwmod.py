@@ -76,18 +76,17 @@ class HWModule:
     """Constructed module; treat all arrays as read-only.
 
     ``e``, ``f``, ``h`` hold the matrices of the simple generators in the
-    monomial basis, ``weights`` the weight of each basis vector (weight
-    coordinates) and ``monomials`` its lowering-index sequence.
+    monomial basis, with the weight of each basis vector on the diagonals of
+    ``h``, and ``monomials`` its lowering-index sequence.
     ``full_basis`` holds matrices for a basis of the whole algebra, ordered
     as the Cartan generators, then one raising vector per positive root (by
     height, from ``root_vectors``), then the matching lowering vectors, and
     ``basis_names`` names them.
     """
 
-    def __init__(self, spec, dimension, weights, monomials, e, f, h,
-                 full_basis, basis_names):
-        self.spec, self.dimension = spec, dimension
-        self.weights, self.monomials = weights, monomials
+    def __init__(self, dimension, monomials, e, f, h, full_basis,
+                 basis_names):
+        self.dimension, self.monomials = dimension, monomials
         self.e, self.f, self.h = e, f, h
         self.full_basis, self.basis_names = full_basis, basis_names
 
@@ -210,9 +209,8 @@ def _build_module(spec, dim):
                                    for b in basis], dim) for j in range(r)]
     xy = root_vectors(rs, e_mats, f_mats)
     pos = rs.positive_roots
-    return HWModule(spec=spec, dimension=dim, weights=tuple(weights),
-                    monomials=tuple(order), e=tuple(e_mats), f=tuple(f_mats),
-                    h=tuple(h_mats),
+    return HWModule(dimension=dim, monomials=tuple(order), e=tuple(e_mats),
+                    f=tuple(f_mats), h=tuple(h_mats),
                     full_basis=(*h_mats, *(v[b] for v in xy for b in pos)),
                     basis_names=(*(f"h{j + 1}" for j in range(r)), *(
                         side + str(list(b)) for side in "xy" for b in pos)))

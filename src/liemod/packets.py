@@ -11,8 +11,8 @@ parameters of modality on top of its constant orbit dimension.
 Everything concrete here is partition combinatorics: packets are
 enumerated and classified for n up to 5 without any polynomial factoring,
 using only squarefree decomposition and exact rank profiles.  Orbit
-dimensions and centralizers are taken in ``graded``'s structure constants
-of type A_{n-1}, whose m = 1 grading is this algebra.
+dimensions and centralizers are taken in the m = 1 grading of type A_{n-1},
+which is this algebra acting on itself.
 """
 
 import random
@@ -25,8 +25,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import cells, linalg
-from .graded import centralizer_slice, structure_constants
-from .modality import ActionSpec, CoverPiece, modality_from_cover, orbit_dim_at
+from .graded import GradingSpec, build_grading, centralizer_slice
+from .modality import CoverPiece, modality_from_cover, orbit_dim_at
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -180,14 +180,14 @@ def enumerate_packets_adjoint_typeA(n):
 
 
 @lru_cache(maxsize=None)
-def _adjoint_action(n):
-    """The traceless n x n matrices acting on themselves by brackets, in
-    the root-space basis of type A_{n-1}'s structure constants: matrix a
-    has column b ``[x_a, x_b]``, so the orbit matrix at x has column
+def _algebra(n):
+    """The traceless n x n matrices as the m = 1 grading of type A_{n-1}:
+    every index lies in g_0 and in g_1, so ``g0_on_g1`` is the algebra
+    acting on itself by brackets in the root-space basis, matrix a with
+    column b ``[x_a, x_b]``, and the orbit matrix at x has column
     ``[x_a, x]``."""
-    sc = structure_constants(RootSystemType("A", n - 1))
-    return ActionSpec(linalg.Matrix.from_columns(row, sc.dim)
-                      for row in sc.bracket)
+    return build_grading(GradingSpec(RootSystemType("A", n - 1), 1,
+                                     (0,) * (n - 1)))
 
 
 def _coords(x):
@@ -198,12 +198,12 @@ def _coords(x):
     trace = sum(x[i, i] for i in range(n))
     if trace:
         x = x - Fraction(trace, n) * linalg.eye(n)
-    return structure_constants(RootSystemType("A", n - 1)).expand_matrix(x)
+    return _algebra(n).sc.expand_matrix(x)
 
 
 def adjoint_orbit_dim(x):
     """Exact orbit dimension of a square matrix under conjugation."""
-    return orbit_dim_at(_adjoint_action(x.shape[0]), _coords(x))
+    return orbit_dim_at(_algebra(x.shape[0]).g0_on_g1, _coords(x))
 
 
 def packet_dims(p):
@@ -287,19 +287,12 @@ def _center_of_centralizer(x):
     """Coordinates of a basis of the center of the centralizer of x in the
     traceless algebra: the centralizer of x, cut down to what commutes
     with each of its own basis elements."""
-    sc = structure_constants(RootSystemType("A", x.shape[0] - 1))
+    sc = _algebra(x.shape[0]).sc
     units = [[int(i == k) for i in range(sc.dim)] for k in range(sc.dim)]
     center = cent = centralizer_slice(sc, _coords(x), units)
     for b in cent:
         center = centralizer_slice(sc, b, center)
     return center
-
-
-_HAND_SHEETS = {
-    # (closure_dim, orbit_dim) per sheet, largest first
-    2: ((3, 2), (0, 0)),
-    3: ((8, 6), (5, 4), (0, 0)),
-}
 
 
 class SheetCheck(NamedTuple):
@@ -331,8 +324,10 @@ def packet_sanity_suite(n, samples=200, seed=2024):
     Checks, in order: every random traceless matrix classifies into an
     enumerated packet; the cover aggregator over all packets returns the
     algebra rank; two samples share a packet exactly when centralizer
-    dimension and coincidence pattern agree; hand-listed sheets match
-    packet closures; and for nilpotent representatives, the center of the
+    dimension and coincidence pattern agree; each of Kraft's sheets, one
+    per partition lambda of n, with orbit dimension n^2 minus lambda's
+    centralizer dimension and lambda_1 - 1 more parameters, matches a unique
+    packet closure; and for nilpotent representatives, the center of the
     centralizer meets the orbit-dimension bound with equality.
     """
     if not 2 <= n <= 4:
@@ -372,8 +367,10 @@ def packet_sanity_suite(n, samples=200, seed=2024):
 
     sheet_checks = []
     sheets_ok = True
-    for sheet in _HAND_SHEETS.get(n, ()):
-        cdim, odim = sheet
+    for lam in reversed(partitions_of(n)):
+        odim = n * n - gl_centralizer_dim(lam)
+        cdim = odim + lam[0] - 1
+        sheet = (cdim, odim)
         hits = [p for p in packets
                 if p.closure_dim == cdim and p.orbit_dim == odim]
         if len(hits) != 1:
@@ -388,7 +385,7 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         sheet_checks.append(SheetCheck(sheet, p.jordan_type.name, dims_constant))
 
     regular_center_ok = True
-    action = _adjoint_action(n)
+    action = _algebra(n).g0_on_g1
     for p in packets:
         if p.jordan_type.num_blocks != 1:
             continue  # nilpotent packets only (single eigenvalue zero)

@@ -99,13 +99,18 @@ def test_commutation_relations():
             assert hf == (-rs.cartan[j][i] * mod.f[j]).rows
 
 
+def _weights(mod):
+    """The weight of each basis vector: the diagonals of the h matrices."""
+    return [tuple(h[b, b] for h in mod.h) for b in range(mod.dimension)]
+
+
 def test_weights_start_at_highest():
     mod = build_hw_module(IrrepSpec(G2, (1, 0)))
-    assert mod.weights[0] == (1, 0)
+    assert _weights(mod)[0] == (1, 0)
     assert mod.monomials[0] == ()
     # weight of each basis vector drops by the applied simple roots
     rs = build_root_system(G2)
-    for mono, w in zip(mod.monomials, mod.weights):
+    for mono, w in zip(mod.monomials, _weights(mod), strict=True):
         expect = [1, 0]
         for j in mono:
             for i in range(2):
@@ -115,11 +120,15 @@ def test_weights_start_at_highest():
 
 def test_h_matrices_diagonal_with_weights():
     mod = build_hw_module(IrrepSpec(A2, (2, 0)))
-    for i in range(2):
-        for a in range(mod.dimension):
-            for b in range(mod.dimension):
-                expect = mod.weights[a][i] if a == b else 0
-                assert mod.h[i][a, b] == expect
+    rs = build_root_system(A2)
+    for b, mono in enumerate(mod.monomials):
+        expect = [2, 0]
+        for j in mono:
+            for i in range(2):
+                expect[i] -= rs.cartan[j][i]
+        for i in range(2):
+            for a in range(mod.dimension):
+                assert mod.h[i][a, b] == (expect[i] if a == b else 0)
 
 
 def test_enumerate_dominant_small():
@@ -311,8 +320,10 @@ def _apply(cols, vec):
 ])
 def test_commutation_relations_larger_modules(name, weight):
     rstype = RootSystemType.parse(name)
-    mod = build_hw_module(IrrepSpec(rstype, weight))
-    assert mod.dimension == weyl_dim(mod.spec)
+    spec = IrrepSpec(rstype, weight)
+    mod = build_hw_module(spec)
+    assert mod.dimension == weyl_dim(spec)
+    weights = _weights(mod)
     r = rstype.rank
     e = [_columns(m) for m in mod.e]
     f = [_columns(m) for m in mod.f]
@@ -325,8 +336,8 @@ def test_commutation_relations_larger_modules(name, weight):
                 for row, v in _apply(f[j], ex).items():
                     comm[row] = comm.get(row, 0) - v
                 comm = {row: v for row, v in comm.items() if v}
-                assert comm == ({k: mod.weights[k][i]}
-                                if i == j and mod.weights[k][i] else {})
+                assert comm == ({k: weights[k][i]}
+                                if i == j and weights[k][i] else {})
 
 
 def test_weyl_dim_check_survives_python_o():

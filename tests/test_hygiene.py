@@ -2,16 +2,20 @@
 ``__all__``, and every name its ``__all__`` lists exists on the module, so
 a rewrite leaves no stale import behind.  Every private helper has a
 caller, so a rewrite leaves no dead helper behind either, and every exported
-name, every public method and every field of a named-tuple record is read
-outside the tests, so no public function, method or record field lives on
-for its tests alone; re-exporting a name from the package does not count as
-reading it.  Every unbounded cache is keyed by a small, fixed
+name, every public method, every field of a named-tuple record and every
+attribute a plain class sets in ``__init__`` is read outside the tests, so
+none lives on for its tests alone; re-exporting a name from the package does
+not count as reading it.  A read on ``self`` or on a class named directly
+counts for that class alone, and a member name two classes share is listed
+with its readers wherever some class is read only on other receivers.
+Every unbounded cache is keyed by a small, fixed
 domain, so a sweep over modules cannot grow it.  No module imports
 ``dataclasses``, which would cost every command its start-up time, and no
 module holds an ``assert`` statement, which ``python -O`` would strip.  No
 test imports numpy, and the ``test`` extra does not list it."""
 
 import ast
+import functools
 import importlib
 import os
 import re
@@ -145,40 +149,166 @@ def test_every_exported_name_is_read_outside_tests():
     assert not stale, f"allowlisted names that are gone or now read: {stale}"
 
 
+def _on(name):
+    """Whether an attribute node is read or set on the bare name ``name``."""
+    return lambda n: (isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name) and n.value.id == name)
+
+
+def _receivers(tree, class_names):
+    """The class each attribute node of ``tree`` is read on, by node id,
+    where the receiver is known: a method's first parameter inside that
+    method, or a class named directly."""
+    known = {id(n): n.value.id for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id in class_names}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for f in cls.body:
+            if isinstance(f, ast.FunctionDef) and f.args.args:
+                known.update((id(n), cls.name) for n in filter(
+                    _on(f.args.args[0].arg), ast.walk(f)))
+    return known
+
+
+def _member_loads(node, known):
+    """How often each name is read in ``node`` as an attribute, keyed by
+    (class, name) where ``known`` gives the receiver's class and by
+    (None, name) where it does not."""
+    return Counter((known.get(id(n)), n.attr) for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def _members(cls):
+    """A class's public methods and properties (name -> definition), and
+    its fields: a record's fields, or the public attributes a plain class's
+    ``__init__`` sets on itself."""
+    methods = {n.name: n for n in cls.body
+               if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    fields = set(_record_fields(cls))
+    for init in cls.body:
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+            fields.update(n.attr for n in filter(
+                _on(init.args.args[0].arg), ast.walk(init))
+                if isinstance(n.ctx, ast.Store) and not n.attr.startswith("_"))
+    return methods, fields
+
+
+@functools.cache
+def _member_reads():
+    """For every public member of a liemod class, ``"Class.name"`` ->
+    (kind, reads on a receiver known to be that class, reads on any other
+    receiver), counted in liemod, the demos and the benchmark.  A method
+    reading its own name is not a reader; a string constant naming a field
+    reads it, as ``getattr`` and report keys name a field."""
+    liemod = [_tree(name) for name in MODULES]
+    trees = liemod + [ast.parse(p.read_text(encoding="utf-8"))
+                      for d in ("demos", "perfbench")
+                      for p in (ROOT / d).glob("*.py")]
+    classes = {cls.name: cls for tree in liemod for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)}
+    known, loads, strings = {}, Counter(), Counter()
+    for tree in trees:
+        known.update(_receivers(tree, classes))
+        loads += _member_loads(tree, known)
+        strings += Counter(n.value for n in ast.walk(tree)
+                           if isinstance(n, ast.Constant)
+                           and isinstance(n.value, str))
+    reads = {}
+    for cls in classes.values():
+        methods, fields = _members(cls)
+        for name, node in methods.items():
+            own = _member_loads(node, known)
+            reads[f"{cls.name}.{name}"] = (
+                "method", loads[cls.name, name] - own[cls.name, name],
+                loads[None, name] - own[None, name])
+        for name in fields:
+            reads[f"{cls.name}.{name}"] = (
+                "field", loads[cls.name, name],
+                loads[None, name] + strings[name])
+    return reads
+
+
+def _owners():
+    """The classes that define each member name."""
+    owners = {}
+    for key in _member_reads():
+        cls, _, name = key.partition(".")
+        owners.setdefault(name, []).append(cls)
+    return owners
+
+
+# member names two or more classes define, where some of those classes is
+# read only on receivers the guard cannot type (``p.closure_dim``), so a
+# read of the name cannot be keyed to one class; each says who reads every
+# class's member
+SHARED_NAMES = {
+    "basis_names": "StructureConstants copies HWModule's; the Jordan demo "
+    "labels coordinates with StructureConstants'",
+    "closure_dim": "Cell's in cells.centralizer_data, CoverPiece's in "
+    "modality.modality_from_cover, PacketDescriptor's in packets' sort",
+    "dim": "GradedAlgebra's in cli's grading dims and in graded's "
+    "random_homogeneous_element and cartan_subspace",
+    "dimension": "BuildCeilingExceeded's in modality.verify_table_entry, "
+    "HWModule's and RootSystem's in the StructureConstants build",
+    "n": "JordanTypeA's in packets._representative_matrix, "
+    "PacketDescriptor's in packets.random_packet_point, SanityReport's in "
+    "the packets demo",
+    "name": "report ids in cli: RootSystemType's for cells, IrrepSpec's "
+    "for rep, GradingSpec's for grading, JordanTypeA's for packets",
+    "orbit_dim": "CoverPiece's in modality.modality_from_cover, "
+    "PacketDescriptor's in packets.packet_dims, VerifyResult's in cli's "
+    "tables items",
+    "sampling": "cli's items: VerifyResult's for tables, ExmoReport's for "
+    "exmo",
+    "space_dim": "ActionSpec's throughout modality, ExmoReport's in cli's "
+    "exmo dims",
+}
+
+
+def test_names_two_classes_share_are_listed():
+    reads, owners = _member_reads(), _owners()
+    need = {name for name, classes in owners.items() if len(classes) > 1
+            and not all(reads[f"{c}.{name}"][1] for c in classes)}
+    unlisted = sorted(f"{name} ({', '.join(owners[name])})"
+                      for name in need - SHARED_NAMES.keys())
+    assert not unlisted, f"shared member names read untyped: {unlisted}"
+    stale = sorted(SHARED_NAMES.keys() - need)
+    assert not stale, \
+        f"allowlisted names no longer shared or read untyped: {stale}"
+
+
+def _unread(kind):
+    """The members of ``kind`` that nothing outside tests/ reads: none
+    on a receiver known to be their class, and none elsewhere unless the
+    name is the class's own or listed in ``SHARED_NAMES``."""
+    owners = _owners()
+    return {key for key, (k, keyed, other) in _member_reads().items()
+            if k == kind and not keyed and not (other and (
+                len(owners[key.partition(".")[2]]) == 1
+                or key.partition(".")[2] in SHARED_NAMES))}
+
+
 # public methods and properties nothing outside tests/ reads yet, and why
 # each stays
 UNREAD_METHODS = {}
 
 
-def _attribute_loads(node):
-    """How often each name is read in ``node`` as an attribute."""
-    return Counter(n.attr for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute)
-                   and isinstance(n.ctx, ast.Load))
-
-
 def test_every_public_method_is_read_outside_tests():
-    trees = {name: _tree(name) for name in MODULES}
-    loads = sum(map(_attribute_loads, trees.values()), Counter())
-    loads += sum((_attribute_loads(ast.parse(p.read_text(encoding="utf-8")))
-                  for d in ("demos", "perfbench")
-                  for p in (ROOT / d).glob("*.py")), Counter())
-    unread = {
-        f"{cls.name}.{node.name}"
-        for tree in trees.values() for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-        # a method reading its own name is not a reader
-        and loads[node.name] == _attribute_loads(node)[node.name]}
+    unread = _unread("method")
     unlisted = sorted(unread - UNREAD_METHODS.keys())
     assert not unlisted, f"public methods only tests read: {unlisted}"
     stale = sorted(UNREAD_METHODS.keys() - unread)
     assert not stale, f"allowlisted methods that are gone or now read: {stale}"
 
 
-# record fields nothing outside tests/ reads yet, and why each stays
-UNREAD_FIELDS = {}
+# fields nothing outside tests/ reads yet, and why each stays
+UNREAD_FIELDS = {
+    "HWModule.monomials": "tests/test_hwmod.py's BUILD_PINS digests hash "
+    "it, pinning the order each module's basis is built in",
+}
 
 
 def _record_fields(cls):
@@ -196,28 +326,11 @@ def _record_fields(cls):
     return []
 
 
-def _field_reads(node):
-    """How often each name is read in ``node`` as an attribute or named by
-    a string constant, as ``getattr`` and report keys name a field."""
-    return _attribute_loads(node) + Counter(
-        n.value for n in ast.walk(node)
-        if isinstance(n, ast.Constant) and isinstance(n.value, str))
-
-
 def test_every_record_field_is_read_outside_tests():
-    trees = [_tree(name) for name in MODULES]
-    reads = sum(map(_field_reads, trees), Counter())
-    reads += sum((_field_reads(ast.parse(p.read_text(encoding="utf-8")))
-                  for d in ("demos", "perfbench")
-                  for p in (ROOT / d).glob("*.py")), Counter())
-    # reads inside the record's own class count: a property reading a
-    # field is a reader
-    unread = {f"{cls.name}.{field}"
-              for tree in trees for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef)
-              for field in _record_fields(cls) if not reads[field]}
+    # reads inside the class count: a property reading a field is a reader
+    unread = _unread("field")
     unlisted = sorted(unread - UNREAD_FIELDS.keys())
-    assert not unlisted, f"record fields only tests read: {unlisted}"
+    assert not unlisted, f"fields only tests read: {unlisted}"
     stale = sorted(UNREAD_FIELDS.keys() - unread)
     assert not stale, f"allowlisted fields that are gone or now read: {stale}"
 
@@ -227,7 +340,7 @@ def test_every_record_field_is_read_outside_tests():
 UNBOUNDED_CACHES = {
     "rootsys.build_root_system": "one per type",
     "graded.structure_constants": "one per type",
-    "packets._adjoint_action": "n <= 5",
+    "packets._algebra": "n <= 5",
     "modality.load_raw_tables": "no arguments",
 }
 

@@ -216,15 +216,29 @@ def test_orbit_dim_semisimple_vs_formula():
     assert adjoint_orbit_dim(x) == 8 - 4
 
 
+# (closure_dim, orbit_dim) of each sheet and the packet it matches: one
+# sheet per partition lambda of n, largest first, of orbit dimension
+# n^2 - gl_centralizer_dim(lambda) and lambda_1 - 1 more parameters
+_SHEETS = {
+    2: [((3, 2), "1:[1] | 1:[1]"), ((0, 0), "2:[1, 1]")],
+    3: [((8, 6), "1:[1] | 1:[1] | 1:[1]"), ((5, 4), "2:[1, 1] | 1:[1]"),
+        ((0, 0), "3:[1, 1, 1]")],
+    4: [((15, 12), "1:[1] | 1:[1] | 1:[1] | 1:[1]"),
+        ((12, 10), "2:[1, 1] | 1:[1] | 1:[1]"),
+        ((9, 8), "2:[1, 1] | 2:[1, 1]"), ((7, 6), "3:[1, 1, 1] | 1:[1]"),
+        ((0, 0), "4:[1, 1, 1, 1]")],
+}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sanity_suite(n):
     rep = packet_sanity_suite(n, samples=120, seed=7)
     assert rep.passed
     assert len(enumerate_packets_adjoint_typeA(n)) == count_packets(n)
     assert rep.max_modality == n - 1
-    if n in (2, 3):
-        assert rep.sheet_checks
-        assert all(c.point_orbit_dims_constant for c in rep.sheet_checks)
+    assert [(c.sheet, c.matched_packet) for c in rep.sheet_checks] \
+        == _SHEETS[n]
+    assert all(c.point_orbit_dims_constant for c in rep.sheet_checks)
 
 
 def test_sanity_suite_range():
@@ -364,7 +378,7 @@ def test_bracket_map_matches_dense_fraction_reference(n):
     # in flattened matrix entries, over the test-local basis.  Rank, the
     # centralizer they cut out and its center agree, trace part or not.
     rng = random.Random(100 + n)
-    action = packets._adjoint_action(n)
+    action = packets._algebra(n).g0_on_g1
     for trial in range(6):
         x = _random_fraction_matrix(rng, n)
         if trial == 0:  # a rank-deficient map with a larger kernel
@@ -380,6 +394,21 @@ def test_bracket_map_matches_dense_fraction_reference(n):
         assert _same_basis_span(
             _as_matrices(n, packets._center_of_centralizer(xm)),
             _dense_center(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grading_action_is_ad_of_the_bracket_table(n):
+    # m = 1 puts every index in both g_0 and g_1, in index order, so the
+    # degree-zero action on degree one is ad of each basis element: the
+    # matrix with the columns of its bracket-table row
+    sc = graded.structure_constants(RootSystemType("A", n - 1))
+    ga = packets._algebra(n)
+    assert ga.sc is sc
+    assert ga.g1_indices == ga.components[0] == tuple(range(sc.dim))
+    ref = [linalg.Matrix.from_columns(row, sc.dim) for row in sc.bracket]
+    assert list(ga.g0_on_g1.matrices) == ref
+    assert [m.nonzeros() for m in ga.g0_on_g1.matrices] \
+        == [m.nonzeros() for m in ref]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -33,8 +33,7 @@ RECORDS = {
     "RootSystemType": (RootSystemType, dict(family="A", rank=2)),
     "IrrepSpec": (IrrepSpec, dict(rstype=A2, highest_weight=(1, 0))),
     "HWModule": (HWModule, dict(
-        spec=IrrepSpec(A2, (0, 0)), dimension=1, weights=((0, 0),),
-        monomials=((),), e=(MATRIX,), f=(MATRIX,), h=(MATRIX,),
+        dimension=1, monomials=((),), e=(MATRIX,), f=(MATRIX,), h=(MATRIX,),
         full_basis=None, basis_names=None)),
     "ActionSpec": (ActionSpec, dict(matrices=(MATRIX, MATRIX))),
     "OrbitDimReport": (OrbitDimReport, dict(
@@ -58,7 +57,7 @@ RECORDS = {
         ambient_dim=2, functionals=((Fraction(1), Fraction(1, 2)),))),
     "Cell": (Cell, dict(flat=frozenset({0, 2}), closure_dim=1)),
     "CentralizerData": (CentralizerData, dict(
-        cell=CELL, dim_centralizer=4, dim_center=1, dim_derived=3)),
+        dim_centralizer=4, dim_center=1, dim_derived=3)),
     "JordanTypeA": (JordanTypeA, dict(block_data=((2, (1, 1)), (1, (1,))))),
     "PacketDescriptor": (PacketDescriptor, dict(
         n=2, jordan_type=JORDAN, cell=CELL, orbit_dim=2, closure_dim=2,
