@@ -7,20 +7,4 @@ graded semisimple algebras with their Jordan decompositions, and the packet
 decomposition of adjoint type A.
 """
 
-from .linalg import rank, kernel_basis, char_poly
-from .rootsys import RootSystemType, RootSystem, build_root_system
-from .hwmod import (
-    IrrepSpec, HWModule, BuildCeilingExceeded, weyl_dim,
-    enumerate_dominant_up_to_dim, build_hw_module, extend_to_full_algebra,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "rank", "kernel_basis", "char_poly",
-    "RootSystemType", "RootSystem", "build_root_system",
-    "IrrepSpec", "HWModule", "BuildCeilingExceeded", "weyl_dim",
-    "enumerate_dominant_up_to_dim", "build_hw_module",
-    "extend_to_full_algebra",
-    "__version__",
-]

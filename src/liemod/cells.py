@@ -8,16 +8,14 @@ root system restricted to its Cartan subalgebra the cells describe
 centralizer strata; positive roots suffice since a functional and its
 negative cut out the same hyperplane.
 
-The arithmetic runs on Python ints: each functional is held once with its
-denominators cleared, a point's denominators are cleared before it is
-tested, and spans are tested against integer kernel vectors.  None of
-this scaling changes which functionals vanish or lie in a span.
+The functionals are integer covectors, held as Python ints, and spans are
+tested against integer kernel vectors.  Points may be rational: a
+functional vanishes at a point exactly when its value there is zero, with
+no scaling needed.
 """
 
 from collections import namedtuple
-from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from . import linalg
@@ -30,10 +28,14 @@ __all__ = [
 
 
 class FunctionalSet(namedtuple("FunctionalSet", "ambient_dim functionals")):
-    """Finite list of rational covectors on a fixed ambient space."""
+    """Finite list of integer covectors on a fixed ambient space; an entry
+    that is not an integer, such as a ``Fraction`` or a float, raises
+    TypeError."""
+
+    __slots__ = ()
 
     def __new__(cls, ambient_dim, functionals):
-        fs = tuple(tuple(Fraction(c) for c in f) for f in functionals)
+        fs = tuple(tuple(map(index, f)) for f in functionals)
         if not fs:
             raise ValueError("functional set must be nonempty")
         if any(len(f) != ambient_dim for f in fs):
@@ -42,18 +44,11 @@ class FunctionalSet(namedtuple("FunctionalSet", "ambient_dim functionals")):
 
     _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
 
-    @cached_property
-    def int_rows(self):
-        """Each functional times the lcm of its denominators, as ints."""
-        return tuple(tuple(linalg.clear_denominators(f))
-                     for f in self.functionals)
-
     def vanishing_set(self, point):
         if len(point) != self.ambient_dim:
             raise ValueError("point has wrong length")
-        p = linalg.clear_denominators(point)
-        return frozenset(i for i, f in enumerate(self.int_rows)
-                         if not sum(map(mul, f, p)))
+        return frozenset(i for i, f in enumerate(self.functionals)
+                         if not sum(map(mul, f, point)))
 
 
 class Cell(namedtuple("Cell", "flat closure_dim")):
@@ -80,7 +75,7 @@ def root_functionals(rs):
 
 
 def _int_rows_of(fset, indices):
-    return [fset.int_rows[i] for i in sorted(indices)]
+    return [fset.functionals[i] for i in sorted(indices)]
 
 
 def _closure(fset, indices):
@@ -88,7 +83,7 @@ def _closure(fset, indices):
     other one vanishing on each (integer) kernel vector of theirs.  The
     kernel vectors span the cell's closure, so they count its dimension."""
     ker = linalg.integer_kernel(_int_rows_of(fset, indices), fset.ambient_dim)
-    rows = fset.int_rows
+    rows = fset.functionals
     rest = [i for i in range(len(rows)) if i not in indices]
     for k in ker:
         rest = [i for i in rest if not sum(map(mul, rows[i], k))]

@@ -121,7 +121,7 @@ class StructureConstants:
         # times the diagonal differences along the simple roots' probes
         self._diag_rows = [self._probes[a][0] for a in simple]
         *flat, self._diag_den = linalg.clear_denominators(
-            [*(c for w in rs.fundamental_weights for c in w), 1])
+            [*(c for row in linalg.inverse(rs.cartan) for c in row), 1])
         self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
         # ad e_i, then ad f_i: Cartan columns from root data, and a module
         # commutator where the two roots sum to a root or to zero, taken

@@ -15,17 +15,18 @@ empty in both inputs costs nothing.
 
 ``Fraction`` appears only at the edges, and four helpers are the one place
 where exact values become ints and come back: ``clear_denominators``
-scales a list of values to ints, ``int_nonzeros`` the nonzero entries of a
-list of matrices under one shared multiplier, ``exact_ratio`` divides to an
-int when the division is exact, and ``integral`` turns an integral
-``Fraction`` back into an int.  Each kernel clears its input's denominators
-once, computes on Python ints, and divides only in its result.  Ranks,
-kernels and solves share one fraction-free (Bareiss) elimination;
-characteristic polynomials come from one Hessenberg recurrence over F_p,
-exact at a prime past twice a bound on their coefficients.  A squarefree
-part is a primitive integer polynomial over its primitive gcd with its
-derivative, an exact quotient in Z[t], and the squarefree decomposition
-iterates that step; only the monic factors returned are in ``Fraction``.
+scales a list of values to ints, taking ints as they are,
+``int_nonzeros`` the nonzero entries of a list of matrices under one
+shared multiplier, ``exact_ratio`` divides to an int when the division is
+exact, and ``integral`` turns an integral ``Fraction`` back into an int.
+Each kernel clears its input's denominators once, computes on Python
+ints, and divides only in its result.  Ranks, kernels and solves share
+one fraction-free (Bareiss) elimination; characteristic polynomials come
+from one Hessenberg recurrence over F_p, exact at a prime past twice a
+bound on their coefficients.  A squarefree part is a primitive integer
+polynomial over its primitive gcd with its derivative, an exact quotient
+in Z[t], and the squarefree decomposition iterates that step; only the
+monic factors returned are in ``Fraction``.
 No floating point is used anywhere, so every answer is exact.
 
 Three kernels work over a finite field F_p and certify a fact over Q.
@@ -52,7 +53,7 @@ from math import gcd, isqrt, lcm
 from operator import add, index, mul, sub
 
 __all__ = [
-    "Matrix", "rmat", "rvec", "zeros", "eye", "is_zero_matrix",
+    "Matrix", "rmat", "zeros", "eye", "is_zero_matrix",
     "commutator", "block_diag",
     "clear_denominators", "int_nonzeros", "exact_ratio", "integral",
     "rank", "integer_rank", "rank_mod_p", "integer_kernel", "kernel_basis",
@@ -183,12 +184,6 @@ def rmat(rows):
     if any(len(row) != len(data[0]) for row in data):
         raise ValueError("ragged rows")
     return Matrix(data)
-
-
-def rvec(entries):
-    """Build an exact vector, a list of ints and ``Fraction``."""
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x)
-            for x in entries]
 
 
 def zeros(nrows, ncols=None):

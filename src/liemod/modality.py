@@ -108,7 +108,7 @@ def _orbit_rows(action, v):
     positive integer, which leaves the rank over Q unchanged."""
     if len(v) != action.space_dim:
         raise ValueError("point has wrong length")
-    point = linalg.clear_denominators(linalg.rvec(v))
+    point = linalg.clear_denominators(v)
     rows = [[0] * action.algebra_dim for _ in range(action.space_dim)]
     for k, entries in enumerate(action.integer_entries):
         for i, j, a in entries:

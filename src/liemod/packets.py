@@ -17,7 +17,6 @@ which is this algebra acting on itself.
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -118,10 +117,12 @@ def count_packets(n):
 
 
 def _centered(sizes, raw):
-    """The distinct values ``raw``, one per block of the given sizes, as
-    ``Fraction``s shifted so that their size-weighted sum is zero."""
-    mean = Fraction(sum(map(mul, sizes, raw)), sum(sizes))
-    return [c - mean for c in raw]
+    """The distinct values ``raw``, one per block of the given sizes, times
+    n = sum(sizes) and shifted by their size-weighted sum, so that the
+    size-weighted sum of the ints returned is zero.  Scaling keeps which
+    values coincide, and with it the cell and the orbit dimensions."""
+    n, total = sum(sizes), sum(map(mul, sizes, raw))
+    return [c * n - total for c in raw]
 
 
 def _representative_matrix(jt, eigenvalues):
@@ -191,18 +192,15 @@ def _algebra(n):
 
 
 def _coords(x):
-    """Coordinates of x minus its trace part, (tr x / n) times the
-    identity, which brackets like x: the traceless part lies in the image
-    of the structure module, the n-dimensional one of type A_{n-1}."""
-    n = x.shape[0]
-    trace = sum(x[i, i] for i in range(n))
-    if trace:
-        x = x - Fraction(trace, n) * linalg.eye(n)
-    return _algebra(n).sc.expand_matrix(x)
+    """Coordinates of a traceless matrix in the root-space basis: such
+    matrices are the image of the structure module, the n-dimensional one
+    of type A_{n-1}.  A matrix with nonzero trace lies outside it, and the
+    expansion's residual check raises ValueError."""
+    return _algebra(x.shape[0]).sc.expand_matrix(x)
 
 
 def adjoint_orbit_dim(x):
-    """Exact orbit dimension of a square matrix under conjugation."""
+    """Exact orbit dimension of a traceless matrix under conjugation."""
     return orbit_dim_at(_algebra(x.shape[0]).g0_on_g1, _coords(x))
 
 

@@ -17,8 +17,6 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import mul
 
-from . import linalg
-
 __all__ = ["RootSystemType", "RootSystem", "build_root_system"]
 
 _RANK_FLOORS = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
@@ -171,15 +169,6 @@ class RootSystem:
         """Apply s_j to a vector in fundamental-weight coordinates."""
         c = weight[j]
         return tuple(weight[i] - c * self.cartan[j][i] for i in range(self.rank))
-
-    @cached_property
-    def fundamental_weights(self):
-        """The fundamental weights in root coordinates: the columns of the
-        inverse of the transposed Cartan matrix, ``Fraction`` entries."""
-        r = self.rank
-        fw = linalg.inverse([[self.cartan[j][i] for j in range(r)]
-                             for i in range(r)])
-        return tuple(tuple(fw[i, k] for i in range(r)) for k in range(r))
 
     @cached_property
     def diagram_automorphisms(self):

@@ -177,6 +177,22 @@ def test_bracket_tables_obey_chevalley(name):
             assert n_ab * n_neg * t[ab] == -(p + 1) ** 2 * t[a] * t[b], (a, b)
 
 
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_fundamental_weights_pair_to_identity(name):
+    # the Cartan coordinates' integer inverse: its rows are _diag_den times
+    # the fundamental weights w_i in root coordinates, so pairing them with
+    # the simple coroots through the Cartan matrix gives _diag_den times
+    # <w_i, alpha_j^vee> = delta_ij
+    rt = RootSystemType.parse(name)
+    rs = build_root_system(rt)
+    sc = gr.structure_constants(rt)
+    den, inv = sc._diag_den, sc._diag_inverse
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for row in inv for c in row)
+    assert [list(rs.root_weight_coords(row)) for row in inv] \
+        == [[den * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+
+
 @pytest.mark.parametrize("name", ["B3", "G2", "F4"])
 def test_skipped_pairs_commute_in_the_module(name):
     # the table takes no commutator for two Cartan generators or for two

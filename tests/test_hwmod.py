@@ -16,7 +16,7 @@ from liemod.hwmod import (BuildCeilingExceeded, IrrepSpec, build_hw_module,
                           extend_to_full_algebra, weyl_dim)
 from liemod.modality import action_from_module
 from liemod.rootsys import RootSystemType, build_root_system
-from test_rootsys import _reference_half_lengths
+from test_rootsys import _fundamental_weights, _reference_half_lengths
 
 A1 = RootSystemType("A", 1)
 A2 = RootSystemType("A", 2)
@@ -232,11 +232,11 @@ def _reference_weyl_dims(rstype, weights):
     den = Fraction(1)
     for form in forms:
         den *= sum(d * c for d, c in zip(delta, form))
+    fws = _fundamental_weights(rs)
     out = []
     for w in weights:
         # root coordinates of lambda, through the fundamental weights
-        lam = [sum(c * fw[i] for c, fw in zip(w, rs.fundamental_weights))
-               for i in range(r)]
+        lam = [sum(c * fw[i] for c, fw in zip(w, fws)) for i in range(r)]
         shifted = [a + b for a, b in zip(lam, delta)]
         num = Fraction(1)
         for form in forms:

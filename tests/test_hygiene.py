@@ -4,14 +4,14 @@ a rewrite leaves no stale import behind.  Every private helper has a
 caller, so a rewrite leaves no dead helper behind either, and every exported
 name, every public method, every field of a named-tuple record and every
 attribute a plain class sets in ``__init__`` is read outside the tests, so
-none lives on for its tests alone; re-exporting a name from the package does
-not count as reading it.  A read on ``self`` or on a class named directly
-counts for that class alone, and a member name two classes share is listed
-with its readers wherever some class is read only on other receivers.
-Every unbounded cache is keyed by a small, fixed
+none lives on for its tests alone.  A read on ``self`` or on a class named
+directly counts for that class alone, and each class that shares a member
+name with another and is read only on other receivers is listed under that
+name with its readers.  Every unbounded cache is keyed by a small, fixed
 domain, so a sweep over modules cannot grow it.  No module imports
 ``dataclasses``, which would cost every command its start-up time, and no
-module holds an ``assert`` statement, which ``python -O`` would strip.  No
+module holds an ``assert`` statement, which ``python -O`` would strip.
+Only the modules that compute with rationals import ``fractions``.  No
 test imports numpy, and the ``test`` extra does not list it."""
 
 import ast
@@ -120,9 +120,9 @@ UNREAD_EXPORTS = {
     "hwmod.enumerate_dominant_up_to_dim": "ROADMAP item 3 enumerates its "
     "completeness candidates with it; test_lookup_matches_the_expanded_tables "
     "sweeps it",
-    "linalg.kernel_basis": "the package exports it and the benchmark's "
-    "tracer wraps it by name; packets' centralizers moved to "
-    "graded.centralizer_slice, an integer kernel",
+    "linalg.kernel_basis": "the benchmark's tracer wraps it by name; "
+    "packets' centralizers moved to graded.centralizer_slice, an integer "
+    "kernel",
 }
 
 
@@ -240,55 +240,74 @@ def _owners():
     return owners
 
 
-# member names two or more classes define, where some of those classes is
-# read only on receivers the guard cannot type (``p.closure_dim``), so a
-# read of the name cannot be keyed to one class; each says who reads every
-# class's member
+# member names two or more classes define, with each class that is read
+# only on receivers the guard cannot type (``p.closure_dim``), so that no
+# read of the name can be keyed to it, and who reads that class's member
 SHARED_NAMES = {
-    "basis_names": "StructureConstants copies HWModule's; the Jordan demo "
-    "labels coordinates with StructureConstants'",
-    "closure_dim": "Cell's in cells.centralizer_data, CoverPiece's in "
-    "modality.modality_from_cover, PacketDescriptor's in packets' sort",
-    "dim": "GradedAlgebra's in cli's grading dims and in graded's "
-    "random_homogeneous_element and cartan_subspace",
-    "dimension": "BuildCeilingExceeded's in modality.verify_table_entry, "
-    "HWModule's and RootSystem's in the StructureConstants build",
-    "n": "JordanTypeA's in packets._representative_matrix, "
-    "PacketDescriptor's in packets.random_packet_point, SanityReport's in "
-    "the packets demo",
-    "name": "report ids in cli: RootSystemType's for cells, IrrepSpec's "
-    "for rep, GradingSpec's for grading, JordanTypeA's for packets",
-    "orbit_dim": "CoverPiece's in modality.modality_from_cover, "
-    "PacketDescriptor's in packets.packet_dims, VerifyResult's in cli's "
-    "tables items",
-    "sampling": "cli's items: VerifyResult's for tables, ExmoReport's for "
-    "exmo",
-    "space_dim": "ActionSpec's throughout modality, ExmoReport's in cli's "
-    "exmo dims",
+    "basis_names": {
+        "HWModule": "StructureConstants copies it",
+        "StructureConstants": "the Jordan demo labels coordinates with it"},
+    "closure_dim": {
+        "Cell": "cells.centralizer_data",
+        "CoverPiece": "modality.modality_from_cover",
+        "PacketDescriptor": "packets' sort"},
+    "dim": {
+        "GradedAlgebra": "cli's grading dims and graded's "
+        "random_homogeneous_element and cartan_subspace"},
+    "dimension": {
+        "BuildCeilingExceeded": "modality.verify_table_entry",
+        "HWModule": "the StructureConstants build",
+        "RootSystem": "the StructureConstants build"},
+    "n": {
+        "JordanTypeA": "packets._representative_matrix",
+        "PacketDescriptor": "packets.random_packet_point",
+        "SanityReport": "the packets demo"},
+    "name": {
+        "GradingSpec": "cli's grading report ids",
+        "IrrepSpec": "cli's rep report ids",
+        "JordanTypeA": "cli's packets report ids",
+        "RootSystemType": "cli's cells report ids"},
+    "orbit_dim": {
+        "CoverPiece": "modality.modality_from_cover",
+        "PacketDescriptor": "packets.packet_dims",
+        "VerifyResult": "cli's tables items"},
+    "sampling": {
+        "ExmoReport": "cli's exmo items",
+        "VerifyResult": "cli's tables items"},
+    "space_dim": {
+        "ActionSpec": "modality throughout",
+        "ExmoReport": "cli's exmo dims"},
 }
 
 
 def test_names_two_classes_share_are_listed():
+    # a class that defines a shared name and has no read keyed to it must
+    # be named under that name, so a new member under a listed name is not
+    # taken as read by another class's readers
     reads, owners = _member_reads(), _owners()
-    need = {name for name, classes in owners.items() if len(classes) > 1
-            and not all(reads[f"{c}.{name}"][1] for c in classes)}
-    unlisted = sorted(f"{name} ({', '.join(owners[name])})"
-                      for name in need - SHARED_NAMES.keys())
+    need = {(name, c) for name, classes in owners.items() if len(classes) > 1
+            for c in classes if not reads[f"{c}.{name}"][1]}
+    listed = {(name, c) for name, entry in SHARED_NAMES.items()
+              for c in entry}
+    unlisted = sorted(f"{c}.{name}" for name, c in need - listed)
     assert not unlisted, f"shared member names read untyped: {unlisted}"
-    stale = sorted(SHARED_NAMES.keys() - need)
+    stale = sorted(f"{c}.{name}" for name, c in listed - need)
     assert not stale, \
-        f"allowlisted names no longer shared or read untyped: {stale}"
+        f"allowlisted members no longer shared or read untyped: {stale}"
 
 
 def _unread(kind):
     """The members of ``kind`` that nothing outside tests/ reads: none
     on a receiver known to be their class, and none elsewhere unless the
-    name is the class's own or listed in ``SHARED_NAMES``."""
-    owners = _owners()
-    return {key for key, (k, keyed, other) in _member_reads().items()
-            if k == kind and not keyed and not (other and (
-                len(owners[key.partition(".")[2]]) == 1
-                or key.partition(".")[2] in SHARED_NAMES))}
+    name is the class's own or the class is listed under the name in
+    ``SHARED_NAMES``."""
+    owners, unread = _owners(), set()
+    for key, (k, keyed, other) in _member_reads().items():
+        cls, _, name = key.partition(".")
+        counted = len(owners[name]) == 1 or cls in SHARED_NAMES.get(name, ())
+        if k == kind and not keyed and not (other and counted):
+            unread.add(key)
+    return unread
 
 
 # public methods and properties nothing outside tests/ reads yet, and why
@@ -386,6 +405,23 @@ def test_no_module_imports_dataclasses():
     found = sorted(f"{name}.py line {line}" for name in MODULES
                    for line in _imports(_tree(name), "dataclasses"))
     assert not found, f"dataclasses imported at: {found}"
+
+
+# the modules that may import ``fractions``, and why each needs rationals;
+# root data, cells and packets compute on integers throughout
+FRACTION_IMPORTS = {
+    "linalg": "its kernels return rationals: solves, inverses, kernel "
+    "bases and monic factors",
+    "modality": "it rounds the miss bound up from an exact ratio",
+}
+
+
+def test_only_rational_kernels_import_fractions():
+    found = {name for name in MODULES if _imports(_tree(name), "fractions")}
+    unlisted = sorted(found - FRACTION_IMPORTS.keys())
+    assert not unlisted, f"modules importing fractions: {unlisted}"
+    stale = sorted(FRACTION_IMPORTS.keys() - found)
+    assert not stale, f"allowlisted modules that no longer import it: {stale}"
 
 
 def test_tests_need_no_numpy():

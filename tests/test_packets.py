@@ -273,6 +273,14 @@ def _random_fraction_matrix(rng, n):
              for _ in range(n)] for _ in range(n)]
 
 
+def _without_trace(x):
+    """n x - tr(x) I on nested lists: traceless, with the brackets of n x."""
+    n = len(x)
+    trace = sum(x[i][i] for i in range(n))
+    return [[n * v - trace * (i == j) for j, v in enumerate(row)]
+            for i, row in enumerate(x)]
+
+
 def _dense_bracket_map(x, basis):
     """Columns [x, b] by plain Fraction products on nested lists."""
     n = len(x)
@@ -376,7 +384,7 @@ def test_bracket_map_matches_dense_fraction_reference(n):
     # the orbit matrix at x of the shared adjoint action has columns
     # [x_a, x] in root-space coordinates; the dense map has columns [x, b]
     # in flattened matrix entries, over the test-local basis.  Rank, the
-    # centralizer they cut out and its center agree, trace part or not.
+    # centralizer they cut out and its center agree on traceless matrices.
     rng = random.Random(100 + n)
     action = packets._algebra(n).g0_on_g1
     for trial in range(6):
@@ -384,6 +392,7 @@ def test_bracket_map_matches_dense_fraction_reference(n):
         if trial == 0:  # a rank-deficient map with a larger kernel
             x = [[Fraction(int(i == j) * (i % 2), 2) for j in range(n)]
                  for i in range(n)]
+        x = _without_trace(x)
         xm = linalg.rmat(x)
         got = modality._orbit_rows(action, packets._coords(xm))
         ref = _dense_bracket_map(x, _sl_basis(n))
@@ -413,20 +422,28 @@ def test_grading_action_is_ad_of_the_bracket_table(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_dim_ignores_the_trace(n):
-    # x and x + c I have the same brackets, so the same orbit dimension
+    # x, x + c I and x - c I bracket alike, and so does n y - tr(y) I, n
+    # times y's traceless part, for each of them y: all have x's orbit
+    # dimension.  Only traceless matrices are taken; y with a nonzero trace
+    # lies outside the algebra and is refused.
     rng = random.Random(200 + n)
     for trial in range(4):
         x = _random_fraction_matrix(rng, n)
         if trial == 0:  # a scalar plus one nilpotent block of size 2
             x = [[Fraction(int(i == j), 3) + int(j == i + 1 == 1)
                   for j in range(n)] for i in range(n)]
-        xm = linalg.rmat(x)
         c = Fraction(rng.randint(1, 9), rng.choice([1, 2, 7]))
         dim = _rank(_dense_bracket_map(x, _sl_basis(n)))
-        assert adjoint_orbit_dim(xm) == dim
-        assert adjoint_orbit_dim(xm + c * linalg.eye(n)) == dim
-        assert adjoint_orbit_dim(xm - c * linalg.eye(n)) == dim
-    assert adjoint_orbit_dim(linalg.eye(n)) == 0
+        for shift in (0, c, -c):
+            y = [[v + shift * (i == j) for j, v in enumerate(row)]
+                 for i, row in enumerate(x)]
+            if sum(y[i][i] for i in range(n)):
+                with pytest.raises(ValueError, match="algebra's image"):
+                    adjoint_orbit_dim(linalg.rmat(y))
+            assert adjoint_orbit_dim(linalg.rmat(_without_trace(y))) == dim
+    with pytest.raises(ValueError, match="algebra's image"):
+        adjoint_orbit_dim(linalg.eye(n))
+    assert adjoint_orbit_dim(linalg.zeros(n)) == 0
 
 
 # center of the centralizer of each nilpotent sl4 representative, as

@@ -54,7 +54,7 @@ RECORDS = {
         spec=GradingSpec(A2, None, (1, 0)), sc=None, components={0: (0, 1)},
         g1_indices=(), g0_on_g1=ActionSpec((MATRIX,)))),
     "FunctionalSet": (FunctionalSet, dict(
-        ambient_dim=2, functionals=((Fraction(1), Fraction(1, 2)),))),
+        ambient_dim=2, functionals=((1, -2),))),
     "Cell": (Cell, dict(flat=frozenset({0, 2}), closure_dim=1)),
     "CentralizerData": (CentralizerData, dict(
         dim_centralizer=4, dim_center=1, dim_derived=3)),
@@ -143,9 +143,14 @@ def test_constructors_normalise_their_fields():
     assert type(flat) is frozenset and flat == {0, 2}
     jordan = JordanTypeA([(1, [1]), (2, [2]), (2, [1, 1])])
     assert jordan.block_data == ((2, (1, 1)), (2, (2,)), (1, (1,)))
-    functionals = FunctionalSet(2, [[1, 0.5]]).functionals
-    assert functionals == ((1, Fraction(1, 2)),)
-    assert all(type(c) is Fraction for c in functionals[0])
+    functionals = FunctionalSet(2, [[1, -2], [0, 3]]).functionals
+    assert functionals == ((1, -2), (0, 3))
+    assert all(type(c) is int for f in functionals for c in f)
+    # functionals are integer: a float or a Fraction, even an integral one,
+    # is refused rather than rounded
+    for bad in (0.5, 1.0, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            FunctionalSet(2, [[1, bad]])
     action = ActionSpec([MATRIX, MATRIX, MATRIX])
     assert type(action.matrices) is tuple
     assert (action.algebra_dim, action.space_dim) == (3, 2)
