@@ -193,14 +193,14 @@ class StructureConstants:
     def element_matrix(self, coords):
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has wrong length")
-        out = linalg.zeros(self._n)
-        rows = out.rows
+        cols = [{} for _ in range(self._n)]
         for c, basis_entries in zip(coords, self._entries):
             if c:
                 c = integral(c)
                 for (i, j), v in basis_entries.items():
-                    rows[i][j] += c * v
-        return out
+                    cols[j][i] = cols[j].get(i, 0) + c * v
+        return linalg.Matrix.from_columns(
+            [{i: v for i, v in col.items() if v} for col in cols], self._n)
 
     def bracket_coords(self, u, v):
         out = [0] * self.dim

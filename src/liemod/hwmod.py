@@ -15,8 +15,8 @@ is written as the combination an incremental echelon of the e-images
 returns.  That combination is the candidate's column of ``f_j``.
 
 Entries are exact: Python ints where integral, ``Fraction`` otherwise;
-matrices are frozen ``linalg.Matrix`` values that keep the sparse columns
-the construction works in and write out dense rows only when read.
+matrices are ``linalg.Matrix`` values, which adopt the sparse columns the
+construction works in and are never written.
 """
 
 from collections import namedtuple

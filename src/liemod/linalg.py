@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals.
 
-A matrix is a ``Matrix``: a list of rows whose entries are Python ints or
-``fractions.Fraction``, plus its shape.  Mixing the two is fine, since
+A matrix is a ``Matrix``: one sparse column per column, a ``{row:
+nonzero}`` dict of Python ints or ``fractions.Fraction``, plus its shape,
+never written once built.  Mixing ints and ``Fraction`` is fine, since
 arithmetic promotes to ``Fraction`` as needed.  A vector is a plain list of
 entries, and a right-hand side is a matrix with one column per system.  The
 entry points read any matrix through one row helper, so they also accept
 nested lists or any other iterable of rows.  Polynomials are python
 lists of coefficients in ascending degree order, normalized so the leading
-coefficient is nonzero (the zero polynomial is ``[]``).  Modules are built
-and bracketed in sparse columns: ``commutator`` and ``block_diag`` take
-and return ``Matrix`` values and never write out dense rows.  The
-commutator forms each column of ``a b - b a`` in one pass, and a column
-empty in both inputs costs nothing.
+coefficient is nonzero (the zero polynomial is ``[]``).  ``commutator``,
+``block_diag`` and the product ``@`` work column by column: each column of
+``a b - b a`` is formed in one pass, and a column empty in both inputs
+costs nothing.
 
 ``Fraction`` appears only at the edges, and four helpers are the one place
 where exact values become ints and come back: ``clear_denominators``
@@ -50,7 +50,7 @@ the integer pseudo-remainder, mod p: one remainder serves Z and F_p.
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
-from operator import add, index, mul, sub
+from operator import index, mul
 
 __all__ = [
     "Matrix", "rmat", "zeros", "eye", "is_zero_matrix",
@@ -64,56 +64,53 @@ __all__ = [
 
 
 class Matrix:
-    """An exact matrix: rows of Python ints and ``Fraction`` plus a shape.
+    """An exact matrix of Python ints and ``Fraction``: one ``{row:
+    nonzero}`` dict per column plus a shape, never written once built.
 
-    ``m[i, j]`` reads and writes an entry; iterating yields the rows.  A
-    frozen matrix, as ``from_columns`` makes, refuses writes with
-    ValueError.
+    ``m[i, j]`` reads column j.  ``rows`` and iteration give fresh dense
+    lists, so writing into them leaves the matrix as it was.
     """
 
-    __slots__ = ("_rows", "_cols", "shape", "frozen")
+    __slots__ = ("_cols", "shape")
 
     def __init__(self, rows, ncols=0):
-        self._rows = rows
-        self._cols = None
-        self.shape = (len(rows), len(rows[0]) if rows else ncols)
-        self.frozen = False
+        """The matrix with dense ``rows``; ``ncols`` is the width of one
+        with no rows.  Rows of unequal length raise ValueError."""
+        ncols = len(rows[0]) if rows else ncols
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        self._cols = [{} for _ in range(ncols)]
+        for i, r in enumerate(rows):
+            for j in compress(range(ncols), r):
+                self._cols[j][i] = r[j]
+        self.shape = (len(rows), ncols)
 
     @classmethod
     def from_columns(cls, cols, nrows):
-        """The frozen matrix with sparse columns ``cols`` ({row: nonzero}
-        dicts).  Its rows are written out only when first read."""
+        """The matrix with sparse columns ``cols`` ({row: nonzero} dicts),
+        which it adopts: nothing may write into them afterwards."""
         m = cls.__new__(cls)
-        m._rows, m._cols, m.frozen = None, cols, True
-        m.shape = (nrows, len(cols))
+        m._cols, m.shape = cols, (nrows, len(cols))
         return m
 
     @property
     def rows(self):
-        if self._rows is None:
-            rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
-            for j, col in enumerate(self._cols):
-                for i, v in col.items():
-                    rows[i][j] = v
-            self._rows = rows
-        return self._rows
+        """The entries as fresh dense lists, one per row."""
+        rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
+        for j, col in enumerate(self._cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
 
     def columns(self):
-        """The nonzero entries as one {row: value} dict per column."""
-        if self._cols is not None:
-            return self._cols
-        cols = [{} for _ in range(self.shape[1])]
-        for i, j, v in self.nonzeros():
-            cols[j][i] = v
-        return cols
+        """The nonzero entries as one {row: value} dict per column; treat
+        them as read-only."""
+        return self._cols
 
     def nonzeros(self):
         """The nonzero entries as ``(row, col, value)`` triples."""
-        if self._cols is not None:
-            return [(i, j, v) for j, col in enumerate(self._cols) if col
-                    for i, v in col.items()]
-        return [(i, j, r[j]) for i, r in enumerate(self._rows)
-                for j in compress(range(self.shape[1]), r)]
+        return [(i, j, v) for j, col in enumerate(self._cols) if col
+                for i, v in col.items()]
 
     def __iter__(self):
         return iter(self.rows)
@@ -123,46 +120,37 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
-
-    def __setitem__(self, key, value):
-        if self.frozen:
-            raise ValueError("matrix is read-only")
-        i, j = key
-        self.rows[i][j] = value
+        # indexing the range checks i and counts a negative one from the end
+        return self._cols[j].get(range(self.shape[0])[i], 0)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self._cols == other._cols
 
     __hash__ = None
 
-    def _zip(self, op, other):
+    def __sub__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix([list(map(op, r, s)) for r, s in zip(self, other)],
-                      self.shape[1])
-
-    def __add__(self, other):
-        return self._zip(add, other)
-
-    def __sub__(self, other):
-        return self._zip(sub, other)
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, Fraction)):
-            return NotImplemented
-        return Matrix([[v * c for v in r] for r in self.rows], self.shape[1])
-
-    __rmul__ = __mul__
+        out = []
+        for acc, col in zip(map(dict, self._cols), other.columns()):
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) - v
+            out.append({i: v for i, v in acc.items() if v})
+        return Matrix.from_columns(out, self.shape[0])
 
     def __matmul__(self, other):
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        if not other.shape[0]:   # other has no rows to carry its width
-            return zeros(self.shape[0], other.shape[1])
-        return Matrix(_int_matmul(self.rows, other.rows), other.shape[1])
+        out = []
+        for col in other.columns():
+            acc = {}
+            for k, v in col.items():
+                for i, x in self._cols[k].items():
+                    acc[i] = acc.get(i, 0) + x * v
+            out.append({i: v for i, v in acc.items() if v})
+        return Matrix.from_columns(out, self.shape[0])
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
@@ -178,24 +166,20 @@ def _rows(m):
 
 
 def rmat(rows):
-    """Build an exact matrix from an iterable of rows."""
-    data = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-            for row in rows]
-    if any(len(row) != len(data[0]) for row in data):
-        raise ValueError("ragged rows")
-    return Matrix(data)
+    """Build an exact matrix from an iterable of rows.  Entries must be
+    ``Fraction`` or ints, which ``operator.index`` accepts; any other,
+    such as the float 0.1, raises TypeError."""
+    return Matrix([[x if isinstance(x, Fraction) else index(x) for x in row]
+                   for row in rows])
 
 
 def zeros(nrows, ncols=None):
     ncols = nrows if ncols is None else ncols
-    return Matrix([[0] * ncols for _ in range(nrows)], ncols)
+    return Matrix.from_columns([{} for _ in range(ncols)], nrows)
 
 
 def eye(n):
-    m = zeros(n)
-    for i in range(n):
-        m.rows[i][i] = 1
-    return m
+    return Matrix.from_columns([{i: 1} for i in range(n)], n)
 
 
 def is_zero_matrix(m):
@@ -203,8 +187,8 @@ def is_zero_matrix(m):
 
 
 def commutator(a, b):
-    """``a b - b a`` of two square matrices of one size, as a frozen
-    sparse ``Matrix``.
+    """``a b - b a`` of two square matrices of one size, as a sparse
+    ``Matrix``.
 
     Column j of the bracket is ``a (b e_j) - b (a e_j)``: b's column-j
     entries times a's columns, less a's column-j entries times b's columns,
@@ -231,7 +215,7 @@ def commutator(a, b):
 
 
 def block_diag(blocks):
-    """The frozen sparse matrix with the given square blocks along its
+    """The sparse matrix with the given square blocks along its
     diagonal."""
     cols = []
     for b in blocks:

@@ -127,16 +127,16 @@ def _centered(sizes, raw):
 
 def _representative_matrix(jt, eigenvalues):
     n = jt.n
-    x = linalg.zeros(n)
+    rows = [[0] * n for _ in range(n)]
     off = 0
     for (size, part), lam in zip(jt.block_data, eigenvalues):
         for p in part:
             for i in range(p):
-                x[off + i, off + i] = lam
+                rows[off + i][off + i] = lam
                 if i + 1 < p:
-                    x[off + i, off + i + 1] = 1
+                    rows[off + i][off + i + 1] = 1
             off += p
-    return x
+    return linalg.Matrix(rows)
 
 
 def _cell_of_eigenvalues(n, sizes, eigenvalues):
@@ -264,21 +264,20 @@ def classify_adjoint_typeA(x):
 def random_packet_point(descriptor, rng):
     """A random member of the packet: fresh distinct eigenvalues with the
     same multiplicities and partitions, conjugated by four unimodular
-    shears.  The conjugate (1 + c E_ij) x (1 - c E_ij) is formed in place:
-    row i gains c times row j, then column j loses c times column i."""
+    shears.  The conjugate (1 + c E_ij) x (1 - c E_ij) is formed on x's
+    rows: row i gains c times row j, then column j loses c times column i."""
     jt = descriptor.jordan_type
     sizes = [s for s, _ in jt.block_data]
     n = descriptor.n
     lams = _centered(sizes, rng.sample(range(-9, 10), len(sizes)))
-    x = _representative_matrix(jt, lams)
-    rows = x.rows
+    rows = _representative_matrix(jt, lams).rows
     for _ in range(4):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-3, 3)
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         for r in rows:
             r[j] -= c * r[i]
-    return x
+    return linalg.Matrix(rows)
 
 
 def _center_of_centralizer(x):
@@ -340,9 +339,9 @@ def packet_sanity_suite(n, samples=200, seed=2024):
     coverage_ok = True
     sampled = []
     for _ in range(samples):
-        x = linalg.rmat([[rng.randint(-4, 4) for _ in range(n)]
-                         for _ in range(n)])
-        x[n - 1, n - 1] = -sum(x[i, i] for i in range(n - 1))
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
+        x = linalg.rmat(rows)
         jt = classify_adjoint_typeA(x)
         if jt not in by_type:
             coverage_ok = False

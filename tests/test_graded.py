@@ -233,10 +233,10 @@ def test_expand_matrix_rejects_outsiders():
         assert sc.expand_matrix(x) == [int(k == a) for k in range(sc.dim)]
         for i in range(n):
             for j in range(n):
-                bad = linalg.rmat(x)
-                bad[i, j] += 1
+                bad = x.rows
+                bad[i][j] += 1
                 with pytest.raises(ValueError):
-                    sc.expand_matrix(bad)
+                    sc.expand_matrix(linalg.rmat(bad))
 
 
 def test_build_grading_components():
@@ -335,17 +335,17 @@ def test_jordan_chevalley_invariants_random():
         n = rng.randint(2, 5)
         # upper triangular with repeated diagonal entries to force nilpotence,
         # then conjugate by a unimodular integer matrix
-        t = linalg.zeros(n)
+        t = [[0] * n for _ in range(n)]
         diag = [rng.choice([-1, 0, 2]) for _ in range(n)]
         for i in range(n):
-            t[i, i] = diag[i]
+            t[i][i] = diag[i]
             for j in range(i + 1, n):
-                t[i, j] = rng.randint(-2, 2)
+                t[i][j] = rng.randint(-2, 2)
         g = linalg.eye(n)
         for _ in range(3):
             i, j = rng.sample(range(n), 2)
-            shear = linalg.eye(n)
-            shear[i, j] = rng.randint(-2, 2)
+            shear = linalg.eye(n).rows
+            shear[i][j] = rng.randint(-2, 2)
             g = _mul(g, shear)
         x = _mul(_mul(g, t), linalg.inverse(g))
         s = gr.jordan_chevalley(x)
@@ -444,15 +444,15 @@ def _conjugated_block_matrices():
         t = linalg.block_diag(blocks)
         n = t.shape[0]
         for _ in range(2):
-            x = linalg.rmat(t)
+            x = t.rows
             for _ in range(3):
                 i, j = rng.sample(range(n), 2)
                 c = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
                 for k in range(n):   # row i += c row j
-                    x[i, k] += c * x[j, k]
+                    x[i][k] += c * x[j][k]
                 for k in range(n):   # then column j -= c column i
-                    x[k, j] -= c * x[k, i]
-            out.append(x)
+                    x[k][j] -= c * x[k][i]
+            out.append(linalg.rmat(x))
     return out
 
 
@@ -696,7 +696,7 @@ def _killing_gram(rstype):
     """Trace form of the adjoint representation on the root-space basis."""
     sc = gr.structure_constants(rstype)
     n = sc.dim
-    gram = linalg.zeros(n)
+    gram = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             total = 0
@@ -707,9 +707,9 @@ def _killing_gram(rstype):
                 other = sc.bracket[b]
                 for d, s in row.items():
                     total += s * other[d].get(c, 0)
-            gram[a, b] = total
-            gram[b, a] = total
-    return gram
+            gram[a][b] = total
+            gram[b][a] = total
+    return linalg.rmat(gram)
 
 
 def test_killing_gram_a1_and_invariance():

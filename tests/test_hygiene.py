@@ -4,7 +4,9 @@ a rewrite leaves no stale import behind.  Every private helper has a
 caller, so a rewrite leaves no dead helper behind either, and every exported
 name, every public method, every field of a named-tuple record and every
 attribute a plain class sets in ``__init__`` is read outside the tests, so
-none lives on for its tests alone.  A read on ``self`` or on a class named
+none lives on for its tests alone; each operator ``linalg.Matrix`` defines
+is listed with the liemod function that applies it, and that function
+applies it.  A read on ``self`` or on a class named
 directly counts for that class alone, and each class that shares a member
 name with another and is read only on other receivers is listed under that
 name with its readers.  Every unbounded cache is keyed by a small, fixed
@@ -321,6 +323,46 @@ def test_every_public_method_is_read_outside_tests():
     assert not unlisted, f"public methods only tests read: {unlisted}"
     stale = sorted(UNREAD_METHODS.keys() - unread)
     assert not stale, f"allowlisted methods that are gone or now read: {stale}"
+
+
+# the dunders of ``linalg.Matrix`` that make it a matrix to read: its
+# construction, slots, rows, length, entries, equality and text form
+MATRIX_PROTOCOL = {"__init__", "__slots__", "__iter__", "__len__",
+                   "__getitem__", "__eq__", "__hash__", "__repr__"}
+
+# every other dunder ``linalg.Matrix`` defines, each an operator or a write,
+# with the liemod function that applies it and the rows of a matrix it
+# applies it to: the method guard above skips dunders, which syntax calls
+MATRIX_OPERATORS = {
+    "__sub__": ("graded.jordan_chevalley", [[4, 1], [0, 4]]),
+    "__matmul__": ("packets.classify_adjoint_typeA", [[0, 1], [0, 0]]),
+}
+
+
+def test_every_matrix_operator_has_a_reader(monkeypatch):
+    cls = _definition(_tree("linalg"), "Matrix")
+    defined = {getattr(n, "name", None) for n in cls.body} | {
+        t.id for n in cls.body if isinstance(n, ast.Assign)
+        for t in n.targets if isinstance(t, ast.Name)}
+    operators = {n for n in defined if n and n.startswith("__")
+                 and n.endswith("__")} - MATRIX_PROTOCOL
+    unlisted = sorted(operators - MATRIX_OPERATORS.keys())
+    assert not unlisted, f"Matrix operators with no listed reader: {unlisted}"
+    stale = sorted(MATRIX_OPERATORS.keys() - operators)
+    assert not stale, f"listed Matrix operators that are gone: {stale}"
+    linalg = importlib.import_module("liemod.linalg")
+    unread = []
+    for method, (reader, rows) in MATRIX_OPERATORS.items():
+        calls = []
+        op = getattr(linalg.Matrix, method)
+        monkeypatch.setattr(linalg.Matrix, method,
+                            lambda *args, op=op: calls.append(1) or op(*args))
+        module, _, name = reader.partition(".")
+        getattr(importlib.import_module(f"liemod.{module}"), name)(
+            linalg.rmat(rows))
+        if not calls:
+            unread.append(f"{method} ({reader})")
+    assert not unread, f"Matrix operators their reader does not apply: {unread}"
 
 
 # fields nothing outside tests/ reads yet, and why each stays

@@ -305,7 +305,8 @@ def test_orbit_dim_invariant_under_scaling():
                    for _ in range(3)]
         for k in range(a.algebra_dim):
             mats = list(a.matrices)
-            mats[k] = mats[k] * Fraction(1, 3)
+            mats[k] = linalg.rmat(
+                [[v * Fraction(1, 3) for v in r] for r in mats[k]])
             scaled = mo.ActionSpec(matrices=tuple(mats))
             for v in points:
                 half = [Fraction(x, 2) for x in v]

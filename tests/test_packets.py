@@ -144,8 +144,7 @@ def test_classification_roundtrip(n):
 
 
 def test_classify_validates_input():
-    x = linalg.zeros(2)
-    x[0, 0] = 1  # trace 1
+    x = linalg.rmat([[1, 0], [0, 0]])  # trace 1
     with pytest.raises(ValueError):
         classify_adjoint_typeA(x)
     with pytest.raises(ValueError, match="matrix must be square"):
@@ -155,11 +154,12 @@ def test_classify_validates_input():
 def test_classify_zero_and_nilpotent():
     z = linalg.zeros(3)
     assert classify_adjoint_typeA(z) == JordanTypeA(((3, (1, 1, 1)),))
-    x = linalg.zeros(3)
-    x[0, 1] = 1
-    assert classify_adjoint_typeA(x) == JordanTypeA(((3, (2, 1)),))
-    x[1, 2] = 1
-    assert classify_adjoint_typeA(x) == JordanTypeA(((3, (3,)),))
+    x = [[0] * 3 for _ in range(3)]
+    x[0][1] = 1
+    assert classify_adjoint_typeA(linalg.rmat(x)) == \
+        JordanTypeA(((3, (2, 1)),))
+    x[1][2] = 1
+    assert classify_adjoint_typeA(linalg.rmat(x)) == JordanTypeA(((3, (3,)),))
 
 
 def test_classify_conjugation_invariant():
@@ -182,11 +182,9 @@ def _product_packet_point(descriptor, rng):
     for _ in range(4):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-3, 3)
-        shear = linalg.eye(n)
-        shear[i, j] = c
-        inv = linalg.eye(n)
-        inv[i, j] = -c
-        x = shear @ x @ inv
+        shear, inv = linalg.eye(n).rows, linalg.eye(n).rows
+        shear[i][j], inv[i][j] = c, -c
+        x = linalg.rmat(shear) @ x @ linalg.rmat(inv)
     return x
 
 
@@ -209,10 +207,7 @@ def test_cells_attached_to_packets():
 
 def test_orbit_dim_semisimple_vs_formula():
     # diag(2,-1,-1) has centralizer gl1 x gl2 intersect sl3: dim 4
-    x = linalg.zeros(3)
-    x[0, 0] = 2
-    x[1, 1] = -1
-    x[2, 2] = -1
+    x = linalg.rmat([[2, 0, 0], [0, -1, 0], [0, 0, -1]])
     assert adjoint_orbit_dim(x) == 8 - 4
 
 
