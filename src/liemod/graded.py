@@ -120,8 +120,9 @@ class StructureConstants:
         # Cartan coordinates: the inverse Cartan matrix, as ints over den,
         # times the diagonal differences along the simple roots' probes
         self._diag_rows = [self._probes[a][0] for a in simple]
+        inv_cartan = linalg.inverse(linalg.rmat(rs.cartan))
         *flat, self._diag_den = linalg.clear_denominators(
-            [*(c for row in linalg.inverse(rs.cartan) for c in row), 1])
+            [*(c for row in inv_cartan for c in row), 1])
         self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
         # ad e_i, then ad f_i: Cartan columns from root data, and a module
         # commutator where the two roots sum to a root or to zero, taken
@@ -374,7 +375,7 @@ def random_homogeneous_element(ga, degree, rng):
 
 def _in_span(independent, v):
     """Whether v lies in the span of linearly independent vectors."""
-    return linalg.rank([*independent, v]) == len(independent)
+    return linalg.rank(linalg.rmat([*independent, v])) == len(independent)
 
 
 def _combine(coeffs, vectors):

@@ -73,7 +73,7 @@ class IrrepSpec(namedtuple("IrrepSpec", "rstype highest_weight")):
 
 
 class HWModule:
-    """Constructed module; treat all arrays as read-only.
+    """Constructed module; its ``linalg.Matrix`` values are never written.
 
     ``e``, ``f``, ``h`` hold the matrices of the simple generators in the
     monomial basis, with the weight of each basis vector on the diagonals of

@@ -5,8 +5,9 @@ nonzero}`` dict of Python ints or ``fractions.Fraction``, plus its shape,
 never written once built.  Mixing ints and ``Fraction`` is fine, since
 arithmetic promotes to ``Fraction`` as needed.  A vector is a plain list of
 entries, and a right-hand side is a matrix with one column per system.  The
-entry points read any matrix through one row helper, so they also accept
-nested lists or any other iterable of rows.  Polynomials are python
+rational entry points take a ``Matrix``; the integer kernels
+``integer_rank``, ``integer_kernel``, ``rank_mod_p`` and
+``char_poly_mod_p`` take lists of int rows.  Polynomials are python
 lists of coefficients in ascending degree order, normalized so the leading
 coefficient is nonzero (the zero polynomial is ``[]``).  ``commutator``,
 ``block_diag`` and the product ``@`` work column by column: each column of
@@ -156,15 +157,6 @@ class Matrix:
         return f"Matrix({self.rows!r})"
 
 
-def _rows(m):
-    """The rows of a matrix or any iterable of rows as fresh lists.
-    Raises ValueError for a 1-d input, whose rows are numbers."""
-    try:
-        return [list(r) for r in m]
-    except TypeError:
-        raise ValueError("shape mismatch") from None
-
-
 def rmat(rows):
     """Build an exact matrix from an iterable of rows.  Entries must be
     ``Fraction`` or ints, which ``operator.index`` accepts; any other,
@@ -183,7 +175,7 @@ def eye(n):
 
 
 def is_zero_matrix(m):
-    return not any(map(any, m))
+    return not any(m.columns())
 
 
 def commutator(a, b):
@@ -272,8 +264,7 @@ def _integer_rows(m):
     Row scaling changes neither the rank nor the kernel, and integer rows
     let the Bareiss elimination below run division-free.
     """
-    rows = [clear_denominators(row) for row in _rows(m)]
-    return rows, _width(m, rows)
+    return [clear_denominators(row) for row in m.rows], m.shape[1]
 
 
 def _bareiss_echelon(rows, ncols):
@@ -418,13 +409,6 @@ def rank_mod_p(rows, ncols, p):
     return rk
 
 
-def _width(m, rows):
-    """The column count of ``m``, whose rows are ``rows``: from its shape
-    when it has one, so a matrix with no rows keeps its width."""
-    shape = getattr(m, "shape", None)
-    return shape[1] if shape else len(rows[0]) if rows else 0
-
-
 def rank(m):
     """Exact rank of a rational matrix."""
     return integer_rank(*_integer_rows(m))
@@ -473,15 +457,12 @@ def solve_square(a, b):
 
     Column j of x is minus the kernel vector of ``[a | b]`` that is 1 at
     b's column j; a single system is an n x 1 ``b``.  Raises ValueError
-    when ``a`` is singular or the shapes do not fit, a 1-d ``b`` included.
+    when ``a`` is singular or the shapes do not fit.
     """
-    a = _rows(a)
-    n = len(a)
-    rhs = _rows(b)
-    k = _width(b, rhs)
-    if [len(r) for r in a] != [n] * n or [len(r) for r in rhs] != [k] * n:
+    n, k = b.shape
+    if a.shape != (n, n):
         raise ValueError("shape mismatch")
-    aug = [clear_denominators(r + s) for r, s in zip(a, rhs)]
+    aug = [clear_denominators(r + s) for r, s in zip(a.rows, b.rows)]
     ech, pivots = _bareiss_echelon(aug, n + k)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -492,18 +473,16 @@ def solve_square(a, b):
 
 
 def inverse(a):
-    a = _rows(a)
-    return solve_square(a, eye(len(a)))
+    return solve_square(a, eye(a.shape[0]))
 
 
 def _integer_square(m):
     """Integer rows ``a`` and a positive int ``den`` with ``m = a / den``."""
-    rows = _rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n, ncols = m.shape
+    if n != ncols:
         raise ValueError("need a square matrix")
     # the trailing 1 comes back as the common multiplier
-    *flat, den = clear_denominators([*(v for r in rows for v in r), 1])
+    *flat, den = clear_denominators([*(v for r in m.rows for v in r), 1])
     return [flat[i * n:(i + 1) * n] for i in range(n)], den
 
 

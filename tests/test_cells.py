@@ -52,7 +52,7 @@ def test_flats_are_span_closed():
     for c in cells.enumerate_cells(fset):
         assert cells._closure(fset, c.flat).flat == c.flat
         assert c.closure_dim == rs.rank - cells.linalg.rank(
-            [fset.functionals[i] for i in c.flat])
+            cells.linalg.rmat([fset.functionals[i] for i in c.flat]))
 
 
 def test_cell_of_point_examples():

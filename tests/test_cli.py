@@ -357,6 +357,24 @@ _GOLDEN_REPORTS = [
      "149e4862ac12d29e11875a0281c86d5496768de65b2240ce1a2617ecaf54ef99"),
     ("rep modality --type E8 --weight 0,0,0,0,0,0,0,1",
      "34cfd7e280c10bb99d60f5954e94d2aa8c81d4f85f701db64e8b09994313078e"),
+    # the exact Jordan path: char_poly, poly_eval_matrix, is_zero_matrix
+    # and rank
+    ("grading rank --type F4 --m 2 --labels 1,0,0,0",
+     "732f9acb5d486b5311d1dc59aea1d53e96d0c549869dadd6d9caee2d7f5db5f0"),
+    ("grading rank --type C3 --m 3 --labels 1,0,1",
+     "e50037dd2d9600ad3c638656f705e789f8662b904d31dd64b25845cbdd6676a7"),
+    ("tables verify --list all",
+     "6dae85f9c2aa82be0249dc0b9b1af389ecf795d0ff846d5e0922f6681306d766"),
+    ("packets enum --sln 5",
+     "e0becdcfa2aea9633e25b8806340a55b43666d23a2c76b0a838e193f6da38ae9"),
+    ("packets check --sln 2",
+     "51253b9b21dc824f5d6be6bfa80301f48be11b27012e8cee4518cc57eb060980"),
+    ("cells count --type F4",
+     "0b7df5a2f693bd12bb1d3bed5a8478e58a84ffe9895dc9a7db1603853e6de653"),
+    ("sl2 modality --summands 1,2",
+     "4f01535db26f849080192bffde8f7629efb8bf04877286bc8ee22c86ac882435"),
+    ("exmo --n 4 --d 3",
+     "b6d807a62608a0cdd742babf5cbc6304d9dec127104bf4d5b5b24d7cbecc54a7"),
 ]
 
 

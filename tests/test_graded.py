@@ -749,7 +749,7 @@ def test_killing_gram_degree_orthogonality():
             jdxs = ga.components.get(opp, ())
             assert len(jdxs) == len(idxs)
             block = [[gram[i, j] for j in jdxs] for i in idxs]
-            assert linalg.rank(block) == len(idxs)
+            assert linalg.rank(linalg.rmat(block)) == len(idxs)
 
 
 @pytest.mark.parametrize("name,labels,expected", [

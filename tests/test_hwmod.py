@@ -161,8 +161,8 @@ def test_extension_full_algebra_a2():
     # full basis acts faithfully: flattened matrices, one row each, are
     # linearly independent
     flat = [[v for r in m.rows for v in r] for m in mod.full_basis]
-    from liemod.linalg import rank
-    assert rank(flat) == 8
+    from liemod.linalg import rank, rmat
+    assert rank(rmat(flat)) == 8
 
 
 def test_extension_closure_under_bracket_g2():
@@ -173,14 +173,14 @@ def test_extension_closure_under_bracket_g2():
     n = mod.dimension
     flat = [[v for r in m.rows for v in r] for m in basis]
     assert all(len(row) == n * n for row in flat)
-    from liemod.linalg import rank
-    base_rank = rank(flat)
+    from liemod.linalg import rank, rmat
+    base_rank = rank(rmat(flat))
     assert base_rank == rs.dimension == 14
     rng = random.Random(3)
     for _ in range(6):
         a, b = rng.randrange(len(basis)), rng.randrange(len(basis))
         comm = _bracket(basis[a], basis[b])
-        assert rank(flat + [[v for r in comm for v in r]]) == base_rank
+        assert rank(rmat(flat + [[v for r in comm for v in r]])) == base_rank
 
 
 def test_module_caching():

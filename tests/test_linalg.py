@@ -343,7 +343,7 @@ def test_char_poly_annihilates_matrix():
         m = linalg.rmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         p = linalg.char_poly(m)
         assert len(p) == n + 1 and p[-1] == 1
-        assert linalg.is_zero_matrix(poly_eval_dense(p, m))
+        assert linalg.is_zero_matrix(linalg.rmat(poly_eval_dense(p, m)))
 
 
 # The rational polynomial routines linalg used before its squarefree
@@ -618,7 +618,7 @@ def test_char_poly_mixed_denominators_matches_reference():
 
 
 def test_char_poly_of_empty_scalar_and_zero_matrices():
-    cases = [(linalg.zeros(0), [1]), ([[7]], [-7, 1]),
+    cases = [(linalg.zeros(0), [1]), (linalg.rmat([[7]]), [-7, 1]),
              (linalg.rmat([[Fraction(-3, 2)]]), [Fraction(3, 2), 1])]
     cases += [(linalg.zeros(n), [0] * n + [1]) for n in (1, 2, 5)]
     for m, want in cases:
@@ -668,7 +668,7 @@ def test_char_poly_either_side_of_each_prime(e):
                         hi = mid - 1
                 for s in (lo, lo + 1):
                     m = [[s * v for v in row] for row in r]
-                    assert linalg.char_poly(m) == \
+                    assert linalg.char_poly(linalg.rmat(m)) == \
                         integer_reference_char_poly(m)
 
 
@@ -687,7 +687,7 @@ def test_mersenne_exponents_give_primes():
 
 def test_char_poly_past_the_largest_prime_is_an_error():
     with pytest.raises(ValueError, match="20001 bits"):
-        linalg.char_poly([[2**20000]])
+        linalg.char_poly(linalg.rmat([[2**20000]]))
 
 
 def test_poly_eval_matrix_mixed_denominators_matches_dense():
@@ -843,11 +843,11 @@ def test_every_view_of_a_matrix_agrees():
     assert any(any(map(any, _benchmark_reads(m))) for m in mats)
 
 
-def test_entry_points_accept_lists_and_arrays():
+def test_entry_points_take_rmat_of_lists_and_tuples():
     rows = [[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]]
     square = [[2, 1], [1, Fraction(1, 2) + 1]]
-    # a tuple of tuples is neither a list nor a Matrix
-    for wrap in (lambda r: r, lambda r: tuple(map(tuple, r)), linalg.rmat):
+    # rmat reads a tuple of tuples as it reads a list of lists
+    for wrap in (linalg.rmat, lambda r: linalg.rmat(tuple(map(tuple, r)))):
         assert linalg.rank(wrap(rows)) == 2
         assert [list(v) for v in linalg.kernel_basis(wrap(rows))] == [
             [-2, Fraction(-1, 2), 1]]
@@ -925,16 +925,15 @@ SHAPE_ERRORS = {
     "difference": lambda: linalg.rmat([[1, 2]]) - linalg.eye(2),
     "solve": lambda: linalg.solve_square(linalg.eye(2),
                                          linalg.rmat([[1], [2], [3]])),
-    # a 1-d right-hand side has rows that are numbers, not rows
-    "solve 1-d": lambda: linalg.solve_square(linalg.eye(2), [1, 2]),
-    # and so has a 1-d matrix argument of any entry point
-    "rank 1-d": lambda: linalg.rank([1, 2]),
-    "kernel 1-d": lambda: linalg.kernel_basis([1, 2]),
-    "char_poly 1-d": lambda: linalg.char_poly([1, 2]),
-    "inverse 1-d": lambda: linalg.inverse([1, 2]),
-    "solve 1-d matrix": lambda: linalg.solve_square([1, 2], linalg.eye(2)),
+    "solve 1x2 right-hand side": lambda: linalg.solve_square(
+        linalg.eye(2), linalg.rmat([[1, 2]])),
     # a matrix that is not square
+    "solve 1x2 left-hand side": lambda: linalg.solve_square(
+        linalg.rmat([[1, 2]]), linalg.eye(2)),
+    "inverse 1x2": lambda: linalg.inverse(linalg.rmat([[1, 2]])),
     "char_poly 1x2": lambda: linalg.char_poly(linalg.rmat([[1, 2]])),
+    "char_poly_is_squarefree_mod_p 1x2": lambda:
+        linalg.char_poly_is_squarefree_mod_p(linalg.rmat([[1, 2]]), 7),
     "poly_eval_matrix 1x2": lambda: linalg.poly_eval_matrix(
         [1, 1], linalg.rmat([[1, 2]])),
     "char_poly_mod_p 1x2": lambda: linalg.char_poly_mod_p([[1, 2]], 7),
@@ -951,17 +950,18 @@ def test_shape_errors_survive_python_o():
     # python -O strips assert statements; the shape checks must survive it
     script = (
         "from liemod import linalg\n"
+        "wide = linalg.rmat([[1, 2]])\n"
         "for make in (lambda: linalg.rmat([[1, 2], [3]]),\n"
         "             lambda: linalg.rmat([[1, 2]]) - linalg.eye(1),\n"
         "             lambda: linalg.rmat([[1, 2]]) - linalg.eye(2),\n"
         "             lambda: linalg.solve_square(\n"
         "                 linalg.eye(2), linalg.rmat([[1], [2], [3]])),\n"
-        "             lambda: linalg.solve_square(linalg.eye(2), [1, 2]),\n"
-        "             lambda: linalg.rank([1, 2]),\n"
-        "             lambda: linalg.kernel_basis([1, 2]),\n"
-        "             lambda: linalg.char_poly([1, 2]),\n"
-        "             lambda: linalg.inverse([1, 2]),\n"
-        "             lambda: linalg.solve_square([1, 2], linalg.eye(2))):\n"
+        "             lambda: linalg.solve_square(linalg.eye(2), wide),\n"
+        "             lambda: linalg.solve_square(wide, linalg.eye(2)),\n"
+        "             lambda: linalg.inverse(wide),\n"
+        "             lambda: linalg.char_poly(wide),\n"
+        "             lambda: linalg.char_poly_is_squarefree_mod_p(wide, 7),\n"
+        "             lambda: linalg.poly_eval_matrix([1, 1], wide)):\n"
         "    try:\n"
         "        print('no error:', make())\n"
         "    except ValueError as exc:\n"
@@ -972,7 +972,9 @@ def test_shape_errors_survive_python_o():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["ragged rows"] + ["shape mismatch"] * 9
+    assert done.stdout.splitlines() == (["ragged rows"] +
+                                        ["shape mismatch"] * 6 +
+                                        ["need a square matrix"] * 3)
 
 
 def _dense_and_sparse(rows):
@@ -1096,7 +1098,8 @@ def test_squarefree_mod_p_unlucky_prime_and_edge_cases():
     assert not linalg.is_squarefree_mod_p(linalg.char_poly_mod_p(d, 5), 5)
     assert linalg.is_squarefree_mod_p(
         linalg.char_poly_mod_p(d, MERSENNE_61), MERSENNE_61)
-    assert linalg.squarefree_decomposition(linalg.char_poly(d))[0][1] == 1
+    assert linalg.squarefree_decomposition(
+        linalg.char_poly(linalg.rmat(d)))[0][1] == 1
     assert linalg.is_squarefree_mod_p([3], 5)          # a nonzero constant
     assert linalg.is_squarefree_mod_p([-1, 1], 5)      # t - 1
     assert not linalg.is_squarefree_mod_p([1, -2, 1], 5)   # (t - 1)^2
@@ -1207,4 +1210,4 @@ def test_solve_square_keeps_an_empty_right_hand_sides_width():
     assert linalg.solve_square(linalg.eye(2), linalg.zeros(2, 0)).shape == (
         2, 0)
     with pytest.raises(ValueError):
-        linalg.solve_square(linalg.eye(2), [[1], [1, 2]])
+        linalg.solve_square(linalg.eye(2), linalg.zeros(3, 0))

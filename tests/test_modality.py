@@ -313,7 +313,8 @@ def test_orbit_dim_invariant_under_scaling():
                 # one row per algebra element: its image m v of v
                 dense = [[sum(map(mul, r, half)) for r in m] for m in mats]
                 od = mo.orbit_dim_at(a, v)
-                assert mo.orbit_dim_at(scaled, half) == od == linalg.rank(dense)
+                assert (mo.orbit_dim_at(scaled, half) == od ==
+                        linalg.rank(linalg.rmat(dense)))
 
 
 def _rank_cross_check_actions():

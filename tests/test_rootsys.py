@@ -116,8 +116,8 @@ def _fundamental_weights(rs):
     """The fundamental weights in root coordinates: the columns of the
     inverse of the transposed Cartan matrix, ``Fraction`` entries."""
     r = rs.rank
-    inv = linalg.inverse([[rs.cartan[j][i] for j in range(r)]
-                          for i in range(r)])
+    inv = linalg.inverse(linalg.rmat([[rs.cartan[j][i] for j in range(r)]
+                                      for i in range(r)]))
     return [[inv[i, k] for i in range(r)] for k in range(r)]
 
 
