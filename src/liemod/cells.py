@@ -9,12 +9,13 @@ centralizer strata; positive roots suffice since a functional and its
 negative cut out the same hyperplane.
 
 The functionals are integer covectors, held as Python ints, and spans are
-tested against integer kernel vectors.  Points may be rational: a
-functional vanishes at a point exactly when its value there is zero, with
-no scaling needed.
+tested against integer kernel vectors; a flat's covers are read off its own
+kernel.  Points may be rational: a functional vanishes at a point exactly
+when its value there is zero, with no scaling needed.
 """
 
 from collections import namedtuple
+from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
@@ -74,46 +75,47 @@ def root_functionals(rs):
                           for beta in rs.positive_roots))
 
 
-def _int_rows_of(fset, indices):
-    return [fset.functionals[i] for i in sorted(indices)]
+def _kernel(fset, flat):
+    """An integer basis of the common kernel of the flat's functionals."""
+    return linalg.integer_kernel([fset.functionals[i] for i in sorted(flat)],
+                                 fset.ambient_dim)
 
 
 def _closure(fset, indices):
     """The cell of the flat the given functionals span: they and every
     other one vanishing on each (integer) kernel vector of theirs.  The
     kernel vectors span the cell's closure, so they count its dimension."""
-    ker = linalg.integer_kernel(_int_rows_of(fset, indices), fset.ambient_dim)
-    rows = fset.functionals
-    rest = [i for i in range(len(rows)) if i not in indices]
-    for k in ker:
-        rest = [i for i in rest if not sum(map(mul, rows[i], k))]
-    return Cell(flat=frozenset(indices).union(rest), closure_dim=len(ker))
+    ker = _kernel(fset, indices)
+    flat = [i for i, f in enumerate(fset.functionals)
+            if not any(sum(map(mul, f, k)) for k in ker)]
+    return Cell(flat=flat, closure_dim=len(ker))
 
 
 def enumerate_cells(fset):
-    """One cell per flat, found by closing single-functional extensions.
+    """One cell per flat, breadth-first from the closure of the empty set,
+    reading each flat's covers off its own kernel K.
 
-    Breadth-first: every flat arises from a smaller one by adjoining one
-    functional and closing, starting from the closure of the empty set.
-    A functional outside a flat F lies in exactly one cover cl(F + i) of
-    it (flats of equal rank, one inside the other, are equal), so the
-    functionals of a cover already found are not tried again.
+    On a basis of K each functional is a row of values, zero exactly on
+    the flat F.  A functional vanishes on the kernel of F and f exactly
+    when its row is a multiple of f's, so each cover is F plus one class
+    of proportional rows, keyed by its primitive row (divided by the gcd,
+    first nonzero entry positive), and has closure dimension one less.
     """
-    start = _closure(fset, frozenset())
-    found = {start.flat: start}
-    frontier = [start.flat]
+    frontier = [_closure(fset, frozenset())]
+    found = {c.flat: c for c in frontier}
     while frontier:
         new = []
-        for flat in frontier:
-            covered = set(flat)
-            for i in range(len(fset.functionals)):
-                if i in covered:
-                    continue
-                bigger = _closure(fset, flat | {i})
-                covered |= bigger.flat
-                if bigger.flat not in found:
-                    found[bigger.flat] = bigger
-                    new.append(bigger.flat)
+        for cell in frontier:
+            ker, covers = _kernel(fset, cell.flat), {}
+            for i, f in enumerate(fset.functionals):
+                row = [sum(map(mul, f, k)) for k in ker]
+                if any(row):
+                    g = gcd(*row) * (-1 if next(filter(None, row)) < 0 else 1)
+                    covers.setdefault(tuple(v // g for v in row), []).append(i)
+            for extra in covers.values():
+                cover = Cell(cell.flat.union(extra), cell.closure_dim - 1)
+                if found.setdefault(cover.flat, cover) is cover:
+                    new.append(cover)
         frontier = new
     return sorted(found.values(), key=lambda c: (len(c.flat), sorted(c.flat)))
 
@@ -135,8 +137,7 @@ def sample_point_in_cell(fset, cell, rng):
     probability below 1/2, and all 60 draws miss with probability below
     2^-60.
     """
-    ker = linalg.integer_kernel(_int_rows_of(fset, cell.flat),
-                                fset.ambient_dim)
+    ker = _kernel(fset, cell.flat)
     if not ker:
         point = [0] * fset.ambient_dim
         if fset.vanishing_set(point) == cell.flat:

@@ -125,24 +125,15 @@ class StructureConstants:
             [*(c for row in inv_cartan for c in row), 1])
         self._diag_inverse = [flat[i * r:(i + 1) * r] for i in range(r)]
         # ad e_i, then ad f_i: Cartan columns from root data, and a module
-        # commutator where the two roots sum to a root or to zero, taken
-        # once per pair of simple root vectors: [x_a, x_b] = -[x_b, x_a]
-        ad, seen = [], {}
+        # commutator where the two roots sum to a root or to zero
+        ad = []
         for a in [*simple, *(k + len(pos) for k in simple)]:
             alpha = self.root_of_index[a]
             cols = [{a: -c} if c else {} for c in rs.root_weight_coords(alpha)]
-            for b, (beta, m) in enumerate(
-                    zip(self.root_of_index[r:], basis[r:]), r):
-                roots = hint.get(tuple(map(add, alpha, beta)))
-                if roots is None:
-                    col = {}
-                elif (b, a) in seen:
-                    col = {c: -v for c, v in seen[b, a].items()}
-                else:
-                    col = self._coords(
-                        _entries(linalg.commutator(basis[a], m)), roots)
-                seen[a, b] = col
-                cols.append(col)
+            for b in range(r, self.dim):
+                roots = hint.get(tuple(map(add, alpha, self.root_of_index[b])))
+                cols.append({} if roots is None else self._coords(
+                    _entries(linalg.commutator(basis[a], basis[b])), roots))
             ad.append(linalg.Matrix.from_columns(cols, self.dim))
         xy = root_vectors(rs, ad[:r], ad[r:])
         self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]

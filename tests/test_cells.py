@@ -31,7 +31,8 @@ def type_a_functionals(rank):
     return cells.root_functionals(rs)
 
 
-@pytest.mark.parametrize("n,count", [(2, 2), (3, 5), (4, 15), (5, 52)])
+@pytest.mark.parametrize("n,count", [(2, 2), (3, 5), (4, 15), (5, 52),
+                                     (7, 877)])
 def test_type_a_cell_counts_match_bell(n, count):
     assert bell_number_via_partitions(n) == count  # oracle agrees with pinned value
     fset = type_a_functionals(n - 1)
@@ -92,8 +93,7 @@ def test_closure_of_cell_is_union_of_smaller_flats():
     rs = build_root_system(RootSystemType("A", 3))
     fset = cells.root_functionals(rs)
     for c in cells.enumerate_cells(fset):
-        ker = cells.linalg.integer_kernel(cells._int_rows_of(fset, c.flat),
-                                          fset.ambient_dim)
+        ker = cells._kernel(fset, c.flat)
         hit_cell = False
         for _ in range(40):
             coeffs = [rng.randint(-5, 5) for _ in ker]
@@ -251,7 +251,7 @@ def dowling_number(n, m=2):
     return sum(comb(n, z) * labelled[n - z] for z in range(n + 1))
 
 
-@pytest.mark.parametrize("n,count", [(2, 6), (3, 24), (4, 116)])
+@pytest.mark.parametrize("n,count", [(2, 6), (3, 24), (4, 116), (5, 648)])
 def test_types_b_and_c_cell_counts_are_dowling_numbers(n, count):
     assert dowling_number(n) == count
     for family in ("B", "C"):
@@ -278,3 +278,21 @@ def test_types_b_and_c_have_the_same_flats(n):
 def test_type_a5_has_203_cells():
     assert bell_number_via_partitions(6) == 203
     assert len(cells.enumerate_cells(type_a_functionals(5))) == 203
+
+
+@pytest.mark.parametrize("family,rank,flats", [("B", 4, 116), ("F", 4, 268)])
+def test_enumeration_takes_one_kernel_per_flat(family, rank, flats,
+                                               monkeypatch):
+    # each flat's covers are read off its own kernel, and one more kernel
+    # closes the empty set; closing every flat | {i} took 433 on B4
+    fset = cells.root_functionals(build_root_system(
+        RootSystemType(family, rank)))
+    kernel, calls = cells.linalg.integer_kernel, []
+
+    def counted(rows, ncols):
+        calls.append(rows)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(cells.linalg, "integer_kernel", counted)
+    assert len(cells.enumerate_cells(fset)) == flats
+    assert len(calls) == flats + 1

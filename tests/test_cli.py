@@ -371,6 +371,8 @@ _GOLDEN_REPORTS = [
      "51253b9b21dc824f5d6be6bfa80301f48be11b27012e8cee4518cc57eb060980"),
     ("cells count --type F4",
      "0b7df5a2f693bd12bb1d3bed5a8478e58a84ffe9895dc9a7db1603853e6de653"),
+    ("cells count --type D5",
+     "09a8916bfcba829a048c841036aabe14a7e9ddda19293e9af020dcafa4d0dc44"),
     ("sl2 modality --summands 1,2",
      "4f01535db26f849080192bffde8f7629efb8bf04877286bc8ee22c86ac882435"),
     ("exmo --n 4 --d 3",
