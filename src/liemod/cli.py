@@ -2,11 +2,11 @@
 
 Every subcommand body yields its items, and ``run_command`` assembles the
 same report shape from them: a command echo, the effective configuration
-(the common settings, then the command's options in declaration order), a
-list of per-item results sorted by id, and an aggregate pass flag.  An
-item's ``match`` is ``computed == expected`` when both are given, else
-null, unless the item states it because its expected value is a
-description.  A false match fails the run; a null one, as for pure
+(the run settings the command reads, then its options, in declaration
+order), a list of per-item results sorted by id, and an aggregate pass
+flag.  An item's ``match`` is ``computed == expected`` when both are
+given, else null, unless the item states it because its expected value is
+a description.  A false match fails the run; a null one, as for pure
 computations and items skipped for exceeding the build ceiling, never
 does.  An item's ``time_ms`` counts the whole milliseconds since the
 previous item, or since the command started, so a report's item times add
@@ -18,8 +18,9 @@ the chance of a miss and the quantity sampled; other items have
 ``"sampling": null``.
 
 Reports are deterministic for a fixed seed apart from the timestamp and
-the per-item timings.  The environment variable MODALITY_SEED, when set,
-overrides --seed and must be a nonnegative integer.
+the per-item timings.  An item's seed is null when its command takes no
+--seed.  Where a command takes --seed, the environment variable
+MODALITY_SEED, when set, overrides it and must be a nonnegative integer.
 """
 
 import argparse
@@ -252,32 +253,44 @@ def _cmd_exmo(args):
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
 
-# command, body, help of its group, options (echoed into the report's
-# config in this order), and a template of a config note
+# the run settings a command may take: default, least value allowed, and
+# the error for a value below it, checked in this order
+_SETTINGS = {
+    "seed": (DEFAULT_SEED, 0, "seed must be nonnegative"),
+    "trials": (DEFAULT_TRIALS, 1, "trials must be positive"),
+    "rank_cutoff": (DEFAULT_RANK_CUTOFF, 1, "cutoffs must be positive"),
+    "build_ceiling": (DEFAULT_BUILD_CEILING, 1, "cutoffs must be positive"),
+}
+_SAMPLED = ("seed", "trials", "build_ceiling")
+
+# command, body, help of its group, the run settings its body reads,
+# options (echoed into the report's config after the settings, in this
+# order), and a template of a config note
 _COMMANDS = [
     ("tables verify", _cmd_tables_verify, "classification table checks",
+     tuple(_SETTINGS),
      {"--list": {"choices": ["m1", "m2", "m3", "all"], "default": "all"}},
      "classical families expanded up to rank {rank_cutoff}; higher ranks "
      "not checked"),
     ("rep modality", _cmd_rep_modality, "single module computations",
-     {"--type": _REQUIRED, "--weight": _REQUIRED}, None),
-    ("sl2 modality", _cmd_sl2_modality, "rank-one module checks",
+     _SAMPLED, {"--type": _REQUIRED, "--weight": _REQUIRED}, None),
+    ("sl2 modality", _cmd_sl2_modality, "rank-one module checks", _SAMPLED,
      {"--summands": _REQUIRED}, None),
-    ("cells count", _cmd_cells_count, "hyperplane arrangement cells",
+    ("cells count", _cmd_cells_count, "hyperplane arrangement cells", (),
      {"--type": _REQUIRED}, None),
-    ("grading rank", _cmd_grading_rank, "graded algebra rank",
+    ("grading rank", _cmd_grading_rank, "graded algebra rank", _SAMPLED,
      {"--type": _REQUIRED,
       "--m": {"required": True,
               "help": "modulus, or 'inf' for an integer grading"},
       "--labels": _REQUIRED}, None),
     ("packets enum", _cmd_packets_enum,
-     "adjoint packets of traceless matrices", {"--sln": _REQUIRED_INT},
+     "adjoint packets of traceless matrices", (), {"--sln": _REQUIRED_INT},
      None),
-    ("packets check", _cmd_packets_check, None,
+    ("packets check", _cmd_packets_check, None, ("seed",),
      {"--sln": _REQUIRED_INT, "--samples": {"type": int, "default": 200}},
      None),
     ("exmo", _cmd_exmo, "copies-of-the-natural-module modality anatomy",
-     {"--n": _REQUIRED_INT, "--d": _REQUIRED_INT}, None),
+     _SAMPLED, {"--n": _REQUIRED_INT, "--d": _REQUIRED_INT}, None),
 ]
 
 
@@ -289,41 +302,27 @@ def _build_parser():
         prog="liemod",
         description="exact-arithmetic modality and grading verification")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    common.add_argument("--rank-cutoff", type=int,
-                        default=DEFAULT_RANK_CUTOFF, dest="rank_cutoff")
-    common.add_argument("--build-ceiling", type=int,
-                        default=DEFAULT_BUILD_CEILING, dest="build_ceiling")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--output", default=None,
                         help="write the report to this path instead of stdout")
 
     sub = parser.add_subparsers(dest="group", required=True)
     groups = {}
-    for command, func, text, options, note in _COMMANDS:
+    for command, func, text, settings, options, note in _COMMANDS:
         group, _, action = command.partition(" ")
-        if not action:
-            cmd = sub.add_parser(group, parents=[common], help=text)
-        else:
-            if group not in groups:
-                groups[group] = sub.add_parser(group, help=text) \
-                    .add_subparsers(dest="action", required=True)
-            cmd = groups[group].add_parser(action, parents=[common])
-        echoed = [cmd.add_argument(flag, **kwargs).dest
-                  for flag, kwargs in options.items()]
+        if action and group not in groups:
+            groups[group] = sub.add_parser(group, help=text) \
+                .add_subparsers(dest="action", required=True)
+        cmd = (groups[group].add_parser(action, parents=[common]) if action
+               else sub.add_parser(group, parents=[common], help=text))
+        for name in settings:
+            cmd.add_argument("--" + name.replace("_", "-"), type=int,
+                             default=_SETTINGS[name][0])
+        echoed = [*settings, *(cmd.add_argument(flag, **kwargs).dest
+                               for flag, kwargs in options.items())]
         cmd.set_defaults(func=func, command=command, echoed=echoed,
                          config_note=note)
     return parser
-
-
-def _validate_config(args):
-    if args.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if args.trials < 1:
-        raise ValueError("trials must be positive")
-    if args.rank_cutoff < 1 or args.build_ceiling < 1:
-        raise ValueError("cutoffs must be positive")
 
 
 def _csv_cell(value):
@@ -363,15 +362,16 @@ def _check_output_path(path):
 def run_command(argv=None):
     """Parse argv, run the subcommand, time and stamp each item it yields,
     emit the report.  Returns exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     env_seed = os.environ.get("MODALITY_SEED")
-    if env_seed is not None:
+    if env_seed is not None and hasattr(args, "seed"):
         if not env_seed.strip().isdecimal():
             raise ValueError("MODALITY_SEED must be a nonnegative integer, "
                              f"got {env_seed!r}")
         args.seed = int(env_seed)
-    _validate_config(args)
+    for name, (_, least, message) in _SETTINGS.items():
+        if getattr(args, name, least) < least:
+            raise ValueError(message)
     if args.output:
         _check_output_path(args.output)
 
@@ -379,16 +379,13 @@ def run_command(argv=None):
     start = time.monotonic()
     for item in args.func(args):
         now = time.monotonic()
-        item["seed"] = args.seed
+        item["seed"] = getattr(args, "seed", None)
         item["time_ms"] = int((now - start) * 1000)
         items.append(item)
         start = now
     items.sort(key=lambda it: it["id"])
     passed = all(it["match"] is not False for it in items)
-    config = {"seed": args.seed, "trials": args.trials,
-              "rank_cutoff": args.rank_cutoff,
-              "build_ceiling": args.build_ceiling}
-    config.update((key, getattr(args, key)) for key in args.echoed)
+    config = {key: getattr(args, key) for key in args.echoed}
     if args.config_note:
         config["note"] = args.config_note.format(**vars(args))
     report = {

@@ -1,5 +1,8 @@
+import argparse
+import ast
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -243,17 +246,41 @@ def test_bad_flags():
      "--summands: expected comma-separated integers, got '1,x'"),
     ("grading rank --type A1 --m x --labels 1",
      "--m: expected an integer or 'inf', got 'x'"),
-    # common options that parse but are out of range
-    ("cells count --type A2 --seed -1", "seed must be nonnegative"),
-    ("cells count --type A2 --rank-cutoff 0", "cutoffs must be positive"),
-    ("cells count --type A2 --build-ceiling 0", "cutoffs must be positive"),
+    # run settings that parse but are out of range
+    ("tables verify --list m1 --seed -1", "seed must be nonnegative"),
+    ("tables verify --list m1 --rank-cutoff 0", "cutoffs must be positive"),
+    ("tables verify --list m1 --build-ceiling 0",
+     "cutoffs must be positive"),
 ], ids=["weight", "labels", "summands", "m", "seed", "rank-cutoff",
         "build-ceiling"])
 def test_unparsable_option_names_the_option(argv, message, capsys,
                                              monkeypatch):
     monkeypatch.delenv("MODALITY_SEED", raising=False)
+    # the settings are checked before any table entry is read
+    monkeypatch.setattr(modality, "table_entries", _refuse_to_run)
     assert cli.main(argv.split()) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "cells count --type A2 --seed 1",
+    "packets enum --sln 3 --trials 2",
+    "grading rank --type A2 --m inf --labels 1,0 --rank-cutoff 3",
+])
+def test_a_setting_the_command_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv.split())
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_env_seed_is_ignored_by_a_command_without_seed(capsys, monkeypatch):
+    monkeypatch.setenv("MODALITY_SEED", "77")
+    code, report = run_json(capsys, ["cells", "count", "--type", "A2"])
+    assert code == 0
+    assert "seed" not in report["config"]
+    assert all(it["seed"] is None for it in report["items"])
 
 
 @pytest.mark.parametrize("m", ["0", "-2"])
@@ -289,14 +316,14 @@ def test_packets_check_needs_samples(samples, capsys):
     assert "error: " in capsys.readouterr().err
 
 
-def _refuse_to_run(args):
-    raise AssertionError("the subcommand ran before the output check")
+def _refuse_to_run(*args):
+    raise AssertionError("the subcommand ran before the checks")
 
 
 @pytest.mark.parametrize("where", ["missing", "file", "directory"])
 def test_unwritable_output_fails_before_the_computation(
         where, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cmd_cells_count", _refuse_to_run)
+    monkeypatch.setattr(cli, "build_root_system", _refuse_to_run)
     (tmp_path / "file").write_text("")
     path = {"missing": tmp_path / "missing" / "r.json",
             "file": tmp_path / "file" / "r.json",
@@ -321,70 +348,77 @@ def test_unwritable_output_fails_before_the_computation(
 # Kraft's parametrisation, which lists them for every n: dropping the
 # items packets-check:4:sheet:15-12, 12-10, 9-8, 7-6 and 0-0 gives
 # 72bdced7... again.
+# Every digest but the two tables verify ones changed when each command
+# came to take only the run settings it reads: the earlier reports give
+# these digests once config loses the settings the command no longer
+# takes (rank_cutoff everywhere but tables verify, trials and
+# build_ceiling in packets check, all four in cells count and packets
+# enum) and, in cells count and packets enum, the items' seeds are null.
 _GOLDEN_REPORTS = [
     ("cells count --type A5",
-     "c9077728f41d82d865c77c53481ca608cc4153cf7f1926522d3be1f39a400148"),
+     "e3092cacf6517df0554b71bedfbad7d9c16a946dfe438dd1a8a63ae5cc3991fc"),
     ("cells count --type B4",
-     "2f840f29c28ba1a6bb37371c1f70551509c4ca07c50c3dc42ea9f502f7470a39"),
+     "f20465a2fa557d90b12722f39d05d8902867379731104c86b8cd6007b88f676c"),
     ("cells count --type C4",
-     "69a9bab3a1ccf2f0866a4ecd76d7e83ab5262cd305040e89d59f675a527b1f07"),
+     "8f13835c760bc8b42e6acc3014fc5c4c13e07dbcc946509bf99a4f014ff6a20f"),
     ("packets enum --sln 4",
-     "5b5956d5494f10de258bb6dcb8a0d1189b7a605d21671c2f79f1069767ff6f52"),
+     "c4b3bb831736752c81985b2a24690103a06c6cd44d26dd26b074c824d9d80065"),
     ("packets check --sln 3 --samples 200",
-     "2e9f8ebe3ac371921323b8b96038c10f1d5095d1fea9f6def9cf7c467977424c"),
+     "db871c132450c240f563c281ecccd21c8b2dc3897db6ea57244f0e3ba6fbef73"),
     ("packets check --sln 4",
-     "0c29f6721bd117a1083cd17923556060211a6755a2424076a1c92c0809b6b362"),
+     "e1675100a1e73308c94089dd8f70efd98fbe63abad260c3c7b572872b254e5c7"),
     ("tables verify --list m3",
      "bfda5b0a1ca36ee30b7cc02fb1782845d6706ce1967006d51cb125ffed3a67ef"),
     ("rep modality --type G2 --weight 0,1",
-     "9f6bee52307d54114beb810a9208bdbf52522363f9d723a2dfdce50984b4bf9d"),
+     "13af6d5d4aeac4133563cb42213d7ef0f3017df28181f468954ddffe8536ddcf"),
     ("sl2 modality --summands 0,0,0",
-     "9d2f5ea5b882ab55639acdfaa1eda836d0c4a7035410be1dec21803522bbdf2d"),
+     "af0fcf1da148a02edab8657e2b477e8c7be1aa982f878e710c6b3f6c8ec35850"),
     ("grading rank --type A2 --m inf --labels 1,0",
-     "8b7995d79fb0222220c27be7ac3af2769002ed82a8c6d97957d88d1494b35e93"),
+     "8e6dd9479472bf77a364f2ff102ebbd7706e65366ce9752ddfaf1bce910ac9c9"),
     # C3's structure constants have denominator 2
     ("grading rank --type C3 --m 4 --labels 1,0,1",
-     "d19dd87a27e21fa75e35256a68990ebe9a8c7b19d1f258fbd7b4abb43498c1f2"),
+     "56442a3fa9ed1d8e6afd00efeba389b9450b3ea422982dda6938e19ba324a366"),
     ("exmo --n 3 --d 2",
-     "a16fdba8a8a7f6683304d6a194a0c909ea8b17c2a6b4e3b910e1a291fc55e561"),
+     "eb1ad24e125d2e0eec24e996f9f364690062bcef9b326940fd83fdf68fa23f40"),
     # empty degree-one parts: rank 0 from the general path
     ("grading rank --type A3 --m 7 --labels 0,0,0",
-     "66478c8fba6f7902216c46035e01afe40cad15e2edc5e920f5538cef473d0039"),
+     "fccd6df05da2f0de8abf7281f506fbebe229f65af6c2d182bd52d13bf020fdbc"),
     ("grading rank --type A2 --m inf --labels 0,0",
-     "e814b244367766a1880fc0bd08772c0303d67d0a865df7d1d0374a24cb89c00d"),
+     "bfcddf13c19218decb542145bd13258dfd83b19f193a8e1a3e97dec6546c771f"),
     # the largest orbit matrices: E7 omega7 (56 x 133), E8 adjoint (248 x 248)
     ("rep modality --type E7 --weight 0,0,0,0,0,0,1",
-     "149e4862ac12d29e11875a0281c86d5496768de65b2240ce1a2617ecaf54ef99"),
+     "390a8eced3069c203e8350b6f01f256a92f02d5403f72044bd64bcabad51bced"),
     ("rep modality --type E8 --weight 0,0,0,0,0,0,0,1",
-     "34cfd7e280c10bb99d60f5954e94d2aa8c81d4f85f701db64e8b09994313078e"),
+     "7d9f26717671ea7683ac113e7341a3f857b335732aa8130e2928066d8f0f77d3"),
     # the exact Jordan path: char_poly, poly_eval_matrix, is_zero_matrix
     # and rank
     ("grading rank --type F4 --m 2 --labels 1,0,0,0",
-     "732f9acb5d486b5311d1dc59aea1d53e96d0c549869dadd6d9caee2d7f5db5f0"),
+     "774d83c8e0f37f3d44b05064823bcab51dddb5d14734552cb52d80afa4bbcd2e"),
     ("grading rank --type C3 --m 3 --labels 1,0,1",
-     "e50037dd2d9600ad3c638656f705e789f8662b904d31dd64b25845cbdd6676a7"),
+     "2bd2b5c98ac844f7e4866f46720aaa4f692c2aabfcaa7370916c93c7fc2b12a6"),
     ("tables verify --list all",
      "6dae85f9c2aa82be0249dc0b9b1af389ecf795d0ff846d5e0922f6681306d766"),
     ("packets enum --sln 5",
-     "e0becdcfa2aea9633e25b8806340a55b43666d23a2c76b0a838e193f6da38ae9"),
+     "c163fd40a6b896a4157dd2f16ca2a3689456efcda86475e6b489a7130b0652ef"),
     ("packets check --sln 2",
-     "51253b9b21dc824f5d6be6bfa80301f48be11b27012e8cee4518cc57eb060980"),
+     "c9a590e09edf864968ef08db61413cc5d6e610315f26066fd4cc7bcd98840a4f"),
     ("cells count --type F4",
-     "0b7df5a2f693bd12bb1d3bed5a8478e58a84ffe9895dc9a7db1603853e6de653"),
+     "146fd1132c03ca046ba6e33ecb50a0b0745a6f9492279a0dafaefc2cdc30cfd1"),
     ("cells count --type D5",
-     "09a8916bfcba829a048c841036aabe14a7e9ddda19293e9af020dcafa4d0dc44"),
+     "ae083e87cf64c36d243081534935c01005a152bcb1ea511568d49fc6827368f0"),
     ("sl2 modality --summands 1,2",
-     "4f01535db26f849080192bffde8f7629efb8bf04877286bc8ee22c86ac882435"),
+     "534ddf310f9fca747063d59f9abb908abbe459206d055bcbdf09c4dc7117466e"),
     ("exmo --n 4 --d 3",
-     "b6d807a62608a0cdd742babf5cbc6304d9dec127104bf4d5b5b24d7cbecc54a7"),
+     "2a85f75ed2347debc4c160699d584e1ad95a835ef0b8a727821e34d135817858"),
 ]
 
 
 @pytest.mark.parametrize("command,digest", _GOLDEN_REPORTS,
                          ids=[c for c, _ in _GOLDEN_REPORTS])
 def test_reports_match_golden_digests(command, digest, capsys, monkeypatch):
-    monkeypatch.delenv("MODALITY_SEED", raising=False)
-    code, report = run_json(capsys, [*command.split(), "--seed", "2024"])
+    # the seed reaches the commands that take one, and only those
+    monkeypatch.setenv("MODALITY_SEED", "2024")
+    code, report = run_json(capsys, command.split())
     assert code == 0
     text = json.dumps(strip_volatile(report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -564,7 +598,14 @@ def test_match_is_computed_equals_expected(command, capsys):
                 item["id"]
 
 
-_COMMON_CONFIG = ["seed", "trials", "rank_cutoff", "build_ceiling"]
+_SAMPLED = ["seed", "trials", "build_ceiling"]
+# the run settings each command takes, in the order config echoes them
+_RUN_SETTINGS = {"tables verify": ["seed", "trials", "rank_cutoff",
+                                   "build_ceiling"],
+                 "rep modality": _SAMPLED, "sl2 modality": _SAMPLED,
+                 "cells count": [], "grading rank": _SAMPLED,
+                 "packets enum": [], "packets check": ["seed"],
+                 "exmo": _SAMPLED}
 
 
 @pytest.mark.parametrize("command,echo", [
@@ -583,5 +624,53 @@ _COMMON_CONFIG = ["seed", "trials", "rank_cutoff", "build_ceiling"]
 def test_config_echoes_options_in_declaration_order(command, echo, capsys):
     _, report = run_json(capsys, command.split())
     config = report["config"]
-    assert list(config) == _COMMON_CONFIG + list(echo)
+    assert list(config) == _RUN_SETTINGS[report["command"]] + list(echo)
     assert {k: config[k] for k in echo} == echo
+
+
+def _subcommands(parser):
+    """The subparsers of ``parser`` by name, or none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _command_parsers():
+    for group, parser in _subcommands(cli._build_parser()).items():
+        actions = _subcommands(parser)
+        for action, cmd in actions.items():
+            yield f"{group} {action}", cmd
+        if not actions:
+            yield group, parser
+
+
+def _args_read(func):
+    """The ``args.<name>`` attributes a subcommand body reads."""
+    return {node.attr for node in ast.walk(ast.parse(inspect.getsource(func)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+# every value a command can be given: its run settings and options, plus
+# --format and --output, which run_command reads for every command
+_SETTABLE = {"tables verify": 7, "rep modality": 7, "sl2 modality": 6,
+             "cells count": 3, "grading rank": 8, "packets enum": 3,
+             "packets check": 5, "exmo": 7}
+
+
+def test_each_command_takes_only_what_its_body_reads():
+    bodies = {command: func for command, func, *_ in cli._COMMANDS}
+    declared = {}
+    unread = []
+    for command, parser in _command_parsers():
+        flags = {action.dest: action.option_strings[0]
+                 for action in parser._actions if action.dest != "help"}
+        declared[command] = len(flags)
+        read = _args_read(bodies[command])
+        unread += [f"{command} {flags[dest]}"
+                   for dest in sorted(flags.keys() - read
+                                      - {"format", "output"})]
+        assert read <= flags.keys(), command
+    assert not unread, f"options no command body reads: {unread}"
+    assert declared == _SETTABLE

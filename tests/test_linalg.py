@@ -8,6 +8,7 @@ squarefree parts and decompositions against Fraction long division and
 Yun's loop.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -208,6 +209,17 @@ def test_packed_rank_mod_p_matches_row_list_reference(p):
         assert rows == before
 
 
+@functools.cache
+def _slot_bound_rows(nr, nc, r):
+    """The rows of L U, L ``nr`` x ``r`` with ones on and below the
+    diagonal and U ``r`` x ``nc`` with unit pivots and -1 right of each.
+    Built once per shape and shared as tuples: ``rank_mod_p`` and
+    ``_row_list_rank_mod_p`` only read their rows."""
+    lower = [[int(i >= k) for k in range(r)] for i in range(nr)]
+    upper = [[(j == k) - (j > k) for j in range(nc)] for k in range(r)]
+    return tuple(map(tuple, _product(lower, upper, nc)))
+
+
 @pytest.mark.parametrize("p", [MERSENNE_61, 5, 3])
 @pytest.mark.parametrize("short", [0, 1])
 def test_packed_rank_mod_p_at_the_slot_bound(p, short):
@@ -218,9 +230,7 @@ def test_packed_rank_mod_p_at_the_slot_bound(p, short):
     # nonzero residues and raise the rank.
     nr, nc = 140, 70
     r = nc - short
-    lower = [[int(i >= k) for k in range(r)] for i in range(nr)]
-    upper = [[(j == k) - (j > k) for j in range(nc)] for k in range(r)]
-    rows = _product(lower, upper, nc)
+    rows = _slot_bound_rows(nr, nc, r)
     cols = [list(c) for c in zip(*rows)]
     assert linalg.rank_mod_p(rows, nc, p) == r == _row_list_rank_mod_p(
         rows, nc, p)
@@ -244,9 +254,7 @@ def test_folded_tail_at_the_slot_bound(p, shape):
     nr, nc = shape
     for short in (0, 1):
         r = min(nr, nc) - short
-        lower = [[int(i >= k) for k in range(r)] for i in range(nr)]
-        upper = [[(j == k) - (j > k) for j in range(nc)] for k in range(r)]
-        rows = _product(lower, upper, nc)
+        rows = _slot_bound_rows(nr, nc, r)
         assert linalg.rank_mod_p(rows, nc, p) == r == _row_list_rank_mod_p(
             rows, nc, p)
 
