@@ -22,7 +22,7 @@ rng = random.Random(38)  # a seed where both parts come out nonzero
 x = random_homogeneous_element(ga, 1, rng)
 s, n = decompose_graded_element(ga, x)
 
-names = ga.sc.basis_names
+names = ga.sc.module.basis_names
 def show(label, coords):
     terms = [f"{c}*{names[i]}" for i, c in enumerate(coords) if c]
     print(f"{label} = {' + '.join(terms) if terms else '0'}")

@@ -36,8 +36,9 @@ print(f"random point of packet {p.jordan_type.name} classifies as "
 # the full sampling suite checks coverage, the maximal modality, the
 # packet identity criterion, one sheet per partition of n against the
 # packet closures, and regular elements in centralizer centers
-report = packet_sanity_suite(3, samples=150, seed=5)
-print(f"\nsanity suite for sl3: coverage {report.coverage_ok}, "
-      f"max modality {report.max_modality} (rank {report.n - 1}), "
+n = 3
+report = packet_sanity_suite(n, samples=150, seed=5)
+print(f"\nsanity suite for sl{n}: coverage {report.coverage_ok}, "
+      f"max modality {report.max_modality} (rank {n - 1}), "
       f"sheets {report.sheets_ok}, centers {report.regular_center_ok}, "
       f"overall {'pass' if report.passed else 'fail'}")

@@ -63,7 +63,7 @@ def _item(item_id, computed=None, expected=None, match=None, orbit_dim=None,
 def _sampling(report):
     """How sure an item is: the field the ``OrbitDimReport``'s points came
     from, how many were drawn, and the chance that it fell short."""
-    return {"field": report.field, "trials": report.trials_used,
+    return {"field": modality.FIELD, "trials": report.trials_used,
             "miss_bound": report.miss_bound, "quantity": _CODIMENSION}
 
 
@@ -412,7 +412,7 @@ def run_command(argv=None):
 def main(argv=None):
     try:
         return run_command(argv)
-    except (ValueError, BuildCeilingExceeded, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,13 +100,11 @@ class StructureConstants:
         if self.dim != rs.dimension:
             raise AssertionError(f"{rstype.name}: {self.dim} basis "
                                  f"elements, not {rs.dimension}")
-        self.basis_names = mod.basis_names
         r = self._r = rs.rank
         pos = rs.positive_roots
         self.root_of_index = tuple(
             [None] * r + list(pos) + [tuple(-c for c in b) for b in pos])
 
-        self._n = mod.dimension
         basis = mod.full_basis
         self._entries = [_entries(m) for m in basis]
         # a root vector owns every position where it is nonzero
@@ -185,14 +183,15 @@ class StructureConstants:
     def element_matrix(self, coords):
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has wrong length")
-        cols = [{} for _ in range(self._n)]
+        n = self.module.dimension
+        cols = [{} for _ in range(n)]
         for c, basis_entries in zip(coords, self._entries):
             if c:
                 c = integral(c)
                 for (i, j), v in basis_entries.items():
                     cols[j][i] = cols[j].get(i, 0) + c * v
         return linalg.Matrix.from_columns(
-            [{i: v for i, v in col.items() if v} for col in cols], self._n)
+            [{i: v for i, v in col.items() if v} for col in cols], n)
 
     def bracket_coords(self, u, v):
         out = [0] * self.dim

@@ -35,7 +35,7 @@ from .hwmod import (
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
-    "ActionSpec", "OrbitDimReport", "CoverPiece", "TableEntry", "VerifyResult",
+    "ActionSpec", "OrbitDimReport", "TableEntry", "VerifyResult",
     "ExmoReport", "orbit_dim_at",
     "generic_orbit_dim", "sl2_action", "sl2_modality",
     "modality_from_cover", "action_from_module", "load_raw_tables",
@@ -86,7 +86,7 @@ class ActionSpec(namedtuple("ActionSpec", "matrices")):
 
 
 class OrbitDimReport(NamedTuple):
-    """The best orbit dimension over ``trials_used`` points of ``field``.
+    """The best orbit dimension over ``trials_used`` points of ``FIELD``.
 
     ``miss_bound`` bounds the probability that ``generic_orbit_dim`` is
     below the true generic orbit dimension; see ``generic_orbit_dim``.
@@ -97,7 +97,6 @@ class OrbitDimReport(NamedTuple):
     generic_orbit_dim: int
     codimension: int
     trials_used: int
-    field: str
     miss_bound: float
 
 
@@ -165,7 +164,7 @@ def generic_orbit_dim(action, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         float(Fraction(cap, PRIME) ** used), math.inf)   # rounded up
     return OrbitDimReport(
         generic_orbit_dim=best, codimension=action.space_dim - best,
-        trials_used=used, field=FIELD, miss_bound=miss)
+        trials_used=used, miss_bound=miss)
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +206,16 @@ def sl2_modality(summands):
 # ---------------------------------------------------------------------------
 # finite constructible covers with constant orbit dimension per piece
 
-class CoverPiece(namedtuple("CoverPiece", "closure_dim orbit_dim")):
-    __slots__ = ()
-
-    def __new__(cls, closure_dim, orbit_dim):
-        if not 0 <= orbit_dim <= closure_dim:
-            raise ValueError("need 0 <= orbit_dim <= closure_dim")
-        return super().__new__(cls, closure_dim, orbit_dim)
-
-    _make = classmethod(lambda cls, args: cls(*args))  # _replace via __new__
-
-
 def modality_from_cover(pieces):
     """Modality of an action covered by finitely many constant-orbit-dim
-    families: the max over pieces of closure_dim - orbit_dim."""
+    families, each given as a (closure_dim, orbit_dim) pair: the max over
+    pieces of closure_dim - orbit_dim."""
     pieces = list(pieces)
     if not pieces:
         raise ValueError("cover must be nonempty")
-    return max(p.closure_dim - p.orbit_dim for p in pieces)
+    if not all(0 <= orbit <= closure for closure, orbit in pieces):
+        raise ValueError("need 0 <= orbit_dim <= closure_dim")
+    return max(closure - orbit for closure, orbit in pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import cells, linalg
 from .graded import GradingSpec, build_grading, centralizer_slice
-from .modality import CoverPiece, modality_from_cover, orbit_dim_at
+from .modality import DEFAULT_SEED, modality_from_cover, orbit_dim_at
 from .rootsys import RootSystemType, build_root_system
 
 __all__ = [
@@ -94,7 +94,6 @@ class JordanTypeA(namedtuple("JordanTypeA", "block_data")):
 
 
 class PacketDescriptor(NamedTuple):
-    n: int
     jordan_type: JordanTypeA
     cell: cells.Cell
     orbit_dim: int
@@ -173,7 +172,7 @@ def enumerate_packets_adjoint_typeA(n):
             if sum(rep[i, i] for i in range(n)):
                 raise AssertionError(f"{jt.name}: trace is not zero")
             out.append(PacketDescriptor(
-                n=n, jordan_type=jt, cell=cell, orbit_dim=orbit,
+                jordan_type=jt, cell=cell, orbit_dim=orbit,
                 closure_dim=orbit + (k - 1), modality=k - 1,
                 representative=rep))
     out.sort(key=lambda p: (-p.closure_dim, p.jordan_type.block_data))
@@ -268,7 +267,7 @@ def random_packet_point(descriptor, rng):
     rows: row i gains c times row j, then column j loses c times column i."""
     jt = descriptor.jordan_type
     sizes = [s for s, _ in jt.block_data]
-    n = descriptor.n
+    n = jt.n
     lams = _centered(sizes, rng.sample(range(-9, 10), len(sizes)))
     rows = _representative_matrix(jt, lams).rows
     for _ in range(4):
@@ -299,7 +298,6 @@ class SheetCheck(NamedTuple):
 
 
 class SanityReport(NamedTuple):
-    n: int
     samples: int
     coverage_ok: bool
     max_modality: int
@@ -315,7 +313,7 @@ class SanityReport(NamedTuple):
                 and self.sheets_ok and self.regular_center_ok)
 
 
-def packet_sanity_suite(n, samples=200, seed=2024):
+def packet_sanity_suite(n, samples=200, seed=DEFAULT_SEED):
     """Sampling verification of the structural facts about packets.
 
     Checks, in order: every random traceless matrix classifies into an
@@ -348,7 +346,7 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         sampled.append((x, jt))
 
     max_modality = modality_from_cover(
-        [CoverPiece(p.closure_dim, p.orbit_dim) for p in packets])
+        [(p.closure_dim, p.orbit_dim) for p in packets])
     aggregator_ok = max_modality == n - 1
 
     # same packet <=> same centralizer dim and same coincidence pattern
@@ -400,7 +398,7 @@ def packet_sanity_suite(n, samples=200, seed=2024):
         if best != x_orbit:
             regular_center_ok = False
 
-    return SanityReport(n=n, samples=samples, coverage_ok=coverage_ok,
+    return SanityReport(samples=samples, coverage_ok=coverage_ok,
                         max_modality=max_modality, aggregator_ok=aggregator_ok,
                         identity_ok=identity_ok,
                         sheet_checks=tuple(sheet_checks), sheets_ok=sheets_ok,

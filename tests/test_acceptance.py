@@ -14,8 +14,8 @@ import pytest
 
 from liemod import cells, graded, linalg, modality, packets
 from liemod.hwmod import IrrepSpec, build_hw_module, weyl_dim
-from liemod.modality import (CoverPiece, modality_from_cover, sl2_action,
-                             sl2_modality, table_entries, verify_table_entry)
+from liemod.modality import (modality_from_cover, sl2_action, sl2_modality,
+                             table_entries, verify_table_entry)
 from liemod.rootsys import RootSystemType, build_root_system
 
 SEED = modality.DEFAULT_SEED
@@ -136,7 +136,7 @@ def test_criterion_06_packet_counts_dims_and_max_modality():
         dims_ok = all(packets.packet_dims(p) == (p.closure_dim, p.modality)
                       for p in descs)
         agg = modality_from_cover(
-            [CoverPiece(p.closure_dim, p.orbit_dim) for p in descs])
+            [(p.closure_dim, p.orbit_dim) for p in descs])
         agg_ok = agg == n - 1
         ok = ok and count_ok and dims_ok and agg_ok
         details.append(f"n={n}:{len(descs)} packets, max modality {agg}")

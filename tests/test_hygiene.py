@@ -9,7 +9,7 @@ is listed with the liemod function that applies it, and that function
 applies it.  A read on ``self`` or on a class named
 directly counts for that class alone, and each class that shares a member
 name with another and is read only on other receivers is listed under that
-name with its readers.  Every unbounded cache is keyed by a small, fixed
+name with the functions that read it, each checked to read the name.  Every unbounded cache is keyed by a small, fixed
 domain, so a sweep over modules cannot grow it.  No module imports
 ``dataclasses``, which would cost every command its start-up time, and no
 module holds an ``assert`` statement, which ``python -O`` would strip.
@@ -244,41 +244,35 @@ def _owners():
 
 # member names two or more classes define, with each class that is read
 # only on receivers the guard cannot type (``p.closure_dim``), so that no
-# read of the name can be keyed to it, and who reads that class's member
+# read of the name can be keyed to it, and the liemod functions that read
+# that class's member: ``module.function`` or ``module.Class.method``, or a
+# tuple of them
 SHARED_NAMES = {
-    "basis_names": {
-        "HWModule": "StructureConstants copies it",
-        "StructureConstants": "the Jordan demo labels coordinates with it"},
     "closure_dim": {
         "Cell": "cells.centralizer_data",
-        "CoverPiece": "modality.modality_from_cover",
-        "PacketDescriptor": "packets' sort"},
+        "PacketDescriptor": "packets.enumerate_packets_adjoint_typeA"},
     "dim": {
-        "GradedAlgebra": "cli's grading dims and graded's "
-        "random_homogeneous_element and cartan_subspace"},
+        "GradedAlgebra": ("cli._cmd_grading_rank",
+                          "graded.random_homogeneous_element",
+                          "graded.cartan_subspace")},
     "dimension": {
         "BuildCeilingExceeded": "modality.verify_table_entry",
-        "HWModule": "the StructureConstants build",
-        "RootSystem": "the StructureConstants build"},
-    "n": {
-        "JordanTypeA": "packets._representative_matrix",
-        "PacketDescriptor": "packets.random_packet_point",
-        "SanityReport": "the packets demo"},
+        "HWModule": "graded.StructureConstants.element_matrix",
+        "RootSystem": "graded.StructureConstants.__init__"},
     "name": {
-        "GradingSpec": "cli's grading report ids",
-        "IrrepSpec": "cli's rep report ids",
-        "JordanTypeA": "cli's packets report ids",
-        "RootSystemType": "cli's cells report ids"},
+        "GradingSpec": "cli._cmd_grading_rank",
+        "IrrepSpec": "cli._cmd_rep_modality",
+        "JordanTypeA": "cli._cmd_packets_enum",
+        "RootSystemType": "cli._cmd_cells_count"},
     "orbit_dim": {
-        "CoverPiece": "modality.modality_from_cover",
         "PacketDescriptor": "packets.packet_dims",
-        "VerifyResult": "cli's tables items"},
+        "VerifyResult": "cli._cmd_tables_verify"},
     "sampling": {
-        "ExmoReport": "cli's exmo items",
-        "VerifyResult": "cli's tables items"},
+        "ExmoReport": "cli._cmd_exmo",
+        "VerifyResult": "cli._cmd_tables_verify"},
     "space_dim": {
-        "ActionSpec": "modality throughout",
-        "ExmoReport": "cli's exmo dims"},
+        "ActionSpec": ("modality._orbit_rows", "modality.generic_orbit_dim"),
+        "ExmoReport": "cli._cmd_exmo"},
 }
 
 
@@ -296,6 +290,44 @@ def test_names_two_classes_share_are_listed():
     stale = sorted(f"{c}.{name}" for name, c in listed - need)
     assert not stale, \
         f"allowlisted members no longer shared or read untyped: {stale}"
+
+
+def _reads_untyped(reader, name, trees, classes):
+    """Whether ``reader``, ``module.function`` or ``module.Class.method``
+    in liemod, exists and reads ``.name`` on a receiver the guard cannot
+    type; free text names no function and reads nothing."""
+    module, _, path = reader.partition(".")
+    if module not in trees or not path:
+        return False
+    node = trees[module]
+    for part in path.split("."):
+        node = next((n for n in getattr(node, "body", ())
+                     if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == part), None)
+    if not isinstance(node, ast.FunctionDef):
+        return False
+    known = _receivers(trees[module], classes)
+    return _member_loads(node, known)[None, name] > 0
+
+
+def test_shared_name_readers_read_the_name():
+    # each listed reason is checked, not trusted: if a named reader goes or
+    # stops reading the member, the entry is stale
+    trees = {name: _tree(name) for name in MODULES}
+    classes = {cls.name for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)}
+    wrong = sorted(
+        f"{cls}.{name}: {reader}" for name, entry in SHARED_NAMES.items()
+        for cls, readers in entry.items()
+        for reader in ((readers,) if isinstance(readers, str) else readers)
+        if not _reads_untyped(reader, name, trees, classes))
+    assert not wrong, f"listed readers that do not read the member: {wrong}"
+    # the check itself: a free-text reason, a missing function and a
+    # function that does not read the name all fail it
+    for reader, name in (("packets' sort", "closure_dim"),
+                         ("packets.no_such_function", "closure_dim"),
+                         ("packets.packet_dims", "space_dim")):
+        assert not _reads_untyped(reader, name, trees, classes), reader
 
 
 def _unread(kind):

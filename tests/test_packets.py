@@ -121,7 +121,7 @@ def test_packet_dims_recompute(n):
 def test_packet_dims_rejects_tampered_descriptor():
     p = enumerate_packets_adjoint_typeA(2)[0]
     bad = packets.PacketDescriptor(
-        n=p.n, jordan_type=p.jordan_type, cell=p.cell,
+        jordan_type=p.jordan_type, cell=p.cell,
         orbit_dim=p.orbit_dim + 1, closure_dim=p.closure_dim,
         modality=p.modality, representative=p.representative)
     with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ def _product_packet_point(descriptor, rng):
     ``shear @ x @ inverse``."""
     jt = descriptor.jordan_type
     sizes = [s for s, _ in jt.block_data]
-    n = descriptor.n
+    n = jt.n
     lams = packets._centered(sizes, rng.sample(range(-9, 10), len(sizes)))
     x = packets._representative_matrix(jt, lams)
     for _ in range(4):

@@ -13,8 +13,8 @@ from liemod import linalg
 from liemod.cells import Cell, CentralizerData, FunctionalSet
 from liemod.graded import GradedAlgebra, GradingSpec
 from liemod.hwmod import HWModule, IrrepSpec
-from liemod.modality import (FIELD, ActionSpec, CoverPiece, ExmoReport,
-                             OrbitDimReport, TableEntry, VerifyResult)
+from liemod.modality import (ActionSpec, ExmoReport, OrbitDimReport,
+                             TableEntry, VerifyResult)
 from liemod.packets import (JordanTypeA, PacketDescriptor, SanityReport,
                             SheetCheck)
 from liemod.rootsys import RootSystemType
@@ -22,7 +22,7 @@ from liemod.rootsys import RootSystemType
 A2 = RootSystemType("A", 2)
 MATRIX = linalg.rmat([[0, 1], [0, 0]])
 REPORT = OrbitDimReport(generic_orbit_dim=6, codimension=2, trials_used=1,
-                        field=FIELD, miss_bound=0.5)
+                        miss_bound=0.5)
 ENTRY = TableEntry(rstype=A2, weight=(1, 0), expected_modality=0, table="m1")
 CELL = Cell(flat=frozenset({0}), closure_dim=1)
 JORDAN = JordanTypeA(block_data=((2, (2,)),))
@@ -37,9 +37,7 @@ RECORDS = {
         full_basis=None, basis_names=None)),
     "ActionSpec": (ActionSpec, dict(matrices=(MATRIX, MATRIX))),
     "OrbitDimReport": (OrbitDimReport, dict(
-        generic_orbit_dim=6, codimension=2, trials_used=1, field=FIELD,
-        miss_bound=0.5)),
-    "CoverPiece": (CoverPiece, dict(closure_dim=3, orbit_dim=2)),
+        generic_orbit_dim=6, codimension=2, trials_used=1, miss_bound=0.5)),
     "TableEntry": (TableEntry, dict(rstype=A2, weight=(1, 0),
                                     expected_modality=0, table="m1")),
     "VerifyResult": (VerifyResult, dict(
@@ -60,12 +58,12 @@ RECORDS = {
         dim_centralizer=4, dim_center=1, dim_derived=3)),
     "JordanTypeA": (JordanTypeA, dict(block_data=((2, (1, 1)), (1, (1,))))),
     "PacketDescriptor": (PacketDescriptor, dict(
-        n=2, jordan_type=JORDAN, cell=CELL, orbit_dim=2, closure_dim=2,
+        jordan_type=JORDAN, cell=CELL, orbit_dim=2, closure_dim=2,
         modality=0, representative=((0, 1), (0, 0)))),
     "SheetCheck": (SheetCheck, dict(sheet=(3, 2), matched_packet="2:[2]",
                                     point_orbit_dims_constant=True)),
     "SanityReport": (SanityReport, dict(
-        n=2, samples=10, coverage_ok=True,
+        samples=10, coverage_ok=True,
         max_modality=1, aggregator_ok=True, identity_ok=True,
         sheet_checks=(), sheets_ok=True, regular_center_ok=True)),
 }
@@ -77,7 +75,7 @@ HASHABLE = sorted(set(FROZEN) - {"ActionSpec"})
 
 
 def test_every_record_type_is_listed():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 17
     assert all(cls.__name__ == name for name, (cls, _) in RECORDS.items())
 
 
@@ -117,8 +115,6 @@ def test_hash_is_the_hash_of_the_field_tuple(name):
     (lambda: ActionSpec(()), "need one or more square matrices of one size"),
     (lambda: ActionSpec((MATRIX, linalg.rmat([[0]]))),
      "need one or more square matrices of one size"),
-    (lambda: CoverPiece(1, 2), "need 0 <= orbit_dim <= closure_dim"),
-    (lambda: CoverPiece(1, -1), "need 0 <= orbit_dim <= closure_dim"),
     (lambda: GradingSpec(A2, 0, (1, 0)),
      "m must be a positive integer or None"),
     (lambda: GradingSpec(A2, 3, (1,)), "need one label per simple root"),
@@ -164,5 +160,5 @@ def test_records_are_named_tuples():
     assert ENTRY._replace(weight=(0, 1)) == TableEntry(A2, (0, 1), 0, "m1")
     # _replace builds through the constructor: it checks and normalises
     assert GradingSpec(A2, 3, (1, 0))._replace(labels=(4, 5)).labels == (1, 2)
-    with pytest.raises(ValueError, match="orbit_dim <= closure_dim"):
-        CoverPiece(3, 2)._replace(orbit_dim=4)
+    with pytest.raises(ValueError, match="highest weight must be dominant"):
+        IrrepSpec(A2, (1, 0))._replace(highest_weight=(1, -1))
