@@ -11,8 +11,8 @@ Structure constants are computed once per algebra type from a faithful
 matrix construction of the smallest available module and cached.  The basis
 is left-normed, x_beta = [e_j, x_gamma] (``hwmod.root_vectors``), and ad is
 a homomorphism, so from the 2r matrices ad e_i and ad f_i that recursion
-builds ad of every root vector; bracket[a][b] is column b of ad of basis
-element a, and the Cartan rows are the negated Cartan columns.  A Cartan
+builds ad of every root vector, and ad h_i = [ad e_i, ad f_i].  Row a of
+the table is ad of basis element a: bracket[a][b] is its column b.  A Cartan
 column of ad e_i or ad f_i is root data, [x_alpha, h_b] = -<alpha,
 alpha_b^vee> x_alpha, and a root column [x_alpha, x_beta] is zero by weight
 unless alpha + beta is a root or zero.  Otherwise it is one sparse
@@ -71,9 +71,10 @@ def _structure_module(rstype):
     return IrrepSpec(rstype, [int(i == node) for i in range(rstype.rank)])
 
 
-# the bracket of a pair whose roots sum to neither a root nor zero: one
-# read-only value fills every such slot of every table (most of them: 46,000
-# of E8's 61,504), and slots are only ever replaced, never written into
+# every empty column of an ad row, such as the bracket of a pair whose roots
+# sum to neither a root nor zero: one read-only value fills every such slot
+# of every table (46,000 of E8's 61,504; a dict each would add 2.9 MB), and
+# no slot is ever written into
 _ZERO_BRACKET = MappingProxyType({})
 
 
@@ -133,15 +134,13 @@ class StructureConstants:
                 cols.append({} if roots is None else self._coords(
                     _entries(linalg.commutator(basis[a], basis[b])), roots))
             ad.append(linalg.Matrix.from_columns(cols, self.dim))
-        xy = root_vectors(rs, ad[:r], ad[r:])
-        self.bracket = [[_ZERO_BRACKET] * self.dim for _ in range(self.dim)]
-        for a, m in enumerate((v[b] for v in xy for b in pos), r):
-            for b, col in enumerate(m.columns()):
-                if col:
-                    entry = {c: integral(col[c]) for c in sorted(col)}
-                    self.bracket[a][b] = entry
-                    if b < r:
-                        self.bracket[b][a] = {c: -v for c, v in entry.items()}
+        # row a is ad of basis element a: ad h_i = [ad e_i, ad f_i], then
+        # the ad matrices of the root vectors, in basis order
+        self.bracket = [
+            [{c: integral(v) for c, v in col.items()} if col else _ZERO_BRACKET
+             for col in m.columns()]
+            for m in (*map(linalg.commutator, ad[:r], ad[r:]),
+                      *root_vectors(rs, ad[:r], ad[r:]))]
 
     def _coords(self, entries, roots=None):
         """Sparse coordinates of the matrix with nonzero ``entries`` ((i, j)

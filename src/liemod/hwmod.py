@@ -78,9 +78,8 @@ class HWModule:
     ``e``, ``f``, ``h`` hold the matrices of the simple generators in the
     monomial basis, with the weight of each basis vector on the diagonals of
     ``h``, and ``monomials`` its lowering-index sequence.
-    ``full_basis`` holds matrices for a basis of the whole algebra, ordered
-    as the Cartan generators, then one raising vector per positive root (by
-    height, from ``root_vectors``), then the matching lowering vectors, and
+    ``full_basis`` holds matrices for a basis of the whole algebra: the
+    Cartan generators, then the root vectors ``root_vectors`` returns, and
     ``basis_names`` names them.
     """
 
@@ -207,18 +206,18 @@ def _build_module(spec, dim):
               for j in range(r)]
     h_mats = [Matrix.from_columns([{b: weights[b][j]} if weights[b][j] else {}
                                    for b in basis], dim) for j in range(r)]
-    xy = root_vectors(rs, e_mats, f_mats)
-    pos = rs.positive_roots
     return HWModule(dimension=dim, monomials=tuple(order), e=tuple(e_mats),
                     f=tuple(f_mats), h=tuple(h_mats),
-                    full_basis=(*h_mats, *(v[b] for v in xy for b in pos)),
+                    full_basis=(*h_mats, *root_vectors(rs, e_mats, f_mats)),
                     basis_names=(*(f"h{j + 1}" for j in range(r)), *(
-                        side + str(list(b)) for side in "xy" for b in pos)))
+                        side + str(list(b)) for side in "xy"
+                        for b in rs.positive_roots)))
 
 
 def root_vectors(rs, e, f):
-    """Matrices of a raising and a lowering vector for every positive root,
-    as two dicts keyed by root, in height order.
+    """Matrices of a raising vector for every positive root, by height,
+    then of the matching lowering vectors, as one tuple: the basis of the
+    algebra after its Cartan generators.
 
     ``e`` and ``f`` are the matrices of the simple root vectors in any
     representation.  Each non-simple root beta is gamma + alpha_j for the
@@ -248,7 +247,7 @@ def root_vectors(rs, e, f):
         if faithful and not all(any(v[beta].columns()) for v in (x, y)):
             raise AssertionError(
                 f"root vector for {beta} vanished in a faithful module")
-    return x, y
+    return (*x.values(), *y.values())
 
 
 # Only the most recent module is kept: every caller reuses a module right
